@@ -297,22 +297,53 @@ def plan_to_json(plan: CompiledPlan) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
 
 
+def _str_field(payload: dict, key: str, kind: str) -> str:
+    value = payload.get(key)
+    if not isinstance(value, str):
+        raise PlanError(f"{kind!r} node needs a string {key!r}, got {value!r}")
+    return value
+
+
+def _body_from_obj(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise PlanError(f"{where} must be a list of plan nodes, got {obj!r}")
+    return [_node_from_obj(n) for n in obj]
+
+
 def _node_from_obj(obj) -> object:
+    """One node of an untrusted plan document: every payload key and type
+    is checked and every escaper name resolved, so a bad plan raises
+    PlanError here and never a KeyError at render time."""
     if not isinstance(obj, dict) or len(obj) != 1:
         raise PlanError(f"malformed plan node: {obj!r}")
     (kind, payload), = obj.items()
     if kind == "lit":
+        if not isinstance(payload, str):
+            raise PlanError(f"'lit' node needs a string, got {payload!r}")
         return Lit(payload)
+    if kind not in ("interp", "for", "if"):
+        raise PlanError(f"unknown plan node kind {kind!r}")
+    if not isinstance(payload, dict):
+        raise PlanError(f"{kind!r} node needs an object, got {payload!r}")
+    path = _str_field(payload, "path", kind)
     if kind == "interp":
-        return PlanInterp(payload["path"], tuple(payload["escapers"]))
+        names = payload.get("escapers")
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise PlanError(f"'interp' node at path {path!r} needs a list of escaper names")
+        for name in names:
+            try:
+                get_escaper(name)
+            except KeyError:
+                raise PlanError(f"unknown escaper {name!r} at path {path!r}") from None
+        return PlanInterp(path, tuple(names))
     if kind == "for":
-        return PlanFor(payload["var"], payload["path"],
-                       [_node_from_obj(n) for n in payload["body"]])
-    if kind == "if":
-        return PlanIf(payload["path"],
-                      [_node_from_obj(n) for n in payload["then"]],
-                      [_node_from_obj(n) for n in payload.get("else", [])])
-    raise PlanError(f"unknown plan node kind {kind!r}")
+        return PlanFor(_str_field(payload, "var", kind), path,
+                       _body_from_obj(payload.get("body"), "'for' body"))
+    return PlanIf(path, _body_from_obj(payload.get("then"), "'if' then"),
+                  _body_from_obj(payload.get("else", []), "'if' else"))
+
+
+_MARK_STEPS = {"body": "body", "then": "then", "else": "els"}
 
 
 def plan_from_json(text: str) -> CompiledPlan:
@@ -322,21 +353,26 @@ def plan_from_json(text: str) -> CompiledPlan:
         raise PlanError(f"plan is not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or "language" not in doc or "body" not in doc:
         raise PlanError("plan document must have 'language' and 'body'")
-    body = [_node_from_obj(n) for n in doc["body"]]
-    plan = CompiledPlan(doc["language"], body)
-    for row in doc.get("marks", ()):
+    if not isinstance(doc["language"], str):
+        raise PlanError(f"plan 'language' must be a string, got {doc['language']!r}")
+    plan = CompiledPlan(doc["language"], _body_from_obj(doc["body"], "plan body"))
+    rows = doc.get("marks", [])
+    if not isinstance(rows, list):
+        raise PlanError(f"plan 'marks' must be a list, got {rows!r}")
+    for row in rows:
+        if not (isinstance(row, dict) and isinstance(row.get("at"), list)
+                and isinstance(row.get("offset"), int) and isinstance(row.get("kind"), str)
+                and isinstance(row.get("id", ""), str)):
+            raise PlanError(f"malformed mark row: {row!r}")
         node = plan.body
         for step in row["at"]:
-            if isinstance(step, int):
-                node = node[step]
-            elif step == "body":
-                node = node.body
-            elif step == "then":
-                node = node.then
-            elif step == "else":
-                node = node.els
-            else:
-                raise PlanError(f"bad mark path step {step!r}")
+            try:
+                if isinstance(step, int) and step >= 0:
+                    node = node[step]
+                else:
+                    node = getattr(node, _MARK_STEPS[step])
+            except (IndexError, KeyError, TypeError, AttributeError):
+                raise PlanError(f"bad mark path step {step!r}") from None
         if not isinstance(node, Lit):
             raise PlanError("mark path does not address a literal node")
         node.marks = node.marks + (Mark(row["kind"], row["offset"], row.get("id")),)

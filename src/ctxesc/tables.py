@@ -9,6 +9,11 @@ keyword ``interp`` (an interpolated value is arriving), or empty (an epsilon
 transition). A preamble declares the context fields and their vocabularies,
 regex macros, the start and terminal contexts, and the escaper map. Rule
 order is significant: the first matching rule wins, always.
+
+Contexts are finite, so a table selects its rules per context, not per step:
+the first time a context is seen, the rows of each trigger kind whose pattern
+matches it are memoized as a tuple in file order. Dispatch then walks only
+that tuple, and "first match wins" is unchanged.
 """
 
 from __future__ import annotations
@@ -92,6 +97,11 @@ class EscapeRule:
 
 @dataclass
 class TransitionTable:
+    """A parsed table. Rule selection is memoized per (trigger kind, context)
+    on the instance; each entry keeps the matching rows in file order. An
+    entry depends only on the table and the context, so threads that race to
+    fill one compute the same tuple."""
+
     name: str
     filename: str
     fields: tuple[str, ...]
@@ -107,38 +117,39 @@ class TransitionTable:
     regex_rules: tuple[Rule, ...] = field(default=())
     epsilon_rules: tuple[Rule, ...] = field(default=())
     interp_rules: tuple[Rule, ...] = field(default=())
+    _selected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.regex_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_REGEX)
         self.epsilon_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_EPSILON)
         self.interp_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_INTERP)
 
+    def _select(self, kind: str, rows: tuple, context) -> tuple:
+        """The rows of one kind whose pattern matches ``context``, in file order."""
+        key = (kind, context)
+        hit = self._selected.get(key)
+        if hit is None:
+            hit = self._selected[key] = tuple(r for r in rows if r.pattern.matches(context))
+        return hit
+
     def first_regex_match(self, context, text):
-        for rule in self.regex_rules:
-            if not rule.pattern.matches(context):
-                continue
+        for rule in self._select(TRIGGER_REGEX, self.regex_rules, context):
             m = rule.regex.match(text)
             if m and m.end() > 0:
                 return rule, m
         return None, None
 
     def first_epsilon(self, context):
-        for rule in self.epsilon_rules:
-            if rule.pattern.matches(context):
-                return rule
-        return None
+        hit = self._select(TRIGGER_EPSILON, self.epsilon_rules, context)
+        return hit[0] if hit else None
 
     def first_interp_rule(self, context):
-        for rule in self.interp_rules:
-            if rule.pattern.matches(context):
-                return rule
-        return None
+        hit = self._select(TRIGGER_INTERP, self.interp_rules, context)
+        return hit[0] if hit else None
 
     def escape_rule_for(self, context):
-        for row in self.escapes:
-            if row.pattern.matches(context):
-                return row
-        return None
+        hit = self._select("escape", self.escapes, context)
+        return hit[0] if hit else None
 
     def end_message(self, context) -> str:
         state = context[0]

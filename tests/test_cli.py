@@ -164,6 +164,28 @@ def test_malformed_plan_input_is_usage_error(workdir, capsys):
     assert main(["render", str(bad), "--bindings", str(workdir / "b.json")]) == 2
 
 
+def _render_plan_body(workdir, node):
+    plan = workdir / "bad_plan.json"
+    plan.write_text(json.dumps({"language": "html", "body": [node]}), encoding="utf-8")
+    return main(["render", str(plan), "--bindings", str(workdir / "b.json")])
+
+
+def test_plan_with_unknown_escaper_is_usage_error(workdir, capsys):
+    node = {"interp": {"path": "s", "escapers": ["NoSuchEscaper"]}}
+    assert _render_plan_body(workdir, node) == 2
+    assert "unknown escaper 'NoSuchEscaper'" in capsys.readouterr().err
+
+
+def test_plan_interp_without_escapers_is_usage_error(workdir, capsys):
+    assert _render_plan_body(workdir, {"interp": {"path": "s"}}) == 2
+    assert "escaper names" in capsys.readouterr().err
+
+
+def test_plan_loop_without_path_is_usage_error(workdir, capsys):
+    assert _render_plan_body(workdir, {"for": {"var": "it", "body": []}}) == 2
+    assert "'path'" in capsys.readouterr().err
+
+
 def test_fuzzed_diagnostics_always_carry_positions(workdir, capsys):
     import random
 

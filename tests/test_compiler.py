@@ -1,9 +1,15 @@
+import hashlib
+import json
 import pathlib
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, program_of
 from ctxesc import machine as machine_mod
+from ctxesc import web
 from ctxesc.compiler import (
     CompiledPlan,
     Lit,
@@ -22,6 +28,7 @@ from ctxesc.diagnostics import PlanError, RenderError, Severity, has_errors
 from ctxesc.frontend import AppendFixed, AppendUnsafe, LoopBlock, walk
 from ctxesc.machine import state_str
 from ctxesc.runtime import Bindings, render_full
+from support import STRUCTURE_CORPUS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "list_plan.json"
 
@@ -218,6 +225,26 @@ def test_plan_json_round_trip_preserves_execution(html):
     assert plan_to_json(loaded) == plan.to_json()
 
 
+@pytest.mark.parametrize("doc", [
+    {"language": 1, "body": []},
+    {"language": "html", "body": {}},
+    {"language": "html", "body": [{"lit": 3}]},
+    {"language": "html", "body": [{"interp": "x"}]},
+    {"language": "html", "body": [{"interp": {"path": "x", "escapers": [7]}}]},
+    {"language": "html", "body": [{"for": {"var": "i", "path": "xs", "body": "b"}}]},
+    {"language": "html", "body": [{"if": {"path": "c", "else": []}}]},
+    {"language": "html", "body": [{"lit": "a"}], "marks": 1},
+    {"language": "html", "body": [{"lit": "a"}], "marks": [{"at": [0], "kind": "MsgStart"}]},
+] + [
+    {"language": "html", "body": [{"lit": "a"}],
+     "marks": [{"at": at, "offset": 0, "kind": "MsgStart"}]}
+    for at in ([5], [-1], [0, 0], [[]], ["then"])
+])
+def test_malformed_plan_documents_raise_plan_error(doc):
+    with pytest.raises(PlanError):
+        plan_from_json(json.dumps(doc))
+
+
 def test_plan_marks_serialized_at_tree_paths(html):
     plan, _ = compile_template(MESSAGE_TEMPLATE)
     import json
@@ -277,3 +304,63 @@ def test_every_diagnostic_carries_a_position(html):
         _, _, diags = analyze_template(src)
         for d in diags:
             assert d.position.line >= 1 and d.position.col >= 1
+
+
+# -- dispatch invariance ---------------------------------------------------------
+
+# transition_op_count deltas of compile_template, list template first, then
+# STRUCTURE_CORPUS in order, and the sha256 of the corpus plans' JSON, as the
+# linear-scan rule dispatch produced them. The counter counts rule
+# applications, not pattern scans, so no dispatch change may move them.
+PINNED_COMPILE_OPS = [27, 8, 15, 15, 12, 16, 12, 12, 17, 12, 12, 22, 23, 15, 12, 8, 23, 20,
+                      12, 19, 15]
+PINNED_CORPUS_PLANS_SHA256 = "b672e2e7b6db45e3d4fc7b33eb9c455cc54f28c56dbb802c7f0369663675c00c"
+
+
+def test_compile_op_counts_and_plans_are_pinned():
+    ops, digest = [], hashlib.sha256()
+    for i, source in enumerate([LIST_TEMPLATE] + STRUCTURE_CORPUS):
+        before = machine_mod.transition_op_count()
+        plan, diags = compile_template(source, "list.tpl")
+        ops.append(machine_mod.transition_op_count() - before)
+        assert diags == []
+        if i == 0:
+            assert plan.to_json() == GOLDEN.read_text(encoding="utf-8")
+        else:
+            digest.update(plan.to_json().encode("utf-8"))
+    assert ops == PINNED_COMPILE_OPS
+    assert digest.hexdigest() == PINNED_CORPUS_PLANS_SHA256
+
+
+def fresh_html_machine():
+    """The HTML machine on newly loaded tables, bypassing web's cache, so
+    every rule-selection memo starts cold."""
+    subs = {"Url": web.load_table("url.tt"), "Css": web.load_table("css.tt")}
+    return machine_mod.build_machine(web.load_table("html.tt"), subs)
+
+
+def compile_corpus(machine, order):
+    return {i: plan_to_json(erase(propagate(program_of(STRUCTURE_CORPUS[i]), machine)))
+            for i in order}
+
+
+def test_cold_tables_compile_identically_from_four_threads():
+    n = len(STRUCTURE_CORPUS)
+    expected = compile_corpus(fresh_html_machine(), range(n))
+
+    def worker(machine, start, k):
+        start.wait()
+        # each thread starts at a different template, so the threads fill
+        # the shared memo in different orders
+        return compile_corpus(machine, [(k * 5 + i) % n for i in range(n)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _round in range(8):
+                machine, start = fresh_html_machine(), threading.Barrier(4, timeout=60)
+                results = list(pool.map(worker, [machine] * 4, [start] * 4, range(4), timeout=120))
+                assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)

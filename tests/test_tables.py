@@ -1,3 +1,5 @@
+import pytest
+
 from ctxesc.diagnostics import Severity
 from ctxesc.tables import (
     TRIGGER_INTERP,
@@ -202,3 +204,71 @@ def test_rule_order_is_preserved():
     srcs = [r.regex_src for r in pcdata if r.regex_src]
     assert srcs.index("</(?=[a-zA-Z])") < srcs.index("<(?=[a-zA-Z])")
     assert srcs.index("<") < srcs.index("[^<]+")
+
+
+# -- memoized dispatch against a linear scan -----------------------------------
+
+DISPATCH_TEXTS = ("<", "</x", '"', "a b", "-->", "&amp;")
+
+
+def scan_first(rows, context):
+    return next((r for r in rows if r.pattern.matches(context)), None)
+
+
+def scan_regex(table, context, text):
+    for rule in table.regex_rules:
+        if rule.pattern.matches(context):
+            m = rule.regex.match(text)
+            if m and m.end() > 0:
+                return rule, m.group(0)
+    return None, None
+
+
+def memo_regex(table, context, text):
+    rule, m = table.first_regex_match(context, text)
+    return rule, m and m.group(0)
+
+
+@pytest.mark.parametrize("name", ["html.tt", "url.tt", "css.tt", "text.tt"])
+def test_memoized_dispatch_equals_linear_scan(name):
+    table = load_table(name)
+    for ctx in table.all_contexts():
+        for _cold_then_warm in range(2):
+            assert table.first_epsilon(ctx) is scan_first(table.epsilon_rules, ctx), ctx
+            assert table.first_interp_rule(ctx) is scan_first(table.interp_rules, ctx), ctx
+            assert table.escape_rule_for(ctx) is scan_first(table.escapes, ctx), ctx
+            for text in DISPATCH_TEXTS:
+                assert memo_regex(table, ctx, text) == scan_regex(table, ctx, text), (ctx, text)
+
+
+def test_wildcard_row_before_specific_row_wins():
+    table = parse_ok("""\
+machine toy
+fields state mode
+values state: A B
+values mode: X Y
+start A, X
+terminal _, _
+
+[rules]
+| _, _ | `a` | `wild` | B, _ |
+| A, X | `[ab]+` | `specific` | B, X |
+| _, _ | | | B, Y |
+| A, X | | | B, X |
+| _, _ | interp | | B, _ |
+| A, X | interp | | A, Y |
+
+[escapers]
+| _, _ | | HtmlPcdataEscaper | | _, _ |
+| A, X | | HtmlAttributeEscaper | | _, _ |
+""")
+    ctx = ("A", "X")
+    wild_regex, specific_regex, wild_eps, _, wild_interp, _ = table.rules
+    for _cold_then_warm in range(2):
+        # the shorter wildcard match wins over the longer specific one
+        assert memo_regex(table, ctx, "ab") == (wild_regex, "a")
+        assert memo_regex(table, ctx, "ba") == (specific_regex, "ba")
+        assert memo_regex(table, ("B", "Y"), "ba") == (None, None)
+        assert table.first_epsilon(ctx) is wild_eps
+        assert table.first_interp_rule(ctx) is wild_interp
+        assert table.escape_rule_for(ctx).escapers == ("HtmlPcdataEscaper",)
