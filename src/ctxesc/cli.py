@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import compiler, i18n, web
+from . import compiler, i18n
 from .diagnostics import (
     CompositionError,
     PlanError,
@@ -18,7 +18,6 @@ from .diagnostics import (
     Severity,
     TableError,
 )
-from .frontend import desugar, parse_template
 from .runtime import Bindings, render, render_full
 
 EXIT_OK = 0
@@ -50,35 +49,23 @@ class SystemExit2(Exception):
     """Usage or IO failure; maps to exit code 2."""
 
 
-def _machine_for(tag: str, tables_dir):
-    try:
-        return web.machine_for_tag(tag, tables_dir)
-    except KeyError as exc:
-        raise SystemExit2(str(exc.args[0])) from None
+def _analyze(source: str, path: str, args):
+    """The compile pipeline up to propagation, diagnostics printed. Returns
+    (annotated | None, exit code); no annotation (the template does not
+    parse or names no machine) means exit 2."""
+    _, annotated, diags = compiler.analyze_template(source, path, args.tables)
+    code = _print_diags(diags, args.strict)
+    return annotated, EXIT_USAGE if annotated is None else code
 
 
 def cmd_check(args) -> int:
-    source = _read(args.template)
-    ir, parse_diags = parse_template(source, args.template)
-    if ir is None:
-        _print_diags(parse_diags, args.strict)
-        return EXIT_USAGE
-    machine = _machine_for(ir.tag, args.tables)
-    annotated = compiler.propagate(desugar(ir), machine)
-    return _print_diags(parse_diags + annotated.diagnostics, args.strict)
+    return _analyze(_read(args.template), args.template, args)[1]
 
 
 def cmd_compile(args) -> int:
-    source = _read(args.template)
-    ir, parse_diags = parse_template(source, args.template)
-    if ir is None:
-        _print_diags(parse_diags, args.strict)
-        return EXIT_USAGE
-    machine = _machine_for(ir.tag, args.tables)
-    annotated = compiler.propagate(desugar(ir), machine)
-    code = _print_diags(parse_diags + annotated.diagnostics, args.strict)
-    if code == EXIT_ERRORS:
-        return EXIT_ERRORS
+    annotated, code = _analyze(_read(args.template), args.template, args)
+    if code != EXIT_OK:
+        return code
     payload = compiler.erase(annotated).to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -103,22 +90,21 @@ def cmd_render(args) -> int:
         value, _ = compiler.execute_plan(plan, bindings)
         sys.stdout.write(value.text)
         return EXIT_OK
-    ir, parse_diags = parse_template(source, args.input)
-    if ir is None:
-        _print_diags(parse_diags, args.strict)
-        return EXIT_USAGE
-    program = desugar(ir)
-    machine = _machine_for(ir.tag, args.tables)
     if args.mode == "static":
-        annotated = compiler.propagate(program, machine)
-        code = _print_diags(parse_diags + annotated.diagnostics, args.strict)
-        if code == EXIT_ERRORS:
-            return EXIT_ERRORS
+        annotated, code = _analyze(source, args.input, args)
+        if code != EXIT_OK:
+            return code
         value, _ = compiler.execute_plan(compiler.erase(annotated), bindings)
         sys.stdout.write(value.text)
         return code
+    # the reference engine reports its own diagnostics, so it runs on the
+    # program without propagation
+    program, machine, diags = compiler.load_template(source, args.input, args.tables)
+    if machine is None:
+        _print_diags(diags, args.strict)
+        return EXIT_USAGE
     value, render_diags = render(program, bindings, machine)
-    code = _print_diags(parse_diags + render_diags, args.strict)
+    code = _print_diags(diags + render_diags, args.strict)
     if code == EXIT_ERRORS:
         return EXIT_ERRORS
     sys.stdout.write(value.text)
@@ -128,12 +114,10 @@ def cmd_render(args) -> int:
 def cmd_extract(args) -> int:
     source = _read(args.template)
     bindings = Bindings.from_json(_read(args.bindings))
-    ir, diags = parse_template(source, args.template)
-    if ir is None:
+    program, machine, diags = compiler.load_template(source, args.template, args.tables)
+    if machine is None:
         _print_diags(diags, args.strict)
         return EXIT_USAGE
-    program = desugar(ir)
-    machine = _machine_for(ir.tag, args.tables)
     value, marks, render_diags = render_full(program, bindings, machine)
     _print_diags(diags + render_diags, False)
     bundle = i18n.extract_messages(value.text, marks)

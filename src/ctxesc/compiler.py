@@ -2,6 +2,8 @@
 end-context check, and erasure of the context machine into a plan of
 literal chunks and statically chosen escaper chains.
 
+One plan node family (Lit, PlanInterp, PlanFor, PlanIf) runs the whole
+way: propagation emits it, JSON round-trips it, and execute_plan walks it.
 Executing a plan performs zero transition-table operations; the only
 per-render work left is path lookup, escaper application, and appends.
 """
@@ -38,155 +40,18 @@ from .marks import EXPR_END, EXPR_START, Mark
 from .runtime import Bindings, Collector, resolve_segs
 from .values import EscapeError, SafeContent, stringify, truthy
 
-LOOP_ITERATION_CAP = 1000
-
-
-# -- proto-plan items produced during propagation ----------------------------
+# -- plan nodes --------------------------------------------------------------
+# Fields with compare=False are the executor's, not part of a node's value.
 
 @dataclass
-class _Lit:
-    text: str
-    marks: tuple[Mark, ...]
+class _PathNode:
+    """``segs`` is ``path`` split once, for the executor's lookups."""
 
+    segs: tuple[str, ...] = field(init=False, compare=False, repr=False)
 
-@dataclass
-class _Interp:
-    path: str
-    escapers: tuple[str, ...]
-    pos: Position
+    def __post_init__(self):
+        self.segs = tuple(self.path.split("."))
 
-
-@dataclass
-class _For:
-    var: str
-    path: str
-    body: list
-    pos: Position
-
-
-@dataclass
-class _If:
-    path: str
-    then: list
-    els: list
-    pos: Position
-
-
-@dataclass
-class AnnotatedProgram:
-    """Propagation result: the incoming machine state at every node, escaper
-    decisions at every unsafe append, merged states at joins, and the
-    emission stream the plan is assembled from."""
-
-    program: AppendProgram
-    machine: machine_mod.Machine
-    in_states: dict = field(default_factory=dict)
-    interp_info: dict = field(default_factory=dict)
-    merged: dict = field(default_factory=dict)
-    loop_iterations: dict = field(default_factory=dict)
-    items: list = field(default_factory=list)
-    end_state: machine_mod.MachineState | None = None
-    end_ok: bool = False
-    end_message: str | None = None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-
-
-def propagate(program: AppendProgram, machine: machine_mod.Machine) -> AnnotatedProgram:
-    """Push the zero context forward through the program, merging at loop
-    edges and joins until states stabilize, re-emitting machine diagnostics
-    with the source position of the offending append argument."""
-    ann = AnnotatedProgram(program=program, machine=machine)
-    table = machine.root_table
-
-    def flush_into(state, items, pos, sink):
-        r = machine_mod.finish(machine, state, pos)
-        sink.extend(r.diagnostics)
-        if r.emitted or r.marks:
-            items.append(_Lit(r.emitted, r.marks))
-        return r.state
-
-    def analyze(nodes, state, sink):
-        items: list = []
-        for node in nodes:
-            if isinstance(node, AppendFixed):
-                ann.in_states[node] = state
-                r = machine_mod.step_fixed(machine, state, node.text, node.pos)
-                sink.extend(r.diagnostics)
-                if r.emitted or r.marks:
-                    items.append(_Lit(r.emitted, r.marks))
-                state = r.state
-            elif isinstance(node, AppendUnsafe):
-                r = machine_mod.step_interp(machine, state, node.pos)
-                ann.in_states[node] = r.site
-                ann.interp_info[node] = r
-                sink.extend(r.diagnostics)
-                if r.emitted or r.marks or r.pre:
-                    items.append(_Lit(r.emitted + r.pre, r.marks))
-                if not r.error:
-                    items.append(_Interp(node.path, r.escapers, node.pos))
-                    if r.post:
-                        items.append(_Lit(r.post, ()))
-                state = r.state
-            elif isinstance(node, LoopBlock):
-                state = flush_into(state, items, node.pos, sink)
-                ann.in_states[node] = state
-                header = state
-                iterations = 0
-                body_items: list = []
-                while True:
-                    iterations += 1
-                    pass_sink: list[Diagnostic] = []
-                    out, body_items = analyze(node.body, header, pass_sink)
-                    out = flush_into(out, body_items, node.pos, pass_sink)
-                    merged = machine_mod.merge(header, out, table)
-                    if merged.error and not (header.error or out.error):
-                        pass_sink.append(error(merged.error, node.pos))
-                    if merged == header or merged.error is not None:
-                        # stable, or fail-stopped: either way this pass's
-                        # diagnostics are the ones that matter
-                        sink.extend(pass_sink)
-                        header = merged
-                        break
-                    if iterations >= LOOP_ITERATION_CAP:
-                        sink.extend(pass_sink)
-                        sink.append(error("loop context did not stabilize "
-                                          f"after {iterations} iterations", node.pos))
-                        header = merged
-                        break
-                    header = merged
-                ann.merged[node] = header
-                ann.loop_iterations[node] = iterations
-                items.append(_For(node.var, node.path, body_items, node.pos))
-                state = header
-            elif isinstance(node, BranchBlock):
-                state = flush_into(state, items, node.pos, sink)
-                ann.in_states[node] = state
-                t_state, t_items = analyze(node.then, state, sink)
-                t_state = flush_into(t_state, t_items, node.pos, sink)
-                e_state, e_items = analyze(node.els, state, sink)
-                e_state = flush_into(e_state, e_items, node.pos, sink)
-                merged = machine_mod.merge(t_state, e_state, table)
-                if merged.error and not (t_state.error or e_state.error):
-                    sink.append(error(merged.error, node.pos))
-                ann.merged[node] = merged
-                items.append(_If(node.path, t_items, e_items, node.pos))
-                state = merged
-            elif isinstance(node, Collected):
-                state = flush_into(state, items, node.pos, sink)
-                ann.in_states[node] = state
-                ok, message = machine_mod.is_valid_end(machine, state)
-                ann.end_state, ann.end_ok, ann.end_message = state, ok, message
-                if not ok and state.error is None:
-                    sink.append(warning(message, node.pos))
-            else:  # pragma: no cover
-                raise TypeError(f"unexpected program node {node!r}")
-        return state, items
-
-    _, ann.items = analyze(program.body, machine.zero_state(), ann.diagnostics)
-    return ann
-
-
-# -- compiled plans ----------------------------------------------------------
 
 @dataclass(eq=True)
 class Lit:
@@ -195,20 +60,21 @@ class Lit:
 
 
 @dataclass(eq=True)
-class PlanInterp:
+class PlanInterp(_PathNode):
     path: str
     escapers: tuple[str, ...]
+    chain: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(eq=True)
-class PlanFor:
+class PlanFor(_PathNode):
     var: str
     path: str
     body: list
 
 
 @dataclass(eq=True)
-class PlanIf:
+class PlanIf(_PathNode):
     path: str
     then: list
     els: list
@@ -225,30 +91,111 @@ class CompiledPlan:
     def to_json(self) -> str:
         return plan_to_json(self)
 
-    _exec_cache: object = field(default=None, repr=False, compare=False)
+
+def _emit_lit(items: list, text: str, marks) -> None:
+    """Append literal text to a plan body, joined onto a trailing Lit (its
+    marks shifted past that literal's text), so no two literals touch."""
+    if not text and not marks:
+        return
+    if items and isinstance(items[-1], Lit):
+        prev = items[-1]
+        shifted = tuple(m.shifted(len(prev.text)) for m in marks)
+        items[-1] = Lit(prev.text + text, prev.marks + shifted)
+    else:
+        items.append(Lit(text, tuple(marks)))
 
 
-def _coalesce(items) -> list:
-    out: list = []
-    for item in items:
-        if isinstance(item, _Lit):
-            if not item.text and not item.marks:
-                continue
-            if out and isinstance(out[-1], Lit):
-                prev = out[-1]
-                shifted = tuple(m.shifted(len(prev.text)) for m in item.marks)
-                out[-1] = Lit(prev.text + item.text, prev.marks + shifted)
-            else:
-                out.append(Lit(item.text, tuple(item.marks)))
-        elif isinstance(item, _Interp):
-            out.append(PlanInterp(item.path, tuple(item.escapers)))
-        elif isinstance(item, _For):
-            out.append(PlanFor(item.var, item.path, _coalesce(item.body)))
-        elif isinstance(item, _If):
-            out.append(PlanIf(item.path, _coalesce(item.then), _coalesce(item.els)))
-        else:  # pragma: no cover
-            raise TypeError(f"unexpected plan item {item!r}")
-    return out
+# -- propagation -------------------------------------------------------------
+
+@dataclass
+class AnnotatedProgram:
+    """Propagation result: the incoming machine state at every node, escaper
+    decisions at every unsafe append, merged states at joins, and the plan
+    nodes (``items``) that erasure wraps into a CompiledPlan."""
+
+    program: AppendProgram
+    machine: machine_mod.Machine
+    in_states: dict = field(default_factory=dict)
+    interp_info: dict = field(default_factory=dict)
+    merged: dict = field(default_factory=dict)
+    loop_iterations: dict = field(default_factory=dict)
+    items: list = field(default_factory=list)
+    end_state: machine_mod.MachineState | None = None
+    end_ok: bool = False
+    end_message: str | None = None
+    diagnostics: list[Diagnostic] = field(default_factory=list)
+
+
+def propagate(program: AppendProgram, machine: machine_mod.Machine) -> AnnotatedProgram:
+    """Push the zero context forward through the program, analyzing each
+    loop body and branch once and joining the states where control flow
+    meets, re-emitting machine diagnostics with the source position of the
+    offending append argument."""
+    ann = AnnotatedProgram(program=program, machine=machine)
+    table, sink = machine.root_table, ann.diagnostics
+
+    def flush_into(state, items, pos):
+        r = machine_mod.finish(machine, state, pos)
+        sink.extend(r.diagnostics)
+        _emit_lit(items, r.emitted, r.marks)
+        return r.state
+
+    def join(node, a, b):
+        merged = machine_mod.merge(a, b, table)
+        if merged.error and not (a.error or b.error):
+            sink.append(error(merged.error, node.pos))
+        ann.merged[node] = merged
+        return merged
+
+    def analyze(nodes, state):
+        items: list = []
+        for node in nodes:
+            if isinstance(node, (LoopBlock, BranchBlock, Collected)):
+                # held-back text must not be matched across a control-flow edge
+                state = flush_into(state, items, node.pos)
+                ann.in_states[node] = state
+            if isinstance(node, AppendFixed):
+                ann.in_states[node] = state
+                r = machine_mod.step_fixed(machine, state, node.text, node.pos)
+                sink.extend(r.diagnostics)
+                _emit_lit(items, r.emitted, r.marks)
+                state = r.state
+            elif isinstance(node, AppendUnsafe):
+                r = machine_mod.step_interp(machine, state, node.pos)
+                ann.in_states[node] = r.site
+                ann.interp_info[node] = r
+                sink.extend(r.diagnostics)
+                _emit_lit(items, r.emitted + r.pre, r.marks)
+                if not r.error:
+                    items.append(PlanInterp(node.path, tuple(r.escapers)))
+                    _emit_lit(items, r.post, ())
+                state = r.state
+            elif isinstance(node, LoopBlock):
+                # merge returns the header when the body ends where it began and
+                # fail-stops otherwise: one pass proves a fixed point or a conflict
+                out, body = analyze(node.body, state)
+                out = flush_into(out, body, node.pos)
+                ann.loop_iterations[node] = 1
+                items.append(PlanFor(node.var, node.path, body))
+                state = join(node, state, out)
+            elif isinstance(node, BranchBlock):
+                t_state, t_items = analyze(node.then, state)
+                t_state = flush_into(t_state, t_items, node.pos)
+                e_state, e_items = analyze(node.els, state)
+                e_state = flush_into(e_state, e_items, node.pos)
+                items.append(PlanIf(node.path, t_items, e_items))
+                state = join(node, t_state, e_state)
+            elif isinstance(node, Collected):
+                ok, message = machine_mod.is_valid_end(machine, state)
+                ann.end_state, ann.end_ok, ann.end_message = state, ok, message
+                if not ok and state.error is None:
+                    sink.append(warning(message, node.pos))
+            else:  # pragma: no cover
+                raise TypeError(f"unexpected program node {node!r}")
+        return state, items
+
+    _, ann.items = analyze(program.body, machine.zero_state())
+    return ann
 
 
 def erase(annotated: AnnotatedProgram) -> CompiledPlan:
@@ -258,7 +205,7 @@ def erase(annotated: AnnotatedProgram) -> CompiledPlan:
     if has_errors(annotated.diagnostics):
         first = next(d for d in annotated.diagnostics if d.severity is Severity.ERROR)
         raise PlanError(f"cannot erase a program with blocking diagnostics: {first}")
-    return CompiledPlan(annotated.machine.language, _coalesce(annotated.items))
+    return CompiledPlan(annotated.machine.language, annotated.items)
 
 
 # -- plan serialization -------------------------------------------------------
@@ -347,10 +294,17 @@ _MARK_STEPS = {"body": "body", "then": "then", "else": "els"}
 
 
 def plan_from_json(text: str) -> CompiledPlan:
+    """Load an untrusted plan document; every defect raises PlanError."""
     try:
-        doc = json.loads(text)
+        return _plan_from_doc(json.loads(text))
     except json.JSONDecodeError as exc:
         raise PlanError(f"plan is not valid JSON: {exc}") from None
+    except RecursionError:
+        # json.loads, the body parse and error-message reprs recurse per level
+        raise PlanError("plan nests too deeply to load") from None
+
+
+def _plan_from_doc(doc) -> CompiledPlan:
     if not isinstance(doc, dict) or "language" not in doc or "body" not in doc:
         raise PlanError("plan document must have 'language' and 'body'")
     if not isinstance(doc["language"], str):
@@ -381,111 +335,68 @@ def plan_from_json(text: str) -> CompiledPlan:
 
 # -- plan execution ----------------------------------------------------------
 
-class _ExecLit:
-    __slots__ = ("text", "marks")
-
-    def __init__(self, node: Lit):
-        self.text = node.text
-        self.marks = node.marks
-
-
-class _ExecInterp:
-    __slots__ = ("segs", "chain")
-
-    def __init__(self, node: PlanInterp):
-        self.segs = tuple(node.path.split("."))
-        self.chain = tuple(get_escaper(name) for name in node.escapers)
-
-
-class _ExecFor:
-    __slots__ = ("var", "segs", "body")
-
-    def __init__(self, node: PlanFor):
-        self.var = node.var
-        self.segs = tuple(node.path.split("."))
-        self.body = [_compile_node(n) for n in node.body]
-
-
-class _ExecIf:
-    __slots__ = ("segs", "then", "els")
-
-    def __init__(self, node: PlanIf):
-        self.segs = tuple(node.path.split("."))
-        self.then = [_compile_node(n) for n in node.then]
-        self.els = [_compile_node(n) for n in node.els]
-
-
-def _compile_node(node):
-    if isinstance(node, Lit):
-        return _ExecLit(node)
-    if isinstance(node, PlanInterp):
-        return _ExecInterp(node)
-    if isinstance(node, PlanFor):
-        return _ExecFor(node)
-    if isinstance(node, PlanIf):
-        return _ExecIf(node)
-    raise PlanError(f"unexpected plan node {node!r}")  # pragma: no cover
-
-
 def execute_plan(plan: CompiledPlan, bindings: Bindings):
     """Walk a plan: literals are appended directly, interpolations go
     through their named escapers. No machine transitions happen here.
 
     Returns (SafeContent, marks).
     """
-    compiled = plan._exec_cache
-    if compiled is None:
-        compiled = [_compile_node(n) for n in plan.body]
-        plan._exec_cache = compiled
     collector = Collector()
     pos = Position("<plan>", 0, 0)
 
     def run(nodes, frames):
         for node in nodes:
-            if isinstance(node, _ExecLit):
+            if isinstance(node, Lit):
                 if node.marks:
                     base = collector.length
                     collector.append_text(node.text)
                     collector.extend_marks(node.marks, base)
                 else:
                     collector.append_text(node.text)
-            elif isinstance(node, _ExecInterp):
+            elif isinstance(node, PlanInterp):
                 out = resolve_segs(node.segs, bindings, frames, pos)
+                chain = node.chain
+                if chain is None:
+                    # bound at first render, not at load: the registry then decides
+                    chain = node.chain = tuple(get_escaper(n) for n in node.escapers)
                 try:
-                    for esc in node.chain:
+                    for esc in chain:
                         out = esc.apply(out)
                     if not isinstance(out, str):
                         out = stringify(out)
                 except EscapeError as exc:
                     raise RenderError(
-                        f"{exc} (path {'.'.join(node.segs)!r})", pos) from None
+                        f"{exc} (path {node.path!r})", pos) from None
                 if collector.open_messages > 0:
                     collector.add_mark(EXPR_START)
                     collector.append_text(out)
                     collector.add_mark(EXPR_END)
                 else:
                     collector.append_text(out)
-            elif isinstance(node, _ExecFor):
+            elif isinstance(node, PlanFor):
                 seq = resolve_segs(node.segs, bindings, frames, pos)
                 if not isinstance(seq, list):
                     raise RenderError(
-                        f"loop over non-list value at path {'.'.join(node.segs)!r}", pos)
+                        f"loop over non-list value at path {node.path!r}", pos)
                 for item in seq:
                     run(node.body, frames + [{node.var: item}])
-            elif isinstance(node, _ExecIf):
+            elif isinstance(node, PlanIf):
                 value = resolve_segs(node.segs, bindings, frames, pos, strict=False)
                 run(node.then if truthy(value) else node.els, frames)
+            else:
+                raise PlanError(f"unexpected plan node {node!r}")
 
-    run(compiled, [])
+    run(plan.body, [])
     return SafeContent(plan.language, collector.text()), tuple(collector.marks)
 
 
 # -- convenience pipeline -----------------------------------------------------
 
-def analyze_template(source: str, filename: str = "<template>",
-                     tables_dir: str | None = None):
-    """parse -> desugar -> propagate. Returns (program, annotated, diags);
-    program/annotated are None past the stage that failed."""
+def load_template(source: str, filename: str = "<template>",
+                  tables_dir: str | None = None):
+    """parse -> desugar -> machine lookup. Returns (program, machine, diags);
+    program/machine are None past the stage that failed, and an unknown tag
+    is an error diagnostic at the template's first position."""
     ir, diags = parse_template(source, filename)
     if ir is None:
         return None, None, diags
@@ -493,7 +404,17 @@ def analyze_template(source: str, filename: str = "<template>",
     try:
         machine = web.machine_for_tag(ir.tag, tables_dir)
     except KeyError as exc:
-        diags.append(error(str(exc), Position(filename, 1, 1)))
+        diags.append(error(exc.args[0], Position(filename, 1, 1)))
+        return program, None, diags
+    return program, machine, diags
+
+
+def analyze_template(source: str, filename: str = "<template>",
+                     tables_dir: str | None = None):
+    """load_template -> propagate. Returns (program, annotated, diags);
+    program/annotated are None past the stage that failed."""
+    program, machine, diags = load_template(source, filename, tables_dir)
+    if machine is None:
         return program, None, diags
     annotated = propagate(program, machine)
     return program, annotated, diags + annotated.diagnostics

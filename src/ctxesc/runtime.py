@@ -97,11 +97,6 @@ def resolve_segs(segs, bindings: Bindings, frames: list[dict],
     return cur
 
 
-def resolve_path(path: str, bindings: Bindings, frames: list[dict],
-                 pos: Position, strict: bool = True):
-    return resolve_segs(path.split("."), bindings, frames, pos, strict)
-
-
 class Accumulator:
     """Owns a machine state and a collector; the state is always the fold of
     every append so far."""
@@ -193,11 +188,11 @@ def render_full(program: AppendProgram, bindings: Bindings,
             if isinstance(node, AppendFixed):
                 acc.append_fixed(node.text, node.pos)
             elif isinstance(node, AppendUnsafe):
-                value = resolve_path(node.path, bindings, frames, node.pos)
+                value = resolve_segs(node.path.split("."), bindings, frames, node.pos)
                 acc.append_unsafe(value, node.pos)
             elif isinstance(node, LoopBlock):
                 acc.flush_boundary(node.pos)
-                seq = resolve_path(node.path, bindings, frames, node.pos)
+                seq = resolve_segs(node.path.split("."), bindings, frames, node.pos)
                 if not isinstance(seq, list):
                     raise RenderError(
                         f"loop over non-list value at path {node.path!r}", node.pos)
@@ -206,7 +201,8 @@ def render_full(program: AppendProgram, bindings: Bindings,
                     acc.flush_boundary(node.pos)
             elif isinstance(node, BranchBlock):
                 acc.flush_boundary(node.pos)
-                value = resolve_path(node.path, bindings, frames, node.pos, strict=False)
+                value = resolve_segs(node.path.split("."), bindings, frames, node.pos,
+                                     strict=False)
                 run(node.then if truthy(value) else node.els, frames)
                 acc.flush_boundary(node.pos)
             elif isinstance(node, Collected):

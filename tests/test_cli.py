@@ -164,6 +164,14 @@ def test_malformed_plan_input_is_usage_error(workdir, capsys):
     assert main(["render", str(bad), "--bindings", str(workdir / "b.json")]) == 2
 
 
+def test_deeply_nested_plan_is_usage_error(workdir, capsys):
+    deep = workdir / "deep_plan.json"
+    deep.write_text('{"language": "html", "body": ' + "[" * 5000 + "]" * 5000 + "}",
+                    encoding="utf-8")
+    assert main(["render", str(deep), "--bindings", str(workdir / "b.json")]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
+
+
 def _render_plan_body(workdir, node):
     plan = workdir / "bad_plan.json"
     plan.write_text(json.dumps({"language": "html", "body": [node]}), encoding="utf-8")

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, program_of
+from ctxesc import escapers
 from ctxesc import machine as machine_mod
 from ctxesc import web
 from ctxesc.compiler import (
@@ -28,7 +29,7 @@ from ctxesc.diagnostics import PlanError, RenderError, Severity, has_errors
 from ctxesc.frontend import AppendFixed, AppendUnsafe, LoopBlock, walk
 from ctxesc.machine import state_str
 from ctxesc.runtime import Bindings, render_full
-from support import STRUCTURE_CORPUS
+from support import STRUCTURE_CORPUS, adversarial_values
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "list_plan.json"
 
@@ -239,10 +240,17 @@ def test_plan_json_round_trip_preserves_execution(html):
     {"language": "html", "body": [{"lit": "a"}],
      "marks": [{"at": at, "offset": 0, "kind": "MsgStart"}]}
     for at in ([5], [-1], [0, 0], [[]], ["then"])
+] + [
+    # nested past the interpreter's recursion limit, so given as JSON text
+    pytest.param('{"language": "html", "body": ' + "[" * 5000 + "]" * 5000 + "}",
+                 id="deep_lists"),
+    pytest.param('{"language": "html", "body": '
+                 + '[{"for": {"var": "i", "path": "xs", "body": ' * 400 + "[]"
+                 + "}}]" * 400 + "}", id="deep_fors"),
 ])
 def test_malformed_plan_documents_raise_plan_error(doc):
     with pytest.raises(PlanError):
-        plan_from_json(json.dumps(doc))
+        plan_from_json(doc if isinstance(doc, str) else json.dumps(doc))
 
 
 def test_plan_marks_serialized_at_tree_paths(html):
@@ -364,3 +372,52 @@ def test_cold_tables_compile_identically_from_four_threads():
                 assert results == [expected] * 4
     finally:
         sys.setswitchinterval(interval)
+
+
+# -- lazily bound escaper chains -------------------------------------------------
+
+def test_fresh_plan_renders_identically_from_four_threads(html):
+    text = compile_template(LIST_TEMPLATE)[0].to_json()
+    values = adversarial_values(32)
+    pages = [Bindings({"items": [{"url": v, "label": v[::-1]} for v in values[k:k + 4]]})
+             for k in range(0, len(values), 4)]
+    expected = [execute_plan(plan_from_json(text), page) for page in pages]
+
+    def worker(plan, start, k):
+        start.wait()
+        # the threads reach the plan's unbound interpolation nodes together,
+        # each on a different page
+        order = [(k + i) % len(pages) for i in range(len(pages))]
+        return {i: execute_plan(plan, pages[i]) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            # a race can only happen on a plan's first renders, so every
+            # round loads a fresh plan
+            for _round in range(500):
+                plan, start = plan_from_json(text), threading.Barrier(4, timeout=60)
+                results = list(pool.map(worker, [plan] * 4, [start] * 4, range(4), timeout=120))
+                assert results == [dict(enumerate(expected))] * 4
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_plan_binds_escapers_at_first_render_not_at_load(html):
+    text = compile_template(LIST_TEMPLATE)[0].to_json()
+    page = Bindings({"items": [{"url": "https://e.com", "label": "<x>"}]})
+    saved = escapers.get("HtmlPcdataEscaper")
+    try:
+        escapers.register(escapers.Escaper(saved.name, lambda v: "[A]"))
+        plan = plan_from_json(text)
+        escapers.register(escapers.Escaper(saved.name, lambda v: "[B]"))
+        first = execute_plan(plan, page)[0].text
+        escapers.register(saved)
+        # the chain stays bound: a render after the registry changes again
+        # still uses the escaper the first render found
+        second = execute_plan(plan, page)[0].text
+    finally:
+        escapers.register(saved)
+    assert "[B]" in first and "[A]" not in first and "<x>" not in first
+    assert second == first

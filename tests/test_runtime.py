@@ -3,7 +3,7 @@ import pytest
 from conftest import LIST_TEMPLATE, program_of, render_text
 from ctxesc.diagnostics import Position, RenderError, Severity
 from ctxesc.machine import finish, step_fixed, step_interp
-from ctxesc.runtime import Accumulator, Bindings, render, resolve_path
+from ctxesc.runtime import Accumulator, Bindings, render, resolve_segs
 from ctxesc.values import SafeContent
 
 POS = Position("t", 1, 1)
@@ -85,15 +85,15 @@ def test_accumulator_state_equals_fold_of_steps(html):
 def test_resolve_path_frames_shadow_root():
     b = Bindings({"x": 1, "item": {"url": "root"}})
     frames = [{"item": {"url": "frame"}}]
-    assert resolve_path("item.url", b, frames, POS) == "frame"
-    assert resolve_path("x", b, frames, POS) == 1
+    assert resolve_segs("item.url".split("."), b, frames, POS) == "frame"
+    assert resolve_segs("x".split("."), b, frames, POS) == 1
 
 
 def test_resolve_path_absent_strict_raises():
     b = Bindings({})
     with pytest.raises(RenderError, match="unbound path 'nope'"):
-        resolve_path("nope", b, [], POS)
-    assert resolve_path("nope", b, [], POS, strict=False) is None
+        resolve_segs("nope".split("."), b, [], POS)
+    assert resolve_segs("nope".split("."), b, [], POS, strict=False) is None
 
 
 def test_render_list_template(html):
