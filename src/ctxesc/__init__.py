@@ -40,7 +40,7 @@ from .machine import (
     transition_op_count,
 )
 from .marks import Mark
-from .runtime import Accumulator, Bindings, new_accumulator, render, render_full
+from .runtime import Accumulator, Bindings, render_full
 from .tables import TransitionTable, parse_table, validate_table
 from .values import SafeContent
 from .web import codec_decode, codec_encode, html_machine, machine_for_tag, plain_text_machine
@@ -79,14 +79,12 @@ __all__ = [
     "is_valid_end",
     "machine_for_tag",
     "merge",
-    "new_accumulator",
     "parse_table",
     "parse_template",
     "plain_text_machine",
     "plan_from_json",
     "plan_to_json",
     "propagate",
-    "render",
     "render_full",
     "step_fixed",
     "step_interp",

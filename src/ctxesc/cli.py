@@ -18,7 +18,7 @@ from .diagnostics import (
     Severity,
     TableError,
 )
-from .runtime import Bindings, render, render_full
+from .runtime import Bindings, render_full
 
 EXIT_OK = 0
 EXIT_ERRORS = 1
@@ -103,7 +103,7 @@ def cmd_render(args) -> int:
     if machine is None:
         _print_diags(diags, args.strict)
         return EXIT_USAGE
-    value, render_diags = render(program, bindings, machine)
+    value, _, render_diags = render_full(program, bindings, machine)
     code = _print_diags(diags + render_diags, args.strict)
     if code == EXIT_ERRORS:
         return EXIT_ERRORS

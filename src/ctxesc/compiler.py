@@ -120,9 +120,7 @@ class AnnotatedProgram:
     merged: dict = field(default_factory=dict)
     loop_iterations: dict = field(default_factory=dict)
     items: list = field(default_factory=list)
-    end_state: machine_mod.MachineState | None = None
     end_ok: bool = False
-    end_message: str | None = None
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
 
@@ -186,9 +184,8 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 items.append(PlanIf(node.path, t_items, e_items))
                 state = join(node, t_state, e_state)
             elif isinstance(node, Collected):
-                ok, message = machine_mod.is_valid_end(machine, state)
-                ann.end_state, ann.end_ok, ann.end_message = state, ok, message
-                if not ok and state.error is None:
+                ann.end_ok, message = machine_mod.is_valid_end(machine, state)
+                if not ann.end_ok and state.error is None:
                     sink.append(warning(message, node.pos))
             else:  # pragma: no cover
                 raise TypeError(f"unexpected program node {node!r}")

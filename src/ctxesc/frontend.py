@@ -4,12 +4,14 @@ Template files start with ``tag: <name>``; every following non-blank line
 carries a margin character: ``"`` for content (literal text plus ``${path}``
 interpolations, each line contributing a trailing newline) or ``:`` for
 statement fragments (``for x of path {``, ``if path {``, ``} else {``,
-``}``) which must form balanced blocks.
+``}``) which must form balanced blocks, at most MAX_BLOCK_DEPTH deep.
 
-Desugaring turns the tree into an append program: a reducible control-flow
-graph of fixed and unsafe appends with a single entry and a single exit at
-the Collected node. Loop and branch nodes carry their bodies, so the loop
+The parser emits the append program itself: a reducible control-flow graph
+of fixed and unsafe appends (literals feed appendFixed, interpolations feed
+appendUnsafe). Loop and branch nodes carry their bodies, so the loop
 header/back-edge and branch/join structure is implicit and unique.
+Desugaring only closes the program with its single exit, the Collected
+node.
 """
 
 from __future__ import annotations
@@ -26,42 +28,10 @@ _IF_RE = re.compile(r"if\s+(\S+)\s*\{$")
 _ELSE_RE = re.compile(r"\}\s*else\s*\{$")
 _END_RE = re.compile(r"\}$")
 
-
-# -- template IR -------------------------------------------------------------
-
-@dataclass(eq=False)
-class Literal:
-    text: str
-    pos: Position
-
-
-@dataclass(eq=False)
-class Interp:
-    path: str
-    pos: Position
-
-
-@dataclass(eq=False)
-class For:
-    var: str
-    path: str
-    body: list
-    pos: Position
-
-
-@dataclass(eq=False)
-class If:
-    path: str
-    then: list
-    els: list
-    pos: Position
-
-
-@dataclass
-class TemplateIR:
-    tag: str
-    body: list
-    filename: str = "<template>"
+# Deeper blocks are a parse error. The plan serializer, the plan loader and
+# both renderers recurse once per level, so this keeps them at least 3x clear
+# of the default recursion limit.
+MAX_BLOCK_DEPTH = 100
 
 
 # -- append program ----------------------------------------------------------
@@ -100,24 +70,33 @@ class Collected:
 
 
 @dataclass
+class TemplateIR:
+    """The parsed, still open program: appends and blocks, no Collected."""
+
+    tag: str
+    body: list
+    filename: str = "<template>"
+
+
+@dataclass
 class AppendProgram:
     tag: str
     body: list  # ends with Collected
 
 
 def _content_nodes(text: str, pos: Position, diags: list[Diagnostic]) -> list:
-    """Split one content line into Literal and Interp nodes. ``$${`` is the
-    escape for a literal ``${``; the line's trailing newline is folded into
-    the final literal."""
+    """Split one content line into AppendFixed and AppendUnsafe nodes.
+    ``$${`` is the escape for a literal ``${``; the line's trailing newline
+    is folded into the final literal."""
     nodes: list = []
     buf: list[str] = []
     buf_start = 0
     i = 0
 
-    def flush_literal(end: int, extra: str = ""):
+    def flush_literal(extra: str = ""):
         if buf or extra:
-            nodes.append(Literal("".join(buf) + extra,
-                                 Position(pos.file, pos.line, pos.col + buf_start)))
+            nodes.append(AppendFixed("".join(buf) + extra,
+                                     Position(pos.file, pos.line, pos.col + buf_start)))
         buf.clear()
 
     while i < len(text):
@@ -139,14 +118,14 @@ def _content_nodes(text: str, pos: Position, diags: list[Diagnostic]) -> list:
                     msg = f"invalid interpolation path: {expr!r}"
                 diags.append(error(msg, Position(pos.file, pos.line, pos.col + i)))
                 return nodes
-            flush_literal(i)
-            nodes.append(Interp(expr, Position(pos.file, pos.line, pos.col + i)))
+            flush_literal()
+            nodes.append(AppendUnsafe(expr, Position(pos.file, pos.line, pos.col + i)))
             i = end + 1
             buf_start = i
             continue
         buf.append(text[i])
         i += 1
-    flush_literal(len(text), extra="\n")
+    flush_literal(extra="\n")
     return nodes
 
 
@@ -171,6 +150,15 @@ def parse_template(source: str, filename: str = "<template>"):
     def current_body() -> list:
         return stack[-1][1] if stack else root
 
+    def open_block(node, body, pos, kind):
+        if len(stack) == MAX_BLOCK_DEPTH:
+            # only the first opener past the bound is reported; deeper ones
+            # still nest so that their closers balance
+            diags.append(error(f"statement blocks nest more than {MAX_BLOCK_DEPTH} "
+                               "levels deep", pos))
+        current_body().append(node)
+        stack.append((node, body, pos, kind))
+
     for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.lstrip(" \t")
         if not stripped:
@@ -188,17 +176,15 @@ def parse_template(source: str, filename: str = "<template>"):
                 if not PATH_RE.fullmatch(path):
                     diags.append(error(f"invalid loop path: {path!r}", margin_pos))
                     continue
-                node = For(var, path, [], margin_pos)
-                current_body().append(node)
-                stack.append((node, node.body, margin_pos, "for"))
+                node = LoopBlock(var, path, [], margin_pos)
+                open_block(node, node.body, margin_pos, "for")
             elif m := _IF_RE.fullmatch(stmt):
                 path = m.group(1)
                 if not PATH_RE.fullmatch(path):
                     diags.append(error(f"invalid condition path: {path!r}", margin_pos))
                     continue
-                node = If(path, [], [], margin_pos)
-                current_body().append(node)
-                stack.append((node, node.then, margin_pos, "if"))
+                node = BranchBlock(path, [], [], margin_pos)
+                open_block(node, node.then, margin_pos, "if")
             elif _ELSE_RE.fullmatch(stmt):
                 if not stack or stack[-1][3] != "if":
                     diags.append(error("'} else {' without a matching 'if'", margin_pos))
@@ -225,31 +211,13 @@ def parse_template(source: str, filename: str = "<template>"):
     return TemplateIR(tag, root, filename), diags
 
 
-def _desugar_body(nodes: list) -> list:
-    out: list = []
-    for node in nodes:
-        if isinstance(node, Literal):
-            out.append(AppendFixed(node.text, node.pos))
-        elif isinstance(node, Interp):
-            out.append(AppendUnsafe(node.path, node.pos))
-        elif isinstance(node, For):
-            out.append(LoopBlock(node.var, node.path, _desugar_body(node.body), node.pos))
-        elif isinstance(node, If):
-            out.append(BranchBlock(node.path, _desugar_body(node.then),
-                                   _desugar_body(node.els), node.pos))
-        else:  # pragma: no cover
-            raise TypeError(f"unexpected IR node {node!r}")
-    return out
-
-
 def desugar(ir: TemplateIR) -> AppendProgram:
-    """Mechanical translation: literals feed appendFixed, interpolations feed
-    appendUnsafe, control flow keeps its shape; the program ends at
-    Collected."""
-    body = _desugar_body(ir.body)
-    last_line = max((n.pos.line for n in walk(body)), default=1)
-    body.append(Collected(Position(ir.filename, last_line + 1, 1)))
-    return AppendProgram(ir.tag, body)
+    """Close the parsed program: a new body of the parsed nodes plus the
+    Collected exit, one line past the last node. ``ir.body`` is not
+    changed."""
+    last_line = max((n.pos.line for n in walk(ir.body)), default=1)
+    collected = Collected(Position(ir.filename, last_line + 1, 1))
+    return AppendProgram(ir.tag, [*ir.body, collected])
 
 
 def walk(nodes):

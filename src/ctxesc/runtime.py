@@ -129,11 +129,7 @@ class Accumulator:
 
     def append_unsafe(self, value, pos: Position) -> list[Diagnostic]:
         r = machine_mod.step_interp(self.machine, self.state, pos)
-        base = self.collector.length
-        self.collector.append_text(r.emitted)
-        self.collector.extend_marks(r.marks, base)
-        self.diagnostics.extend(r.diagnostics)
-        self.state = r.state
+        self._absorb(r)
         if r.error:
             return r.diagnostics
         self.collector.append_text(r.pre)
@@ -166,10 +162,6 @@ class Accumulator:
         if not ok:
             self.diagnostics.append(warning(message, pos))
         return SafeContent(self.machine.language, self.collector.text()), self.diagnostics
-
-
-def new_accumulator(machine: machine_mod.Machine) -> Accumulator:
-    return Accumulator(machine)
 
 
 def render_full(program: AppendProgram, bindings: Bindings,
@@ -217,10 +209,3 @@ def render_full(program: AppendProgram, bindings: Bindings,
         first = next(d for d in diags if d.severity is Severity.ERROR)
         raise RenderError(first.message, first.position)
     return value, tuple(acc.collector.marks), diags
-
-
-def render(program: AppendProgram, bindings: Bindings,
-           machine: machine_mod.Machine):
-    """render_full without the marks: (SafeContent, diagnostics)."""
-    value, _, diags = render_full(program, bindings, machine)
-    return value, diags

@@ -74,9 +74,14 @@ def bindings_from_json(text: str) -> dict:
     """Parse a bindings document.
 
     The object form ``{"$safe": "html", "content": "..."}`` constructs
-    SafeContent and is trusted input by definition.
+    SafeContent and is trusted input by definition. A document nested past
+    the recursion limit is a ValueError like any other malformed one.
     """
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("bindings document must be a JSON object")
-    return _decode(obj)
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("bindings document must be a JSON object")
+        return _decode(obj)
+    except RecursionError:
+        # json.loads and _decode both recurse once per nesting level
+        raise ValueError("bindings nest too deeply to load") from None

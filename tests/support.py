@@ -245,3 +245,10 @@ def random_template(rng: random.Random):
 
     emit_body(0, [], False)
     return "\n".join(lines) + "\n", bindings
+
+
+def nested_loops(depth: int) -> str:
+    """A template of ``depth`` nested loops over the root list ``xs``, each
+    binding a fresh variable, around one interpolation of the innermost."""
+    opens = "".join(f":for v{i} of xs {{\n" for i in range(depth))
+    return f'tag: html\n{opens}"<p>${{v{depth - 1}}}</p>\n' + ":}\n" * depth

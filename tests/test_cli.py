@@ -5,6 +5,8 @@ import pytest
 
 from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE
 from ctxesc.cli import main
+from ctxesc.frontend import MAX_BLOCK_DEPTH
+from support import nested_loops
 
 DIAG_LINE = re.compile(r"^[^:]+:\d+:\d+: (warning|error): .+$")
 
@@ -227,3 +229,51 @@ def test_tables_override_directory(workdir, capsys, tmp_path):
     probe.write_text('tag: html\n"</b "x">\n', encoding="utf-8")
     assert main(["check", "--tables", str(tdir), str(probe)]) == 0
     assert "custom close-tag message" in capsys.readouterr().err
+
+
+# -- deep inputs: a positioned error or a usage error, never a traceback -------
+
+def test_nesting_at_the_bound_runs_every_command(workdir, capsys):
+    tpl, plan, data = workdir / "deep.tpl", workdir / "deep.json", workdir / "xs.json"
+    tpl.write_text(nested_loops(MAX_BLOCK_DEPTH), encoding="utf-8")
+    data.write_text('{"xs": ["a<b"]}', encoding="utf-8")
+    assert main(["check", str(tpl)]) == 0
+    assert main(["compile", str(tpl), "--out", str(plan)]) == 0
+    capsys.readouterr()
+    for argv in ([str(plan)], [str(tpl), "--mode", "static"], [str(tpl), "--mode", "dynamic"]):
+        assert main(["render", *argv, "--bindings", str(data)]) == 0, argv
+        assert capsys.readouterr().out == "<p>a&lt;b</p>\n", argv
+    assert main(["extract", str(tpl), "--bindings", str(data)]) == 0
+    assert json.loads(capsys.readouterr().out) == {}
+
+
+def test_nesting_past_the_bound_exits_two_with_one_diagnostic(workdir, capsys):
+    tpl, data = workdir / "deep.tpl", workdir / "xs.json"
+    data.write_text('{"xs": ["a"]}', encoding="utf-8")
+    commands = (["check"], ["compile"], ["render", "--mode", "static", "--bindings", str(data)],
+                ["render", "--mode", "dynamic", "--bindings", str(data)],
+                ["extract", "--bindings", str(data)])
+    for depth in (MAX_BLOCK_DEPTH + 1, 1200):
+        tpl.write_text(nested_loops(depth), encoding="utf-8")
+        for command in commands:
+            assert main([command[0], str(tpl), *command[1:]]) == 2, (depth, command)
+            out = capsys.readouterr()
+            assert out.out == ""
+            (line,) = out.err.strip().splitlines()
+            assert line.startswith(f"{tpl}:{MAX_BLOCK_DEPTH + 2}:1: error: "), line
+            assert DIAG_LINE.match(line) and "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("deep", [
+    '{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    # json.loads accepts this depth; decoding SafeContent objects recurses past it
+    '{"x": ' + '{"k": ' * 900 + "1" + "}" * 900 + "}",
+], ids=["lists", "objects"])
+def test_deeply_nested_bindings_are_usage_error(workdir, capsys, deep):
+    plan, data = workdir / "plan.json", workdir / "deep_bindings.json"
+    main(["compile", str(workdir / "list.tpl"), "--out", str(plan)])
+    data.write_text(deep, encoding="utf-8")
+    for source in (plan, workdir / "list.tpl"):
+        assert main(["render", str(source), "--bindings", str(data)]) == 2, source
+    err = capsys.readouterr().err
+    assert err.count("bindings nest too deeply") == 2 and "Traceback" not in err

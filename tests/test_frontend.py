@@ -1,17 +1,20 @@
+import hashlib
+import random
+
+from conftest import LIST_TEMPLATE
 from ctxesc.diagnostics import Severity
 from ctxesc.frontend import (
+    MAX_BLOCK_DEPTH,
     AppendFixed,
     AppendUnsafe,
     BranchBlock,
     Collected,
-    For,
-    Interp,
-    Literal,
     LoopBlock,
     desugar,
     parse_template,
     walk,
 )
+from support import STRUCTURE_CORPUS, nested_loops, random_template
 
 STORY = """tag: story
 "I am the ${title} who loves to ${verb}!
@@ -27,16 +30,16 @@ def test_parse_story_template_structure():
     assert diags == []
     assert ir.tag == "story"
     kinds = [type(n).__name__ for n in ir.body]
-    assert kinds == ["Literal", "Interp", "Literal", "Interp", "Literal", "For",
-                     "Literal", "Interp", "Literal"]
+    assert kinds == ["AppendFixed", "AppendUnsafe", "AppendFixed", "AppendUnsafe",
+                     "AppendFixed", "LoopBlock", "AppendFixed", "AppendUnsafe", "AppendFixed"]
     assert ir.body[0].text == "I am the "
     assert ir.body[1].path == "title"
     assert ir.body[4].text == "!\n"
     loop = ir.body[5]
-    assert isinstance(loop, For)
+    assert isinstance(loop, LoopBlock)
     assert (loop.var, loop.path) == ("item", "items")
-    assert isinstance(loop.body[0], Interp) and loop.body[0].path == "item"
-    assert isinstance(loop.body[1], Literal) and loop.body[1].text == "! Ha ha ha.\n"
+    assert isinstance(loop.body[0], AppendUnsafe) and loop.body[0].path == "item"
+    assert isinstance(loop.body[1], AppendFixed) and loop.body[1].text == "! Ha ha ha.\n"
     assert ir.body[-1].text == ".\n"
 
 
@@ -176,3 +179,89 @@ def test_list_template_desugars_to_seven_appends():
         "<ul>\n", "  <li><a href=", ">", "</a></li>\n", "</ul>\n"]
     assert [n.path for n in appends if isinstance(n, AppendUnsafe)] == [
         "item.url", "item.label"]
+
+
+# -- pinned front-end output ----------------------------------------------------
+
+# sha256 over (kind, text/path/var, block arities, line, col) of every node
+# that walk yields from desugar(parse_template(src)).body, for the list
+# template, the 20 STRUCTURE_CORPUS templates and random_template seeds 0-49,
+# as the front end produced them when the parser still built a tree of its own
+# that desugar renamed node by node. The arities make the preorder sequence
+# fix the tree.
+PINNED_FRONT_END_NODES = 609
+PINNED_FRONT_END_SHA256 = "e1737658518c7b11c942fca4ba75d8a1cd46182a1fda8334c7235d7d562c6c68"
+
+
+def _node_signature(node) -> str:
+    label = getattr(node, "text", None)
+    if label is None:
+        label = getattr(node, "path", "")
+    if hasattr(node, "var"):
+        label = f"{node.var} of {label}"
+    for arm in ("body", "then", "els"):
+        if hasattr(node, arm):
+            label += f"/{len(getattr(node, arm))}"
+    return f"{type(node).__name__}|{label}|{node.pos.line}|{node.pos.col}"
+
+
+def test_front_end_output_is_pinned():
+    sources = ([LIST_TEMPLATE] + STRUCTURE_CORPUS
+               + [random_template(random.Random(seed))[0] for seed in range(50)])
+    digest, count = hashlib.sha256(), 0
+    for src in sources:
+        for node in walk(desugar(parse_template(src)[0]).body):
+            digest.update((_node_signature(node) + "\n").encode("utf-8"))
+            count += 1
+        digest.update(b"--\n")
+    assert count == PINNED_FRONT_END_NODES
+    assert digest.hexdigest() == PINNED_FRONT_END_SHA256
+
+
+def test_desugar_closes_a_new_program_and_leaves_the_parse_alone():
+    ir, _ = parse_template(STORY)
+    before = list(ir.body)
+    first, second = desugar(ir), desugar(ir)
+    for prog in (first, second):
+        collected = [n for n in walk(prog.body) if isinstance(n, Collected)]
+        assert collected == [prog.body[-1]]
+        assert prog.body[:-1] == before
+        assert prog.body[-1].pos.line == 7
+    assert first.body is not second.body
+    assert ir.body == before and ir.body is not first.body
+    assert not any(isinstance(n, Collected) for n in walk(ir.body))
+    (collected,) = desugar(parse_template("tag: t\n")[0]).body
+    assert isinstance(collected, Collected)
+    assert (collected.pos.line, collected.pos.col) == (2, 1)
+
+
+# -- block nesting bound ----------------------------------------------------------
+
+def test_nesting_at_the_bound_parses():
+    ir, diags = parse_template(nested_loops(MAX_BLOCK_DEPTH))
+    assert diags == []
+    depth, body = 0, ir.body
+    while body and isinstance(body[0], LoopBlock):
+        depth, body = depth + 1, body[0].body
+    assert depth == MAX_BLOCK_DEPTH
+
+
+def test_nesting_past_the_bound_is_one_positioned_error():
+    for depth in (MAX_BLOCK_DEPTH + 1, 1200):
+        ir, diags = parse_template(nested_loops(depth), "deep.tpl")
+        assert ir is None
+        assert len(diags) == 1, depth
+        (diag,) = diags
+        assert diag.severity is Severity.ERROR
+        assert "nest more than" in diag.message
+        # line 1 is the tag, so the opener past the bound is on line bound + 2
+        pos = diag.position
+        assert (pos.file, pos.line, pos.col) == ("deep.tpl", MAX_BLOCK_DEPTH + 2, 1)
+
+
+def test_if_else_chains_count_toward_the_bound():
+    src = ("tag: t\n" + ":if c {\n" * MAX_BLOCK_DEPTH + ":} else {\n"
+           + ":if d {\n" + '"x\n' + ":}\n" * (MAX_BLOCK_DEPTH + 1))
+    ir, diags = parse_template(src)
+    assert ir is None and len(diags) == 1
+    assert diags[0].position.line == MAX_BLOCK_DEPTH + 3

@@ -3,7 +3,7 @@ import pytest
 from conftest import LIST_TEMPLATE, program_of, render_text
 from ctxesc.diagnostics import Position, RenderError, Severity
 from ctxesc.machine import finish, step_fixed, step_interp
-from ctxesc.runtime import Accumulator, Bindings, render, resolve_segs
+from ctxesc.runtime import Accumulator, Bindings, render_full, resolve_segs
 from ctxesc.values import SafeContent
 
 POS = Position("t", 1, 1)
@@ -167,7 +167,7 @@ def test_render_determinism(html):
 
 def test_render_returns_value_and_diags_pair(html):
     program = program_of('tag: html\n"<a href=hello>link</a\n')
-    value, diags = render(program, Bindings({}), html)
+    value, _, diags = render_full(program, Bindings({}), html)
     assert value.text == "<a href=hello>link</a\n"
     assert [d.severity for d in diags] == [Severity.WARNING]
 

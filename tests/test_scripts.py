@@ -1,0 +1,24 @@
+"""The experiment scripts import the front end, compiler and runtime
+directly, so tier-1 runs each one at a small count to keep it working."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("argv", [["scripts/fuzz_equivalence.py", "-c", "50"],
+                                  ["scripts/fuzz_structure.py", "-n", "50"]],
+                         ids=["fuzz_equivalence", "fuzz_structure"])
+def test_fuzz_script_passes(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr
