@@ -4,91 +4,40 @@ Templates are parsed into an append program, a context machine tracks the
 parse state of the content language across fixed chunks and interpolation
 boundaries, and the compiler erases the machine into a plan of literal
 chunks plus statically chosen escaper chains.
+
+The public names below are imported from their submodules on first access
+(PEP 562), so importing the package, or rendering a plan through
+``ctxesc.plan``, loads neither the context machine nor its tables.
 """
 
-from .compiler import (
-    AnnotatedProgram,
-    CompiledPlan,
-    analyze_template,
-    compile_template,
-    erase,
-    execute_plan,
-    plan_from_json,
-    plan_to_json,
-    propagate,
-)
-from .diagnostics import (
-    CompositionError,
-    Diagnostic,
-    PlanError,
-    Position,
-    RenderError,
-    Severity,
-    TableError,
-)
-from .frontend import AppendProgram, TemplateIR, desugar, parse_template
-from .i18n import apply_translation, extract_messages, substitute_placeholders
-from .machine import (
-    Machine,
-    MachineState,
-    build_machine,
-    finish,
-    is_valid_end,
-    merge,
-    step_fixed,
-    step_interp,
-    transition_op_count,
-)
-from .marks import Mark
-from .runtime import Accumulator, Bindings, render_full
-from .tables import TransitionTable, parse_table, validate_table
-from .values import SafeContent
-from .web import codec_decode, codec_encode, html_machine, machine_for_tag, plain_text_machine
+import importlib
 
-__all__ = [
-    "Accumulator",
-    "AnnotatedProgram",
-    "AppendProgram",
-    "Bindings",
-    "CompiledPlan",
-    "CompositionError",
-    "Diagnostic",
-    "Machine",
-    "MachineState",
-    "Mark",
-    "PlanError",
-    "Position",
-    "RenderError",
-    "SafeContent",
-    "Severity",
-    "TableError",
-    "TemplateIR",
-    "TransitionTable",
-    "analyze_template",
-    "apply_translation",
-    "build_machine",
-    "codec_decode",
-    "codec_encode",
-    "compile_template",
-    "desugar",
-    "erase",
-    "execute_plan",
-    "extract_messages",
-    "finish",
-    "html_machine",
-    "is_valid_end",
-    "machine_for_tag",
-    "merge",
-    "parse_table",
-    "parse_template",
-    "plain_text_machine",
-    "plan_from_json",
-    "plan_to_json",
-    "propagate",
-    "render_full",
-    "step_fixed",
-    "step_interp",
-    "substitute_placeholders",
-    "transition_op_count",
-    "validate_table",
-]
+_EXPORTS = {
+    "compiler": ("AnnotatedProgram", "analyze_template", "compile_template", "erase",
+                 "propagate"),
+    "diagnostics": ("CompositionError", "Diagnostic", "PlanError", "Position",
+                    "RenderError", "Severity", "TableError"),
+    "frontend": ("AppendProgram", "TemplateIR", "desugar", "parse_template"),
+    "i18n": ("apply_translation", "extract_messages", "substitute_placeholders"),
+    "machine": ("Machine", "MachineState", "build_machine", "finish", "is_valid_end",
+                "merge", "step_fixed", "step_interp", "transition_op_count"),
+    "marks": ("Mark",),
+    "plan": ("Bindings", "CompiledPlan", "execute_plan", "plan_from_json", "plan_to_json"),
+    "runtime": ("Accumulator", "render_full"),
+    "tables": ("TransitionTable", "parse_table", "validate_table"),
+    "values": ("SafeContent",),
+    "web": ("codec_decode", "codec_encode", "html_machine", "machine_for_tag",
+            "plain_text_machine"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

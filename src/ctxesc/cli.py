@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import compiler, i18n
 from .diagnostics import (
     CompositionError,
     PlanError,
@@ -18,7 +17,11 @@ from .diagnostics import (
     Severity,
     TableError,
 )
-from .runtime import Bindings, render_full
+from .plan import Bindings, execute_plan, plan_from_json
+
+# The template commands import compiler, runtime and i18n when they run:
+# rendering a compiled plan needs none of them, nor the machine and tables
+# they load.
 
 EXIT_OK = 0
 EXIT_ERRORS = 1
@@ -53,6 +56,8 @@ def _analyze(source: str, path: str, args):
     """The compile pipeline up to propagation, diagnostics printed. Returns
     (annotated | None, exit code); no annotation (the template does not
     parse or names no machine) means exit 2."""
+    from . import compiler
+
     _, annotated, diags = compiler.analyze_template(source, path, args.tables)
     code = _print_diags(diags, args.strict)
     return annotated, EXIT_USAGE if annotated is None else code
@@ -63,6 +68,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from . import compiler
+
     annotated, code = _analyze(_read(args.template), args.template, args)
     if code != EXIT_OK:
         return code
@@ -86,15 +93,16 @@ def cmd_render(args) -> int:
     if _looks_like_plan(source):
         if args.mode == "dynamic":
             raise SystemExit2("dynamic mode needs a template, not a compiled plan")
-        plan = compiler.plan_from_json(source)
-        value, _ = compiler.execute_plan(plan, bindings)
+        value, _ = execute_plan(plan_from_json(source), bindings)
         sys.stdout.write(value.text)
         return EXIT_OK
+    from . import compiler, runtime
+
     if args.mode == "static":
         annotated, code = _analyze(source, args.input, args)
         if code != EXIT_OK:
             return code
-        value, _ = compiler.execute_plan(compiler.erase(annotated), bindings)
+        value, _ = execute_plan(compiler.erase(annotated), bindings)
         sys.stdout.write(value.text)
         return code
     # the reference engine reports its own diagnostics, so it runs on the
@@ -103,7 +111,7 @@ def cmd_render(args) -> int:
     if machine is None:
         _print_diags(diags, args.strict)
         return EXIT_USAGE
-    value, _, render_diags = render_full(program, bindings, machine)
+    value, _, render_diags = runtime.render_full(program, bindings, machine)
     code = _print_diags(diags + render_diags, args.strict)
     if code == EXIT_ERRORS:
         return EXIT_ERRORS
@@ -112,13 +120,15 @@ def cmd_render(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import compiler, i18n, runtime
+
     source = _read(args.template)
     bindings = Bindings.from_json(_read(args.bindings))
     program, machine, diags = compiler.load_template(source, args.template, args.tables)
     if machine is None:
         _print_diags(diags, args.strict)
         return EXIT_USAGE
-    value, marks, render_diags = render_full(program, bindings, machine)
+    value, marks, render_diags = runtime.render_full(program, bindings, machine)
     _print_diags(diags + render_diags, False)
     bundle = i18n.extract_messages(value.text, marks)
     sys.stdout.write(i18n.bundle_to_json(bundle))

@@ -2,15 +2,15 @@
 end-context check, and erasure of the context machine into a plan of
 literal chunks and statically chosen escaper chains.
 
-One plan node family (Lit, PlanInterp, PlanFor, PlanIf) runs the whole
-way: propagation emits it, JSON round-trips it, and execute_plan walks it.
-Executing a plan performs zero transition-table operations; the only
-per-render work left is path lookup, escaper application, and appends.
+Propagation emits the plan nodes of ``ctxesc.plan`` directly, each carrying
+the template position it came from; that module round-trips them through
+JSON and executes them. Executing a plan performs zero transition-table
+operations; the only per-render work left is path lookup, escaper
+application, and appends.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from . import machine as machine_mod
@@ -19,13 +19,11 @@ from .diagnostics import (
     Diagnostic,
     PlanError,
     Position,
-    RenderError,
     Severity,
     error,
     has_errors,
     warning,
 )
-from .escapers import get as get_escaper
 from .frontend import (
     AppendFixed,
     AppendProgram,
@@ -36,61 +34,18 @@ from .frontend import (
     desugar,
     parse_template,
 )
-from .marks import EXPR_END, EXPR_START, Mark
-from .runtime import Bindings, Collector, resolve_segs
-from .values import EscapeError, SafeContent, stringify, truthy
+from .plan import (  # noqa: F401 - re-exported: callers use compiler.<name>
+    CompiledPlan,
+    Lit,
+    PlanFor,
+    PlanIf,
+    PlanInterp,
+    execute_plan,
+    plan_from_json,
+    plan_to_json,
+)
 
-# -- plan nodes --------------------------------------------------------------
-# Fields with compare=False are the executor's, not part of a node's value.
-
-@dataclass
-class _PathNode:
-    """``segs`` is ``path`` split once, for the executor's lookups."""
-
-    segs: tuple[str, ...] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self.segs = tuple(self.path.split("."))
-
-
-@dataclass(eq=True)
-class Lit:
-    text: str
-    marks: tuple[Mark, ...] = ()
-
-
-@dataclass(eq=True)
-class PlanInterp(_PathNode):
-    path: str
-    escapers: tuple[str, ...]
-    chain: tuple | None = field(default=None, init=False, compare=False, repr=False)
-
-
-@dataclass(eq=True)
-class PlanFor(_PathNode):
-    var: str
-    path: str
-    body: list
-
-
-@dataclass(eq=True)
-class PlanIf(_PathNode):
-    path: str
-    then: list
-    els: list
-
-
-@dataclass
-class CompiledPlan:
-    """Erased output: no context values, no machine references. Literal
-    chunks already carry every substitution the machine would have made."""
-
-    language: str
-    body: list
-
-    def to_json(self) -> str:
-        return plan_to_json(self)
-
+# -- propagation -------------------------------------------------------------
 
 def _emit_lit(items: list, text: str, marks) -> None:
     """Append literal text to a plan body, joined onto a trailing Lit (its
@@ -104,8 +59,6 @@ def _emit_lit(items: list, text: str, marks) -> None:
     else:
         items.append(Lit(text, tuple(marks)))
 
-
-# -- propagation -------------------------------------------------------------
 
 @dataclass
 class AnnotatedProgram:
@@ -165,7 +118,7 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 sink.extend(r.diagnostics)
                 _emit_lit(items, r.emitted + r.pre, r.marks)
                 if not r.error:
-                    items.append(PlanInterp(node.path, tuple(r.escapers)))
+                    items.append(PlanInterp(node.path, tuple(r.escapers), pos=node.pos))
                     _emit_lit(items, r.post, ())
                 state = r.state
             elif isinstance(node, LoopBlock):
@@ -174,14 +127,14 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 out, body = analyze(node.body, state)
                 out = flush_into(out, body, node.pos)
                 ann.loop_iterations[node] = 1
-                items.append(PlanFor(node.var, node.path, body))
+                items.append(PlanFor(node.var, node.path, body, pos=node.pos))
                 state = join(node, state, out)
             elif isinstance(node, BranchBlock):
                 t_state, t_items = analyze(node.then, state)
                 t_state = flush_into(t_state, t_items, node.pos)
                 e_state, e_items = analyze(node.els, state)
                 e_state = flush_into(e_state, e_items, node.pos)
-                items.append(PlanIf(node.path, t_items, e_items))
+                items.append(PlanIf(node.path, t_items, e_items, pos=node.pos))
                 state = join(node, t_state, e_state)
             elif isinstance(node, Collected):
                 ann.end_ok, message = machine_mod.is_valid_end(machine, state)
@@ -203,188 +156,6 @@ def erase(annotated: AnnotatedProgram) -> CompiledPlan:
         first = next(d for d in annotated.diagnostics if d.severity is Severity.ERROR)
         raise PlanError(f"cannot erase a program with blocking diagnostics: {first}")
     return CompiledPlan(annotated.machine.language, annotated.items)
-
-
-# -- plan serialization -------------------------------------------------------
-
-def _node_to_obj(node, path, mark_rows):
-    if isinstance(node, Lit):
-        for mark in node.marks:
-            row = {"at": list(path), "offset": mark.offset, "kind": mark.kind}
-            if mark.ident is not None:
-                row["id"] = mark.ident
-            mark_rows.append(row)
-        return {"lit": node.text}
-    if isinstance(node, PlanInterp):
-        return {"interp": {"path": node.path, "escapers": list(node.escapers)}}
-    if isinstance(node, PlanFor):
-        return {"for": {"var": node.var, "path": node.path,
-                        "body": _body_to_obj(node.body, path + ["body"], mark_rows)}}
-    if isinstance(node, PlanIf):
-        return {"if": {"path": node.path,
-                       "then": _body_to_obj(node.then, path + ["then"], mark_rows),
-                       "else": _body_to_obj(node.els, path + ["else"], mark_rows)}}
-    raise TypeError(f"unexpected plan node {node!r}")  # pragma: no cover
-
-
-def _body_to_obj(body, path, mark_rows):
-    return [_node_to_obj(node, path + [i], mark_rows) for i, node in enumerate(body)]
-
-
-def plan_to_json(plan: CompiledPlan) -> str:
-    mark_rows: list[dict] = []
-    doc = {
-        "language": plan.language,
-        "body": _body_to_obj(plan.body, [], mark_rows),
-        "marks": mark_rows,
-    }
-    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
-
-
-def _str_field(payload: dict, key: str, kind: str) -> str:
-    value = payload.get(key)
-    if not isinstance(value, str):
-        raise PlanError(f"{kind!r} node needs a string {key!r}, got {value!r}")
-    return value
-
-
-def _body_from_obj(obj, where: str) -> list:
-    if not isinstance(obj, list):
-        raise PlanError(f"{where} must be a list of plan nodes, got {obj!r}")
-    return [_node_from_obj(n) for n in obj]
-
-
-def _node_from_obj(obj) -> object:
-    """One node of an untrusted plan document: every payload key and type
-    is checked and every escaper name resolved, so a bad plan raises
-    PlanError here and never a KeyError at render time."""
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise PlanError(f"malformed plan node: {obj!r}")
-    (kind, payload), = obj.items()
-    if kind == "lit":
-        if not isinstance(payload, str):
-            raise PlanError(f"'lit' node needs a string, got {payload!r}")
-        return Lit(payload)
-    if kind not in ("interp", "for", "if"):
-        raise PlanError(f"unknown plan node kind {kind!r}")
-    if not isinstance(payload, dict):
-        raise PlanError(f"{kind!r} node needs an object, got {payload!r}")
-    path = _str_field(payload, "path", kind)
-    if kind == "interp":
-        names = payload.get("escapers")
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise PlanError(f"'interp' node at path {path!r} needs a list of escaper names")
-        for name in names:
-            try:
-                get_escaper(name)
-            except KeyError:
-                raise PlanError(f"unknown escaper {name!r} at path {path!r}") from None
-        return PlanInterp(path, tuple(names))
-    if kind == "for":
-        return PlanFor(_str_field(payload, "var", kind), path,
-                       _body_from_obj(payload.get("body"), "'for' body"))
-    return PlanIf(path, _body_from_obj(payload.get("then"), "'if' then"),
-                  _body_from_obj(payload.get("else", []), "'if' else"))
-
-
-_MARK_STEPS = {"body": "body", "then": "then", "else": "els"}
-
-
-def plan_from_json(text: str) -> CompiledPlan:
-    """Load an untrusted plan document; every defect raises PlanError."""
-    try:
-        return _plan_from_doc(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise PlanError(f"plan is not valid JSON: {exc}") from None
-    except RecursionError:
-        # json.loads, the body parse and error-message reprs recurse per level
-        raise PlanError("plan nests too deeply to load") from None
-
-
-def _plan_from_doc(doc) -> CompiledPlan:
-    if not isinstance(doc, dict) or "language" not in doc or "body" not in doc:
-        raise PlanError("plan document must have 'language' and 'body'")
-    if not isinstance(doc["language"], str):
-        raise PlanError(f"plan 'language' must be a string, got {doc['language']!r}")
-    plan = CompiledPlan(doc["language"], _body_from_obj(doc["body"], "plan body"))
-    rows = doc.get("marks", [])
-    if not isinstance(rows, list):
-        raise PlanError(f"plan 'marks' must be a list, got {rows!r}")
-    for row in rows:
-        if not (isinstance(row, dict) and isinstance(row.get("at"), list)
-                and isinstance(row.get("offset"), int) and isinstance(row.get("kind"), str)
-                and isinstance(row.get("id", ""), str)):
-            raise PlanError(f"malformed mark row: {row!r}")
-        node = plan.body
-        for step in row["at"]:
-            try:
-                if isinstance(step, int) and step >= 0:
-                    node = node[step]
-                else:
-                    node = getattr(node, _MARK_STEPS[step])
-            except (IndexError, KeyError, TypeError, AttributeError):
-                raise PlanError(f"bad mark path step {step!r}") from None
-        if not isinstance(node, Lit):
-            raise PlanError("mark path does not address a literal node")
-        node.marks = node.marks + (Mark(row["kind"], row["offset"], row.get("id")),)
-    return plan
-
-
-# -- plan execution ----------------------------------------------------------
-
-def execute_plan(plan: CompiledPlan, bindings: Bindings):
-    """Walk a plan: literals are appended directly, interpolations go
-    through their named escapers. No machine transitions happen here.
-
-    Returns (SafeContent, marks).
-    """
-    collector = Collector()
-    pos = Position("<plan>", 0, 0)
-
-    def run(nodes, frames):
-        for node in nodes:
-            if isinstance(node, Lit):
-                if node.marks:
-                    base = collector.length
-                    collector.append_text(node.text)
-                    collector.extend_marks(node.marks, base)
-                else:
-                    collector.append_text(node.text)
-            elif isinstance(node, PlanInterp):
-                out = resolve_segs(node.segs, bindings, frames, pos)
-                chain = node.chain
-                if chain is None:
-                    # bound at first render, not at load: the registry then decides
-                    chain = node.chain = tuple(get_escaper(n) for n in node.escapers)
-                try:
-                    for esc in chain:
-                        out = esc.apply(out)
-                    if not isinstance(out, str):
-                        out = stringify(out)
-                except EscapeError as exc:
-                    raise RenderError(
-                        f"{exc} (path {node.path!r})", pos) from None
-                if collector.open_messages > 0:
-                    collector.add_mark(EXPR_START)
-                    collector.append_text(out)
-                    collector.add_mark(EXPR_END)
-                else:
-                    collector.append_text(out)
-            elif isinstance(node, PlanFor):
-                seq = resolve_segs(node.segs, bindings, frames, pos)
-                if not isinstance(seq, list):
-                    raise RenderError(
-                        f"loop over non-list value at path {node.path!r}", pos)
-                for item in seq:
-                    run(node.body, frames + [{node.var: item}])
-            elif isinstance(node, PlanIf):
-                value = resolve_segs(node.segs, bindings, frames, pos, strict=False)
-                run(node.then if truthy(value) else node.els, frames)
-            else:
-                raise PlanError(f"unexpected plan node {node!r}")
-
-    run(plan.body, [])
-    return SafeContent(plan.language, collector.text()), tuple(collector.marks)
 
 
 # -- convenience pipeline -----------------------------------------------------

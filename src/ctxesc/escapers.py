@@ -14,14 +14,19 @@ from typing import Callable
 
 from .values import EscapeError, SafeContent, stringify
 
-_PCDATA_MAP = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
-_ATTR_MAP = dict(_PCDATA_MAP)
-_ATTR_MAP[ord('"')] = "&quot;"
-_ATTR_MAP[ord("'")] = "&#39;"
+# Each escaper first searches for a character it would change and returns
+# the text itself when there is none; most values need no escaping.
+_PCDATA_SEARCH = re.compile(r"[&<>]").search
+_ATTR_SEARCH = re.compile(r"[&<>\"']").search
 
 # RFC 3986 reserved and unreserved characters survive URL filtering; anything
 # else (spaces, quotes, angle brackets, non-ASCII) is percent-encoded.
 _URL_SAFE = ":/?#[]@!$&'()*+,;=%-._~"
+_URL_SCHEME_END = re.compile(r"[:/?#]").search
+# the characters urllib.parse.quote leaves alone: its always-safe ASCII set
+# plus _URL_SAFE
+_URL_UNCHANGED = re.compile("[%s]*" % re.escape(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~" + _URL_SAFE)).fullmatch
 
 _ALLOWED_SCHEMES = frozenset({"http", "https", "mailto", "tel", "ftp"})
 
@@ -29,25 +34,17 @@ _ALLOWED_SCHEMES = frozenset({"http", "https", "mailto", "tel", "ftp"})
 # interpolation into an empty transition.
 URL_REPLACEMENT = "about:invalid#blocked"
 
-_CSS_STRING_MAP = {
-    "\\": "\\\\",
-    '"': "\\22 ",
-    "'": "\\27 ",
-    "<": "\\3c ",
-    ">": "\\3e ",
-    "&": "\\26 ",
-    "\n": "\\a ",
-    "\r": "\\a ",
-    "\f": "\\a ",
-}
-_CSS_STRING_RE = re.compile(r'[\\"\'<>&\n\r\f]')
+_CSS_STRING_SEARCH = re.compile(r'[\\"\'<>&\n\r\f]').search
 
 
 def escape_pcdata(value) -> str:
     """Escape for an HTML text node; safe HTML passes through verbatim."""
     if isinstance(value, SafeContent) and value.language == "html":
         return value.text
-    return stringify(value).translate(_PCDATA_MAP)
+    text = stringify(value)
+    if _PCDATA_SEARCH(text) is None:
+        return text
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def escape_html_attr(value) -> str:
@@ -57,7 +54,11 @@ def escape_html_attr(value) -> str:
     preserve the integrity of the delimiting quotes, so even safe HTML text
     is re-escaped character by character.
     """
-    return stringify(value).translate(_ATTR_MAP)
+    text = stringify(value)
+    if _ATTR_SEARCH(text) is None:
+        return text
+    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#39;"))
 
 
 def filter_url_prefix(value) -> str:
@@ -68,11 +69,13 @@ def filter_url_prefix(value) -> str:
     percent-encoded (UTF-8).
     """
     text = stringify(value)
-    m = re.search(r"[:/?#]", text)
+    m = _URL_SCHEME_END(text)
     if m and text[m.start()] == ":":
         scheme = text[: m.start()].lower()
         if scheme not in _ALLOWED_SCHEMES:
             return URL_REPLACEMENT
+    if _URL_UNCHANGED(text):
+        return text
     return urllib.parse.quote(text, safe=_URL_SAFE)
 
 
@@ -94,7 +97,13 @@ def escape_json_value(value) -> str:
 def escape_css_string(value) -> str:
     """Escape for the inside of a CSS string literal (hex escapes keep
     quotes, backslashes, and markup-significant characters inert)."""
-    return _CSS_STRING_RE.sub(lambda m: _CSS_STRING_MAP[m.group(0)], stringify(value))
+    text = stringify(value)
+    if _CSS_STRING_SEARCH(text) is None:
+        return text
+    # the backslash first, so the escapes added after it stay as they are
+    return (text.replace("\\", "\\\\").replace('"', "\\22 ").replace("'", "\\27 ")
+            .replace("<", "\\3c ").replace(">", "\\3e ").replace("&", "\\26 ")
+            .replace("\n", "\\a ").replace("\r", "\\a ").replace("\f", "\\a "))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,472 @@
+"""Compiled plans: the plan nodes, plan JSON, and plan execution.
+
+A plan is what erasure leaves of a template: literal chunks that already
+carry every substitution the context machine would have made, and
+interpolations with statically chosen escaper chains, inside loops and
+branches. Rendering one needs path lookup, escapers and appends only, so
+this module imports nothing from the machine, the tables or the front end.
+
+execute_plan lowers a plan once, on its first render, into nested closures:
+every literal becomes an append, every escaper chain one composed function,
+and every path a lookup whose loop frame was resolved while lowering.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Callable
+
+from .diagnostics import PlanError, Position, RenderError
+from .escapers import Escaper
+from .escapers import get as get_escaper
+from .marks import EXPR_END, EXPR_START, MSG_END, MSG_START, Mark
+from .values import EscapeError, SafeContent, bindings_from_json, stringify, truthy
+
+# -- render state --------------------------------------------------------------
+
+class Collector:
+    """Output buffer plus the mark list that indexes into it."""
+
+    def __init__(self):
+        self._parts: list[str] = []
+        self.length = 0
+        self.marks: list[Mark] = []
+        self.open_messages = 0
+
+    def append_text(self, text: str) -> None:
+        if text:
+            self._parts.append(text)
+            self.length += len(text)
+
+    def add_mark(self, kind: str, ident: str | None = None) -> None:
+        self.marks.append(Mark(kind, self.length, ident))
+        if kind == MSG_START:
+            self.open_messages += 1
+        elif kind == MSG_END:
+            self.open_messages = max(0, self.open_messages - 1)
+
+    def extend_marks(self, new_marks, base: int) -> None:
+        for mark in new_marks:
+            self.marks.append(mark.shifted(base))
+            if mark.kind == MSG_START:
+                self.open_messages += 1
+            elif mark.kind == MSG_END:
+                self.open_messages = max(0, self.open_messages - 1)
+
+    def text(self) -> str:
+        return "".join(self._parts)
+
+
+@dataclass
+class Bindings:
+    """Named values available to interpolation paths."""
+
+    values: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_json(cls, text: str) -> "Bindings":
+        return cls(bindings_from_json(text))
+
+
+def resolve_segs(segs, bindings: Bindings, frames: list[dict],
+                 pos: Position, strict: bool = True):
+    """Dotted path lookup on pre-split segments: loop frames shadow the root
+    bindings. With strict=False an absent path yields None (condition
+    semantics) instead of a render error."""
+    head = segs[0]
+    scope = None
+    for frame in reversed(frames):
+        if head in frame:
+            scope = frame
+            break
+    if scope is None:
+        if head in bindings.values:
+            scope = bindings.values
+        elif strict:
+            raise RenderError(f"unbound path {'.'.join(segs)!r}", pos)
+        else:
+            return None
+    cur = scope[head]
+    for seg in segs[1:]:
+        if isinstance(cur, dict) and seg in cur:
+            cur = cur[seg]
+        elif strict:
+            raise RenderError(
+                f"unbound path {'.'.join(segs)!r} (no field {seg!r})", pos)
+        else:
+            return None
+    return cur
+
+
+# -- plan nodes ------------------------------------------------------------------
+# Fields with compare=False are not part of a node's value and not serialized.
+
+@dataclass
+class _Site:
+    """``pos`` is the template position the node was compiled from; a plan
+    loaded from JSON has none, and its render errors name ``<plan>:0:0``."""
+
+    pos: Position | None = field(default=None, compare=False, repr=False, kw_only=True)
+
+
+@dataclass(eq=True)
+class Lit:
+    text: str
+    marks: tuple[Mark, ...] = ()
+
+
+@dataclass(eq=True)
+class PlanInterp(_Site):
+    path: str
+    escapers: tuple[str, ...]
+
+
+@dataclass(eq=True)
+class PlanFor(_Site):
+    var: str
+    path: str
+    body: list
+
+
+@dataclass(eq=True)
+class PlanIf(_Site):
+    path: str
+    then: list
+    els: list
+
+
+@dataclass
+class CompiledPlan:
+    """Erased output: no context values, no machine references. Literal
+    chunks already carry every substitution the machine would have made.
+    ``lowered`` is the render function execute_plan builds on first use."""
+
+    language: str
+    body: list
+    lowered: Callable | None = field(default=None, init=False, compare=False, repr=False)
+
+    def to_json(self) -> str:
+        return plan_to_json(self)
+
+
+# -- plan serialization -------------------------------------------------------
+
+def _node_to_obj(node, path, mark_rows):
+    if isinstance(node, Lit):
+        for mark in node.marks:
+            row = {"at": list(path), "offset": mark.offset, "kind": mark.kind}
+            if mark.ident is not None:
+                row["id"] = mark.ident
+            mark_rows.append(row)
+        return {"lit": node.text}
+    if isinstance(node, PlanInterp):
+        return {"interp": {"path": node.path, "escapers": list(node.escapers)}}
+    if isinstance(node, PlanFor):
+        return {"for": {"var": node.var, "path": node.path,
+                        "body": _body_to_obj(node.body, path + ["body"], mark_rows)}}
+    if isinstance(node, PlanIf):
+        return {"if": {"path": node.path,
+                       "then": _body_to_obj(node.then, path + ["then"], mark_rows),
+                       "else": _body_to_obj(node.els, path + ["else"], mark_rows)}}
+    raise TypeError(f"unexpected plan node {node!r}")  # pragma: no cover
+
+
+def _body_to_obj(body, path, mark_rows):
+    return [_node_to_obj(node, path + [i], mark_rows) for i, node in enumerate(body)]
+
+
+def plan_to_json(plan: CompiledPlan) -> str:
+    mark_rows: list[dict] = []
+    doc = {
+        "language": plan.language,
+        "body": _body_to_obj(plan.body, [], mark_rows),
+        "marks": mark_rows,
+    }
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+def _str_field(payload: dict, key: str, kind: str) -> str:
+    value = payload.get(key)
+    if not isinstance(value, str):
+        raise PlanError(f"{kind!r} node needs a string {key!r}, got {value!r}")
+    return value
+
+
+def _body_from_obj(obj, where: str) -> list:
+    if not isinstance(obj, list):
+        raise PlanError(f"{where} must be a list of plan nodes, got {obj!r}")
+    return [_node_from_obj(n) for n in obj]
+
+
+def _node_from_obj(obj) -> object:
+    """One node of an untrusted plan document: every payload key and type
+    is checked and every escaper name resolved, so a bad plan raises
+    PlanError here and never a KeyError at render time."""
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise PlanError(f"malformed plan node: {obj!r}")
+    (kind, payload), = obj.items()
+    if kind == "lit":
+        if not isinstance(payload, str):
+            raise PlanError(f"'lit' node needs a string, got {payload!r}")
+        return Lit(payload)
+    if kind not in ("interp", "for", "if"):
+        raise PlanError(f"unknown plan node kind {kind!r}")
+    if not isinstance(payload, dict):
+        raise PlanError(f"{kind!r} node needs an object, got {payload!r}")
+    path = _str_field(payload, "path", kind)
+    if kind == "interp":
+        names = payload.get("escapers")
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise PlanError(f"'interp' node at path {path!r} needs a list of escaper names")
+        for name in names:
+            try:
+                get_escaper(name)
+            except KeyError:
+                raise PlanError(f"unknown escaper {name!r} at path {path!r}") from None
+        return PlanInterp(path, tuple(names))
+    if kind == "for":
+        return PlanFor(_str_field(payload, "var", kind), path,
+                       _body_from_obj(payload.get("body"), "'for' body"))
+    return PlanIf(path, _body_from_obj(payload.get("then"), "'if' then"),
+                  _body_from_obj(payload.get("else", []), "'if' else"))
+
+
+_MARK_STEPS = {"body": "body", "then": "then", "else": "els"}
+
+
+def plan_from_json(text: str) -> CompiledPlan:
+    """Load an untrusted plan document; every defect raises PlanError."""
+    try:
+        return _plan_from_doc(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise PlanError(f"plan is not valid JSON: {exc}") from None
+    except RecursionError:
+        # json.loads, the body parse and error-message reprs recurse per level
+        raise PlanError("plan nests too deeply to load") from None
+
+
+def _plan_from_doc(doc) -> CompiledPlan:
+    if not isinstance(doc, dict) or "language" not in doc or "body" not in doc:
+        raise PlanError("plan document must have 'language' and 'body'")
+    if not isinstance(doc["language"], str):
+        raise PlanError(f"plan 'language' must be a string, got {doc['language']!r}")
+    plan = CompiledPlan(doc["language"], _body_from_obj(doc["body"], "plan body"))
+    rows = doc.get("marks", [])
+    if not isinstance(rows, list):
+        raise PlanError(f"plan 'marks' must be a list, got {rows!r}")
+    for row in rows:
+        if not (isinstance(row, dict) and isinstance(row.get("at"), list)
+                and isinstance(row.get("offset"), int) and isinstance(row.get("kind"), str)
+                and isinstance(row.get("id", ""), str)):
+            raise PlanError(f"malformed mark row: {row!r}")
+        node = plan.body
+        for step in row["at"]:
+            try:
+                if isinstance(step, int) and step >= 0:
+                    node = node[step]
+                else:
+                    node = getattr(node, _MARK_STEPS[step])
+            except (IndexError, KeyError, TypeError, AttributeError):
+                raise PlanError(f"bad mark path step {step!r}") from None
+        if not isinstance(node, Lit):
+            raise PlanError("mark path does not address a literal node")
+        node.marks = node.marks + (Mark(row["kind"], row["offset"], row.get("id")),)
+    return plan
+
+
+# -- plan execution ----------------------------------------------------------
+# A lowered body is a tuple of steps, each called as step(out, scope). ``out``
+# is the output list's append, or the Collector when the plan has marks.
+# ``scope`` is [root bindings, item of the loop at depth 1, at depth 2, ...]:
+# a loop frame binds only its own variable, so which frame a path's head
+# names is known while lowering.
+
+_PLAN_POS = Position("<plan>", 0, 0)
+
+
+def execute_plan(plan: CompiledPlan, bindings: Bindings):
+    """Render a plan: literals are appended directly, interpolations go
+    through their named escapers. No machine transitions happen here.
+
+    Returns (SafeContent, marks).
+    """
+    render = plan.lowered
+    if render is None:
+        # escapers are bound at first render, not at load: the registry then
+        # decides. A racing first render builds an equal function.
+        render = plan.lowered = _lower(plan)
+    return render(bindings)
+
+
+def _lower(plan: CompiledPlan) -> Callable:
+    marked = _has_marks(plan.body)
+    steps, depth = _lower_body(plan.body, {}, 0, marked)
+    language, pad = plan.language, (None,) * depth
+
+    if marked:
+        def render(bindings):
+            out, scope = Collector(), [bindings.values, *pad]
+            for step in steps:
+                step(out, scope)
+            return SafeContent(language, out.text()), tuple(out.marks)
+    else:
+        def render(bindings):
+            parts, scope = [], [bindings.values, *pad]
+            out = parts.append
+            for step in steps:
+                step(out, scope)
+            return SafeContent(language, "".join(parts)), ()
+    return render
+
+
+def _has_marks(body) -> bool:
+    for node in body:
+        if isinstance(node, Lit) and node.marks:
+            return True
+        if isinstance(node, PlanFor) and _has_marks(node.body):
+            return True
+        if isinstance(node, PlanIf) and (_has_marks(node.then) or _has_marks(node.els)):
+            return True
+    return False
+
+
+def _lower_body(body, frames: dict, depth: int, marked: bool):
+    """Steps for ``body``, whose loop variables ``frames`` maps to their
+    scope slots; also the deepest slot the body uses."""
+    steps, deepest = [], depth
+    for node in body:
+        if isinstance(node, Lit):
+            steps.append(_lit_step(node, marked))
+            continue
+        if not isinstance(node, (PlanInterp, PlanFor, PlanIf)):
+            raise PlanError(f"unexpected plan node {node!r}")
+        pos = node.pos or _PLAN_POS
+        if isinstance(node, PlanInterp):
+            steps.append(_interp_step(node, _lookup(node.path, frames, pos, True),
+                                      pos, marked))
+        elif isinstance(node, PlanFor):
+            slot = depth + 1
+            body_steps, used = _lower_body(node.body, {**frames, node.var: slot}, slot, marked)
+            steps.append(_for_step(node, _lookup(node.path, frames, pos, True),
+                                   body_steps, slot, pos))
+            deepest = max(deepest, used)
+        else:
+            then, used_then = _lower_body(node.then, frames, depth, marked)
+            els, used_els = _lower_body(node.els, frames, depth, marked)
+            steps.append(_if_step(_lookup(node.path, frames, pos, False), then, els))
+            deepest = max(deepest, used_then, used_els)
+    return tuple(steps), deepest
+
+
+def _lookup(path: str, frames: dict, pos: Position, strict: bool) -> Callable:
+    """A scope -> value function with resolve_segs' semantics for ``path``."""
+    head, *fields = path.split(".")
+    slot = frames.get(head, 0)
+
+    def get(scope):
+        if slot:
+            cur = scope[slot]
+        elif head in scope[0]:
+            cur = scope[0][head]
+        elif strict:
+            raise RenderError(f"unbound path {path!r}", pos)
+        else:
+            return None
+        for seg in fields:
+            if isinstance(cur, dict) and seg in cur:
+                cur = cur[seg]
+            elif strict:
+                raise RenderError(f"unbound path {path!r} (no field {seg!r})", pos)
+            else:
+                return None
+        return cur
+    return get
+
+
+def _apply(esc: Escaper) -> Callable:
+    """``esc.apply`` as a plain function: the transform itself when nothing
+    passes through."""
+    transform, passthrough = esc.transform, esc.passthrough
+    if not passthrough:
+        return transform
+
+    def apply(value):
+        if isinstance(value, SafeContent) and value.language in passthrough:
+            return value.text
+        return transform(value)
+    return apply
+
+
+def _chain(names) -> Callable:
+    """One function that applies the named escapers in order, then
+    stringifies, as apply_chain does."""
+    fns = tuple(_apply(get_escaper(name)) for name in names)
+
+    def escape(value):
+        for f in fns:
+            value = f(value)
+        return value if isinstance(value, str) else stringify(value)
+    return escape
+
+
+def _lit_step(node: Lit, marked: bool) -> Callable:
+    text, marks = node.text, node.marks
+    if not marked:
+        def step(out, scope):
+            out(text)
+    elif marks:
+        def step(out, scope):
+            base = out.length
+            out.append_text(text)
+            out.extend_marks(marks, base)
+    else:
+        def step(out, scope):
+            out.append_text(text)
+    return step
+
+
+def _interp_step(node: PlanInterp, get: Callable, pos: Position, marked: bool) -> Callable:
+    escape, path = _chain(node.escapers), node.path
+
+    if not marked:
+        def step(out, scope):
+            try:
+                out(escape(get(scope)))
+            except EscapeError as exc:
+                raise RenderError(f"{exc} (path {path!r})", pos) from None
+    else:
+        def step(out, scope):
+            try:
+                text = escape(get(scope))
+            except EscapeError as exc:
+                raise RenderError(f"{exc} (path {path!r})", pos) from None
+            if out.open_messages > 0:
+                out.add_mark(EXPR_START)
+                out.append_text(text)
+                out.add_mark(EXPR_END)
+            else:
+                out.append_text(text)
+    return step
+
+
+def _for_step(node: PlanFor, get: Callable, body: tuple, slot: int,
+              pos: Position) -> Callable:
+    path = node.path
+
+    def step(out, scope):
+        seq = get(scope)
+        if not isinstance(seq, list):
+            raise RenderError(f"loop over non-list value at path {path!r}", pos)
+        for item in seq:
+            scope[slot] = item
+            for inner in body:
+                inner(out, scope)
+    return step
+
+
+def _if_step(get: Callable, then: tuple, els: tuple) -> Callable:
+    def step(out, scope):
+        for inner in then if truthy(get(scope)) else els:
+            inner(out, scope)
+    return step

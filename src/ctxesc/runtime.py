@@ -4,8 +4,6 @@ the static compiler is checked against."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import machine as machine_mod
 from .diagnostics import Diagnostic, Position, RenderError, Severity, has_errors, warning
 from .escapers import apply_chain
@@ -17,84 +15,9 @@ from .frontend import (
     Collected,
     LoopBlock,
 )
-from .marks import EXPR_END, EXPR_START, MSG_END, MSG_START, Mark
+from .marks import EXPR_END, EXPR_START
+from .plan import Bindings, Collector, resolve_segs
 from .values import EscapeError, SafeContent, truthy
-
-
-class Collector:
-    """Output buffer plus the mark list that indexes into it."""
-
-    def __init__(self):
-        self._parts: list[str] = []
-        self.length = 0
-        self.marks: list[Mark] = []
-        self.open_messages = 0
-
-    def append_text(self, text: str) -> None:
-        if text:
-            self._parts.append(text)
-            self.length += len(text)
-
-    def add_mark(self, kind: str, ident: str | None = None) -> None:
-        self.marks.append(Mark(kind, self.length, ident))
-        if kind == MSG_START:
-            self.open_messages += 1
-        elif kind == MSG_END:
-            self.open_messages = max(0, self.open_messages - 1)
-
-    def extend_marks(self, new_marks, base: int) -> None:
-        for mark in new_marks:
-            self.marks.append(mark.shifted(base))
-            if mark.kind == MSG_START:
-                self.open_messages += 1
-            elif mark.kind == MSG_END:
-                self.open_messages = max(0, self.open_messages - 1)
-
-    def text(self) -> str:
-        return "".join(self._parts)
-
-
-@dataclass
-class Bindings:
-    """Named values available to interpolation paths."""
-
-    values: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Bindings":
-        from .values import bindings_from_json
-
-        return cls(bindings_from_json(text))
-
-
-def resolve_segs(segs, bindings: Bindings, frames: list[dict],
-                 pos: Position, strict: bool = True):
-    """Dotted path lookup on pre-split segments: loop frames shadow the root
-    bindings. With strict=False an absent path yields None (condition
-    semantics) instead of a render error."""
-    head = segs[0]
-    scope = None
-    for frame in reversed(frames):
-        if head in frame:
-            scope = frame
-            break
-    if scope is None:
-        if head in bindings.values:
-            scope = bindings.values
-        elif strict:
-            raise RenderError(f"unbound path {'.'.join(segs)!r}", pos)
-        else:
-            return None
-    cur = scope[head]
-    for seg in segs[1:]:
-        if isinstance(cur, dict) and seg in cur:
-            cur = cur[seg]
-        elif strict:
-            raise RenderError(
-                f"unbound path {'.'.join(segs)!r} (no field {seg!r})", pos)
-        else:
-            return None
-    return cur
 
 
 class Accumulator:

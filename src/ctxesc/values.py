@@ -31,14 +31,14 @@ def stringify(value) -> str:
     ``true``/``false``. Lists, records, and null have no unambiguous text
     form and are rejected.
     """
+    if isinstance(value, str):
+        return value
     if isinstance(value, SafeContent):
         return value.text
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
         return repr(value) if isinstance(value, float) else str(value)
-    if isinstance(value, str):
-        return value
     if value is None:
         raise EscapeError("cannot render null as text")
     raise EscapeError(f"cannot render a {type(value).__name__} as text")

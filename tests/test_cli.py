@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +12,7 @@ from ctxesc.cli import main
 from ctxesc.frontend import MAX_BLOCK_DEPTH
 from support import nested_loops
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 DIAG_LINE = re.compile(r"^[^:]+:\d+:\d+: (warning|error): .+$")
 
 
@@ -92,6 +97,43 @@ def test_render_precompiled_plan_ignores_missing_tables(workdir, capsys):
     assert main(["render", str(plan), "--bindings", str(workdir / "b.json"),
                  "--tables", str(workdir / "no-such-dir")]) == 0
     assert "<ul>" in capsys.readouterr().out
+
+
+def test_render_plan_loads_no_machine(workdir, capsys):
+    plan = workdir / "plan.json"
+    assert main(["compile", str(workdir / "list.tpl"), "--out", str(plan)]) == 0
+    compiled = capsys.readouterr()
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    # -X importtime lists every module the interpreter imports on stderr
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "ctxesc", "render", str(plan),
+         "--bindings", str(workdir / "b.json")],
+        cwd=workdir, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == '<ul>\n  <li><a href="https://e.com">a&lt;b</a></li>\n</ul>\n'
+    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"ctxesc.cli", "ctxesc.plan", "ctxesc.escapers"} <= imported
+    heavy = {"ctxesc.machine", "ctxesc.tables", "ctxesc.frontend", "ctxesc.web",
+             "ctxesc.compiler"}
+    assert not heavy & imported, sorted(heavy & imported)
+    assert compiled.err == ""
+
+
+def test_static_render_error_names_the_template_site(workdir, capsys):
+    partial = workdir / "partial.json"
+    partial.write_text(json.dumps({"items": [{"url": "x"}]}), encoding="utf-8")
+    tpl = str(workdir / "list.tpl")
+    assert main(["render", tpl, "--bindings", str(partial)]) == 1
+    assert capsys.readouterr().err == (
+        f"{tpl}:4:28: error: unbound path 'item.label' (no field 'label')\n")
+    # a compiled plan file carries no positions
+    plan = workdir / "plan.json"
+    main(["compile", tpl, "--out", str(plan)])
+    assert main(["render", str(plan), "--bindings", str(partial)]) == 1
+    assert capsys.readouterr().err == (
+        "<plan>:0:0: error: unbound path 'item.label' (no field 'label')\n")
 
 
 def test_render_plan_in_dynamic_mode_is_usage_error(workdir, capsys):

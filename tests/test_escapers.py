@@ -1,6 +1,10 @@
 import html.parser
+import json
+import re
+import urllib.parse
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxesc.escapers import (
     URL_REPLACEMENT,
@@ -14,6 +18,7 @@ from ctxesc.escapers import (
     known_names,
 )
 from ctxesc.values import EscapeError, SafeContent
+from support import adversarial_values
 
 
 def test_registry_ships_the_wire_format_names():
@@ -154,3 +159,110 @@ def test_escapers_are_pure():
     value = SafeContent("html", "x<b>y</b>")
     assert escape_pcdata(value) == escape_pcdata(value)
     assert filter_url_prefix("a b") == filter_url_prefix("a b")
+
+
+# -- equivalence with the escapers' original formulas ------------------------------
+# The escapers search for a character to change before they build new text.
+# These are the formulas they replaced, kept as the oracle: each escaper must
+# give the same text, or raise the same exception type, for every value.
+
+_OLD_PCDATA_MAP = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
+_OLD_ATTR_MAP = {**_OLD_PCDATA_MAP, ord('"'): "&quot;", ord("'"): "&#39;"}
+_OLD_CSS_MAP = {"\\": "\\\\", '"': "\\22 ", "'": "\\27 ", "<": "\\3c ", ">": "\\3e ",
+                "&": "\\26 ", "\n": "\\a ", "\r": "\\a ", "\f": "\\a "}
+
+
+def _old_stringify(value):
+    if isinstance(value, SafeContent):
+        return value.text
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value) if isinstance(value, float) else str(value)
+    if isinstance(value, str):
+        return value
+    if value is None:
+        raise EscapeError("cannot render null as text")
+    raise EscapeError(f"cannot render a {type(value).__name__} as text")
+
+
+def _old_pcdata(value):
+    if isinstance(value, SafeContent) and value.language == "html":
+        return value.text
+    return _old_stringify(value).translate(_OLD_PCDATA_MAP)
+
+
+def _old_attr(value):
+    return _old_stringify(value).translate(_OLD_ATTR_MAP)
+
+
+def _old_url(value):
+    text = _old_stringify(value)
+    m = re.search(r"[:/?#]", text)
+    if m and text[m.start()] == ":":
+        if text[: m.start()].lower() not in {"http", "https", "mailto", "tel", "ftp"}:
+            return URL_REPLACEMENT
+    return urllib.parse.quote(text, safe=":/?#[]@!$&'()*+,;=%-._~")
+
+
+def _old_json(value):
+    if isinstance(value, SafeContent):
+        raise EscapeError("safe content has no meaning inside a script body")
+    try:
+        out = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    except (TypeError, ValueError) as exc:
+        raise EscapeError(f"cannot serialize value as JSON: {exc}") from None
+    return out.replace("<", "\\u003c").replace(">", "\\u003e").replace("&", "\\u0026")
+
+
+def _old_css(value):
+    return re.sub(r'[\\"\'<>&\n\r\f]', lambda m: _OLD_CSS_MAP[m.group(0)],
+                  _old_stringify(value))
+
+
+ORACLES = [
+    (escape_pcdata, _old_pcdata),
+    (escape_html_attr, _old_attr),
+    (filter_url_prefix, _old_url),
+    (escape_json_value, _old_json),
+    (escape_css_string, _old_css),
+]
+
+# every code point, lone surrogates and control characters included
+_any_text = st.text(st.characters(exclude_categories=()))
+_url_like = st.tuples(
+    st.sampled_from(["", "http:", "HTTPS:", "javascript:", "mailto:", "x:", "//", "/", "?", "#"]),
+    _any_text,
+).map("".join)
+escaper_inputs = st.one_of(
+    _any_text,
+    _url_like,
+    st.sampled_from(adversarial_values(300)),
+    st.builds(SafeContent, st.sampled_from(["html", "css", "url", "text"]), _any_text),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def _outcome(fn, value):
+    try:
+        return "ok", fn(value)
+    except Exception as exc:  # noqa: BLE001 - the exception type is the outcome
+        return "raises", type(exc)
+
+
+@pytest.mark.parametrize("escaper, oracle", ORACLES, ids=[f.__name__ for f, _ in ORACLES])
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=escaper_inputs)
+def test_escaper_matches_its_original_formula(escaper, oracle, value):
+    assert _outcome(escaper, value) == _outcome(oracle, value)
+
+
+@pytest.mark.parametrize("escaper, oracle", ORACLES, ids=[f.__name__ for f, _ in ORACLES])
+def test_escaper_matches_its_original_formula_on_the_adversarial_corpus(escaper, oracle):
+    for value in adversarial_values(2000) + ["\ud800", "a\udfffb", "\x00\x7f\x9f", "ü€😀"]:
+        assert _outcome(escaper, value) == _outcome(oracle, value), repr(value)
