@@ -62,14 +62,14 @@ def _emit_lit(items: list, text: str, marks) -> None:
 
 @dataclass
 class AnnotatedProgram:
-    """Propagation result: the incoming machine state at every node, escaper
-    decisions at every unsafe append, merged states at joins, and the plan
-    nodes (``items``) that erasure wraps into a CompiledPlan."""
+    """Propagation result: the incoming machine state at every node, merged
+    states at joins, and the plan nodes (``items``) that erasure wraps into a
+    CompiledPlan; their PlanInterp nodes carry the escaper chain chosen at
+    each unsafe append."""
 
     program: AppendProgram
     machine: machine_mod.Machine
     in_states: dict = field(default_factory=dict)
-    interp_info: dict = field(default_factory=dict)
     merged: dict = field(default_factory=dict)
     loop_iterations: dict = field(default_factory=dict)
     items: list = field(default_factory=list)
@@ -114,7 +114,6 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
             elif isinstance(node, AppendUnsafe):
                 r = machine_mod.step_interp(machine, state, node.pos)
                 ann.in_states[node] = r.site
-                ann.interp_info[node] = r
                 sink.extend(r.diagnostics)
                 _emit_lit(items, r.emitted + r.pre, r.marks)
                 if not r.error:

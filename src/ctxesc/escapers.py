@@ -66,7 +66,8 @@ def filter_url_prefix(value) -> str:
 
     A blocked URL is replaced with a fixed inert URL rather than erased.
     Allowed URLs are returned with characters outside the URL-safe set
-    percent-encoded (UTF-8).
+    percent-encoded (UTF-8); a value with no UTF-8 form (a lone surrogate)
+    raises EscapeError.
     """
     text = stringify(value)
     m = _URL_SCHEME_END(text)
@@ -76,7 +77,11 @@ def filter_url_prefix(value) -> str:
             return URL_REPLACEMENT
     if _URL_UNCHANGED(text):
         return text
-    return urllib.parse.quote(text, safe=_URL_SAFE)
+    try:
+        return urllib.parse.quote(text, safe=_URL_SAFE)
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        raise EscapeError(f"cannot percent-encode URL value: {exc.reason} "
+                          f"at index {exc.start}") from None
 
 
 def escape_json_value(value) -> str:

@@ -99,7 +99,10 @@ def _content_nodes(text: str, pos: Position, diags: list[Diagnostic]) -> list:
                                      Position(pos.file, pos.line, pos.col + buf_start)))
         buf.clear()
 
-    while i < len(text):
+    while (j := text.find("$", i)) >= 0:
+        if j > i:
+            buf.append(text[i:j])
+        i = j
         if text.startswith("$${", i):
             buf.append("${")
             i += 3
@@ -123,8 +126,10 @@ def _content_nodes(text: str, pos: Position, diags: list[Diagnostic]) -> list:
             i = end + 1
             buf_start = i
             continue
-        buf.append(text[i])
+        buf.append("$")
         i += 1
+    if i < len(text):
+        buf.append(text[i:])
     flush_literal(extra="\n")
     return nodes
 

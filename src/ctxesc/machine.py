@@ -190,7 +190,10 @@ def build_machine(root: TransitionTable, subs: dict[str, TransitionTable] | None
 
 
 class _Level:
-    __slots__ = ("table", "machine_name", "codec_name", "codec", "context", "pending")
+    """One machine of the running stack; ``rows`` are always the table's
+    resolved rows for ``context``."""
+
+    __slots__ = ("table", "machine_name", "codec_name", "codec", "context", "rows", "pending")
 
     def __init__(self, table, machine_name, codec_name, codec, context, pending):
         self.table = table
@@ -198,11 +201,22 @@ class _Level:
         self.codec_name = codec_name
         self.codec = codec
         self.context = context
+        self.rows = table.rows(context)
         self.pending = pending
+
+    def enter(self, context) -> None:
+        self.context = context
+        self.rows = self.table.rows(context)
 
 
 class _Run:
-    """Mutable working form of a MachineState for one step call."""
+    """Mutable working form of a MachineState for one step call.
+
+    The position of the root's unconsumed text is computed lazily: each
+    step appends the root text it consumed to ``_consumed``, and ``pos``
+    folds that list into ``_pos`` only when a diagnostic or ``freeze`` needs
+    it. ``Position.advance`` is associative over concatenation, so the fold
+    gives the position a step-by-step advance would."""
 
     def __init__(self, machine: Machine, state: MachineState, pos: Position | None):
         self.machine = machine
@@ -220,6 +234,14 @@ class _Run:
         self._pos = state.pending_pos if state.pending else pos
         if self._pos is None:
             self._pos = pos or Position("<input>", 1, 1)
+        self._consumed: list[str] = []
+
+    @property
+    def pos(self) -> Position:
+        if self._consumed:
+            self._pos = self._pos.advance("".join(self._consumed))
+            self._consumed.clear()
+        return self._pos
 
     # -- output ------------------------------------------------------------
 
@@ -229,13 +251,14 @@ class _Run:
         return text
 
     def _emit_from(self, i: int, text: str) -> None:
-        text = self._encode_text(i, text)
+        if i:
+            text = self._encode_text(i, text)
         if text:
             self.out.append(text)
             self.out_len += len(text)
 
     def _diag(self, severity: Severity, message: str) -> None:
-        self.diags.append(Diagnostic(severity, message, self._pos))
+        self.diags.append(Diagnostic(severity, message, self.pos))
         if severity is Severity.ERROR and self.error is None:
             self.error = message
 
@@ -256,6 +279,7 @@ class _Run:
         lvl = self._levels[0]
         if not lvl.pending and pos is not None:
             self._pos = pos
+            self._consumed.clear()
         lvl.pending += chunk
 
     def drain(self, flushing: bool, min_level: int = 0) -> None:
@@ -278,14 +302,13 @@ class _Run:
 
     def _fire_epsilon(self) -> bool:
         lvl = self._levels[-1]
-        rule = lvl.table.first_epsilon(lvl.context)
-        if rule is None:
+        if lvl.rows.epsilon is None:
             return False
+        rule, new_ctx = lvl.rows.epsilon
         _bump()
         if rule.severity is Severity.ERROR:
             self._diag(Severity.ERROR, rule.message)
             return True
-        new_ctx = rule.successor.apply_to(lvl.context)
         if new_ctx == lvl.context and rule.action is None:
             self._internal_error(
                 f"epsilon rule at {lvl.table.filename}:{rule.line} does not change the context")
@@ -296,7 +319,7 @@ class _Run:
             self._emit_from(len(self._levels) - 1, rule.substitution)
         if rule.severity is Severity.WARNING:
             self._diag(Severity.WARNING, rule.message)
-        lvl.context = new_ctx
+        lvl.enter(new_ctx)
         if rule.action is not None:
             self._apply_action(len(self._levels) - 1, rule.action)
         return True
@@ -322,11 +345,17 @@ class _Run:
 
     def _consume_at(self, i: int, flushing: bool) -> bool:
         lvl = self._levels[i]
-        if not lvl.pending:
+        pending = lvl.pending
+        if not pending:
             return False
-        if not flushing and len(lvl.pending) < lvl.table.lookahead:
+        if not flushing and len(pending) < lvl.table.lookahead:
             return False
-        rule, m = lvl.table.first_regex_match(lvl.context, lvl.pending)
+        for rule, match, successor in lvl.rows.regex:
+            m = match(pending)
+            if m and m.end() > 0:
+                break
+        else:
+            rule = None
         if rule is not None:
             _bump()
             if i < len(self._levels) - 1:
@@ -344,33 +373,32 @@ class _Run:
             self._emit_from(i, rule.substitution if rule.substitution is not None else matched)
             if rule.severity is Severity.WARNING:
                 self._diag(Severity.WARNING, rule.message)
-            lvl.pending = lvl.pending[m.end():]
+            lvl.pending = pending[m.end():]
             if i == 0:
-                self._pos = self._pos.advance(matched)
-            lvl.context = rule.successor.apply_to(lvl.context)
+                self._consumed.append(matched)
+            lvl.enter(successor)
             if rule.action is not None and rule.action.kind == "start":
                 self._apply_action(i, rule.action)
             return True
         if i < len(self._levels) - 1:
-            codec = self._levels[i + 1].codec
-            n, out, warn = codec.decode_unit(lvl.pending)
+            inner = self._levels[i + 1]
+            n, out, warn = inner.codec.decode_unit(pending)
             if n == 0:
                 return False
             if warn:
                 self._diag(Severity.WARNING, warn)
-            self._levels[i + 1].pending += out
-            raw = lvl.pending[:n]
-            lvl.pending = lvl.pending[n:]
+            inner.pending += out
+            lvl.pending = pending[n:]
             if i == 0:
-                self._pos = self._pos.advance(raw)
+                self._consumed.append(pending[:n])
             return True
         # Implicit default: copy one character, keep the context.
         _bump()
-        ch = lvl.pending[0]
+        ch = pending[0]
         self._emit_from(i, ch)
-        lvl.pending = lvl.pending[1:]
+        lvl.pending = pending[1:]
         if i == 0:
-            self._pos = self._pos.advance(ch)
+            self._consumed.append(ch)
         return True
 
     def freeze(self) -> MachineState:
@@ -383,7 +411,7 @@ class _Run:
             for lvl in self._levels[1:])
         pending = root.pending
         return MachineState(context=tuple(root.context), pending=pending, frames=frames,
-                            error=None, pending_pos=self._pos if pending else None)
+                            error=None, pending_pos=self.pos if pending else None)
 
 
 def step_fixed(machine: Machine, state: MachineState, chunk: str,
@@ -422,9 +450,9 @@ def step_interp(machine: Machine, state: MachineState,
     fired = 0
     while run.error is None:
         lvl = run._levels[-1]
-        rule = lvl.table.first_interp_rule(lvl.context)
-        if rule is None:
+        if lvl.rows.interp is None:
             break
+        rule, successor = lvl.rows.interp
         _bump()
         fired += 1
         if fired > len(lvl.table.rules) + 1:
@@ -437,7 +465,7 @@ def step_interp(machine: Machine, state: MachineState,
             pre_parts.append(run._encode_text(len(run._levels) - 1, rule.substitution))
         if rule.severity is Severity.WARNING:
             run._diag(Severity.WARNING, rule.message)
-        lvl.context = rule.successor.apply_to(lvl.context)
+        lvl.enter(successor)
         if rule.action is not None:
             run._apply_action(len(run._levels) - 1, rule.action)
         run.drain(flushing=True)
@@ -454,8 +482,7 @@ def step_interp(machine: Machine, state: MachineState,
     map_posts: list[tuple[int, str]] = []
     for li in range(len(run._levels) - 1, -1, -1):
         lvl = run._levels[li]
-        row = lvl.table.escape_rule_for(lvl.context)
-        if row is None:
+        if lvl.rows.escape is None:
             if li == len(run._levels) - 1:
                 msg = f"interpolation not allowed in this context: ({context_str(lvl.context)})"
             else:
@@ -465,13 +492,14 @@ def step_interp(machine: Machine, state: MachineState,
             bad = run.freeze()
             return InterpResult(bad, site, emitted, emitted_marks, (), "", "",
                                 run.diags, error=True)
+        row, successor = lvl.rows.escape
         _bump()
         chain.extend(row.escapers)
         if row.pre:
             map_pres.append((li, row.pre))
         if row.post:
             map_posts.append((li, row.post))
-        lvl.context = row.successor.apply_to(lvl.context)
+        lvl.enter(successor)
 
     map_pres.sort(key=lambda t: t[0])  # outer delimiters wrap inner ones
     pre = "".join(pre_parts) + "".join(run._encode_text(li, t) for li, t in map_pres)

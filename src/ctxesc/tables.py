@@ -10,10 +10,12 @@ transition). A preamble declares the context fields and their vocabularies,
 regex macros, the start and terminal contexts, and the escaper map. Rule
 order is significant: the first matching rule wins, always.
 
-Contexts are finite, so a table selects its rules per context, not per step:
-the first time a context is seen, the rows of each trigger kind whose pattern
-matches it are memoized as a tuple in file order. Dispatch then walks only
-that tuple, and "first match wins" is unchanged.
+Contexts are finite, so a table resolves its rules per context, not per step:
+it keeps one memo of resolved rows per context. The first time a context is
+seen, its regex rows are memoized in file order, each with its bound match
+function and successor context, next to the first epsilon, interp and escape
+row with theirs. Dispatch then walks only those rows, and "first match wins"
+is unchanged.
 """
 
 from __future__ import annotations
@@ -95,12 +97,30 @@ class EscapeRule:
     successor: Pattern
 
 
+class ContextRows:
+    """The rows of one table that match one context, resolved once: the
+    regex rows in file order as (rule, rule.regex.match, successor), and the
+    first epsilon, interp and escape row as (row, successor) or None."""
+
+    __slots__ = ("regex", "epsilon", "interp", "escape")
+
+    def __init__(self, table: "TransitionTable", context: tuple[str, ...]):
+        def first(rows):
+            row = next((r for r in rows if r.pattern.matches(context)), None)
+            return row and (row, row.successor.apply_to(context))
+
+        self.regex = tuple((r, r.regex.match, r.successor.apply_to(context))
+                           for r in table.regex_rules if r.pattern.matches(context))
+        self.epsilon = first(table.epsilon_rules)
+        self.interp = first(table.interp_rules)
+        self.escape = first(table.escapes)
+
+
 @dataclass
 class TransitionTable:
-    """A parsed table. Rule selection is memoized per (trigger kind, context)
-    on the instance; each entry keeps the matching rows in file order. An
-    entry depends only on the table and the context, so threads that race to
-    fill one compute the same tuple."""
+    """A parsed table, with one memo of resolved rows per context
+    (``rows``). An entry depends only on the table and the context, so
+    threads that race to fill one compute equal rows."""
 
     name: str
     filename: str
@@ -117,39 +137,37 @@ class TransitionTable:
     regex_rules: tuple[Rule, ...] = field(default=())
     epsilon_rules: tuple[Rule, ...] = field(default=())
     interp_rules: tuple[Rule, ...] = field(default=())
-    _selected: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.regex_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_REGEX)
         self.epsilon_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_EPSILON)
         self.interp_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_INTERP)
 
-    def _select(self, kind: str, rows: tuple, context) -> tuple:
-        """The rows of one kind whose pattern matches ``context``, in file order."""
-        key = (kind, context)
-        hit = self._selected.get(key)
+    def rows(self, context: tuple[str, ...]) -> ContextRows:
+        hit = self._rows.get(context)
         if hit is None:
-            hit = self._selected[key] = tuple(r for r in rows if r.pattern.matches(context))
+            hit = self._rows[context] = ContextRows(self, context)
         return hit
 
     def first_regex_match(self, context, text):
-        for rule in self._select(TRIGGER_REGEX, self.regex_rules, context):
-            m = rule.regex.match(text)
+        for rule, match, _ in self.rows(context).regex:
+            m = match(text)
             if m and m.end() > 0:
                 return rule, m
         return None, None
 
     def first_epsilon(self, context):
-        hit = self._select(TRIGGER_EPSILON, self.epsilon_rules, context)
-        return hit[0] if hit else None
+        hit = self.rows(context).epsilon
+        return hit and hit[0]
 
     def first_interp_rule(self, context):
-        hit = self._select(TRIGGER_INTERP, self.interp_rules, context)
-        return hit[0] if hit else None
+        hit = self.rows(context).interp
+        return hit and hit[0]
 
     def escape_rule_for(self, context):
-        hit = self._select("escape", self.escapes, context)
-        return hit[0] if hit else None
+        hit = self.rows(context).escape
+        return hit and hit[0]
 
     def end_message(self, context) -> str:
         state = context[0]
@@ -507,7 +525,10 @@ def validate_table(table: TransitionTable) -> list[Diagnostic]:
             chain: list[int] = []
             visited = {cur}
             while True:
-                rule = table.first_epsilon(cur)
+                # a scan, not the row memo: this lint visits every context,
+                # most of which no input reaches, and resolving all of their
+                # rows would cost several times the lint itself
+                rule = next((r for r in table.epsilon_rules if r.pattern.matches(cur)), None)
                 if rule is None or rule.action is not None:
                     break
                 nxt = rule.successor.apply_to(cur)

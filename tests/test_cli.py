@@ -136,6 +136,23 @@ def test_static_render_error_names_the_template_site(workdir, capsys):
         "<plan>:0:0: error: unbound path 'item.label' (no field 'label')\n")
 
 
+def test_url_with_a_lone_surrogate_is_a_positioned_render_error(workdir, capsys):
+    data = workdir / "surrogate.json"
+    data.write_text(json.dumps({"items": [{"url": "\ud800x", "label": "a"}]}),
+                    encoding="utf-8")
+    tpl, plan = str(workdir / "list.tpl"), workdir / "plan.json"
+    main(["compile", tpl, "--out", str(plan)])
+    capsys.readouterr()
+    for args, where in [([tpl, "--mode", "static"], f"{tpl}:4:16"),
+                        ([tpl, "--mode", "dynamic"], f"{tpl}:4:16"),
+                        ([str(plan)], "<plan>:0:0")]:
+        assert main(["render", *args, "--bindings", str(data)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"{where}: error: cannot percent-encode URL value")
+        assert out.err.count("\n") == 1
+
+
 def test_render_plan_in_dynamic_mode_is_usage_error(workdir, capsys):
     plan = workdir / "plan.json"
     main(["compile", str(workdir / "list.tpl"), "--out", str(plan)])

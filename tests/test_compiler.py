@@ -56,11 +56,12 @@ def test_list_template_annotations(html):
         "(Pcdata, _, _, _)",      # "</ul>\n"
     ]
     unsafe = by_kind["AppendUnsafe"]
+    interps = [n for n in ann.items[1].body if isinstance(n, PlanInterp)]
+    assert [n.pos for n in interps] == [n.pos for n in unsafe]
     assert state_str(ann.in_states[unsafe[0]]) == "(BeforeValue, _, Url, _)"
-    assert ann.interp_info[unsafe[0]].escapers == (
-        "UrlPrefixFilteringEscaper", "HtmlAttributeEscaper")
+    assert interps[0].escapers == ("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper")
     assert state_str(ann.in_states[unsafe[1]]) == "(Pcdata, _, _, _)"
-    assert ann.interp_info[unsafe[1]].escapers == ("HtmlPcdataEscaper",)
+    assert interps[1].escapers == ("HtmlPcdataEscaper",)
 
     loop = by_kind["LoopBlock"][0]
     assert ann.loop_iterations[loop] == 1

@@ -1,0 +1,134 @@
+"""The per-context row memo and the lazily folded machine positions.
+
+Each table resolves a context's rows once: the matching regex rows with
+their successor contexts, and the first epsilon, interp and escape row.
+These tests check that memo against a plain linear scan over the table's
+rules, and pin every diagnostic's position across a fixed input set, so a
+position the lazy fold shifted shows up as a changed digest.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE
+from ctxesc import web
+from ctxesc.compiler import analyze_template
+from ctxesc.diagnostics import RenderError
+from ctxesc.runtime import Bindings, render_full
+from ctxesc.tables import TRIGGER_EPSILON, TRIGGER_INTERP, TRIGGER_REGEX
+from support import STRUCTURE_CORPUS, corpus_bindings, random_template
+
+# -- the row memo ------------------------------------------------------------------
+
+TABLES = ["html.tt", "url.tt", "css.tt", "text.tt"]
+
+
+def scanned_rows(table, context):
+    """The rows and successors of ``context`` by a linear scan over the
+    table's rules in file order."""
+    matching = [r for r in table.rules if r.pattern.matches(context)]
+
+    def first(rows):
+        for r in rows:
+            return r, r.successor.apply_to(context)
+        return None
+
+    return (
+        [(r, r.successor.apply_to(context)) for r in matching if r.trigger == TRIGGER_REGEX],
+        first(r for r in matching if r.trigger == TRIGGER_EPSILON),
+        first(r for r in matching if r.trigger == TRIGGER_INTERP),
+        first(r for r in table.escapes if r.pattern.matches(context)),
+    )
+
+
+def memo_rows(table, context):
+    rows = table.rows(context)
+    regex = [(r, succ) for r, match, succ in rows.regex]
+    assert [match for _, match, _ in rows.regex] == [r.regex.match for r, _ in regex]
+    return regex, rows.epsilon, rows.interp, rows.escape
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_memoized_rows_equal_a_linear_scan_cold_and_warm(name):
+    table = web.load_table(name)  # uncached: the memo starts cold
+    contexts = list(table.all_contexts())
+    cold = {ctx: memo_rows(table, ctx) for ctx in contexts}
+    for ctx in contexts:
+        expected = scanned_rows(table, ctx)
+        assert cold[ctx] == expected, ctx
+        assert memo_rows(table, ctx) == expected, ctx  # warm
+        assert table.rows(ctx) is table.rows(ctx)
+
+
+# -- every diagnostic position, pinned ------------------------------------------------
+
+# Templates that raise warnings or errors, several of them over more than one
+# line, so the position of text held back across lines is exercised.
+WARNING_TEMPLATES = [
+    'tag: html\n"<p\n',
+    'tag: html\n"<p class=\n',
+    'tag: html\n"<p title="x\n',
+    'tag: html\n"</p class="x">\n',
+    'tag: html\n"ab</b "x">cd\n"</i "y">\n',
+    'tag: html\n"<a href="&#bogus;${x}">t</a>\n',
+    'tag: html\n"<a href="/p?a=1&#;b=${x}">t</a>\n',
+    'tag: html\n"<a href="&#99999999;x">t</a>\n"<a href=\'&#xZZ;${x}\'>u</a>\n',
+    'tag: html\n"<div style="a: &#;b">d</div>\n',
+    'tag: html\n"line one\n"line two <b\n"line three\n',
+    'tag: html\n"<p>\n"  </b "q">\n"  <!-- open\n',
+    'tag: html\n"<!-- ${x} -->\n',
+    'tag: html\n"<style>p { color: "${x}\n',
+    'tag: html\n"<script>var a = 1;\n',
+    'tag: html\n:if c {\n"<a href=\n:}\n"done\n',
+    'tag: html\n:for x of xs {\n"<a href=\n:}\n"x\n',
+    'tag: html\n"${x.}\n',
+    'tag: html\n"${f()}\n',
+    'tag: html\n"a ${x\n',
+    'tag: html\n:for x of xs {\n"y\n',
+    'tag: html\n"<a href=${x}>\n"</a "t" "u">\n"${y}\n',
+    "tag: html\n\"<p title='a\n\"b' ${x}>\n\"</p x>\n",
+    'tag: html\n"<a href="x\n"&#1;&#\n"${x}">z</a>\n',
+    'tag: html\n:for x of xs {\n"</i "${x}">\n:}\n"<b\n',
+]
+
+WARNING_BINDINGS = {"x": "v", "y": "w", "c": True, "xs": ["1", "2"]}
+
+# sha256 over (stage, severity, message, file:line:col) of every diagnostic
+# analyze_template and render_full report for the inputs of
+# diagnostic_cases(), recorded before the machine folded its positions
+# lazily.
+PINNED_DIAGNOSTICS_SHA256 = "a96da22c24214e77f4d8bd4e2fa9dcc824d10109845ee8f3f6cefccd8a1a3674"
+
+
+def diagnostic_cases():
+    cases = [(LIST_TEMPLATE, {"items": [{"url": "/a", "label": "b"}]}),
+             (MESSAGE_TEMPLATE, {"s": "x", "n": 1})]
+    cases += [(source, corpus_bindings("v")) for source in STRUCTURE_CORPUS]
+    cases += [random_template(random.Random(seed)) for seed in range(200)]
+    cases += [(source, WARNING_BINDINGS) for source in WARNING_TEMPLATES]
+    return cases
+
+
+def diagnostic_rows(source, values, filename):
+    program, ann, diags = analyze_template(source, filename)
+    rows = [("analyze", d.severity.value, d.message, str(d.position)) for d in diags]
+    if ann is not None:
+        try:
+            _, _, dyn = render_full(program, Bindings(values), ann.machine)
+        except RenderError as exc:
+            rows.append(("render-error", "error", exc.message, str(exc.position)))
+        else:
+            rows += [("render", d.severity.value, d.message, str(d.position)) for d in dyn]
+    return rows
+
+
+def test_diagnostic_positions_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for i, (source, values) in enumerate(diagnostic_cases()):
+        for row in diagnostic_rows(source, values, f"t{i}.tpl"):
+            digest.update(repr(row).encode("utf-8"))
+            count += 1
+    assert count >= 40
+    assert digest.hexdigest() == PINNED_DIAGNOSTICS_SHA256

@@ -202,7 +202,12 @@ def _old_url(value):
     if m and text[m.start()] == ":":
         if text[: m.start()].lower() not in {"http", "https", "mailto", "tel", "ftp"}:
             return URL_REPLACEMENT
-    return urllib.parse.quote(text, safe=":/?#[]@!$&'()*+,;=%-._~")
+    try:
+        return urllib.parse.quote(text, safe=":/?#[]@!$&'()*+,;=%-._~")
+    except UnicodeEncodeError:
+        # the one intended change: a value with no UTF-8 form (a lone
+        # surrogate) is an EscapeError, not a bare codec error
+        raise EscapeError("cannot percent-encode URL value") from None
 
 
 def _old_json(value):

@@ -1,15 +1,19 @@
 import hashlib
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import LIST_TEMPLATE
-from ctxesc.diagnostics import Severity
+from ctxesc.diagnostics import Position, Severity, error
 from ctxesc.frontend import (
     MAX_BLOCK_DEPTH,
+    PATH_RE,
     AppendFixed,
     AppendUnsafe,
     BranchBlock,
     Collected,
     LoopBlock,
+    _content_nodes,
     desugar,
     parse_template,
     walk,
@@ -233,6 +237,61 @@ def test_desugar_closes_a_new_program_and_leaves_the_parse_alone():
     (collected,) = desugar(parse_template("tag: t\n")[0]).body
     assert isinstance(collected, Collected)
     assert (collected.pos.line, collected.pos.col) == (2, 1)
+
+
+# -- the content-line scanner --------------------------------------------------------
+
+def _per_character_content_nodes(text, pos, diags):
+    """The content-line scanner as it was before it jumped between ``$``
+    characters: one loop iteration per character."""
+    nodes, buf, buf_start, i = [], [], 0, 0
+
+    def flush_literal(extra=""):
+        if buf or extra:
+            nodes.append(AppendFixed("".join(buf) + extra,
+                                     Position(pos.file, pos.line, pos.col + buf_start)))
+        buf.clear()
+
+    while i < len(text):
+        if text.startswith("$${", i):
+            buf.append("${")
+            i += 3
+            continue
+        if text.startswith("${", i):
+            end = text.find("}", i + 2)
+            if end < 0:
+                diags.append(error("malformed interpolation: missing '}'",
+                                   Position(pos.file, pos.line, pos.col + i)))
+                return nodes
+            expr = text[i + 2:end].strip()
+            if not PATH_RE.fullmatch(expr):
+                if "(" in expr:
+                    msg = f"method calls are not supported in interpolations: {expr!r}"
+                else:
+                    msg = f"invalid interpolation path: {expr!r}"
+                diags.append(error(msg, Position(pos.file, pos.line, pos.col + i)))
+                return nodes
+            flush_literal()
+            nodes.append(AppendUnsafe(expr, Position(pos.file, pos.line, pos.col + i)))
+            i = end + 1
+            buf_start = i
+            continue
+        buf.append(text[i])
+        i += 1
+    flush_literal(extra="\n")
+    return nodes
+
+
+def _scanned(scan, text):
+    diags = []
+    nodes = scan(text, Position("t.tpl", 3, 2), diags)
+    return [_node_signature(n) for n in nodes], diags
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(text=st.text(st.sampled_from("${}.a\t"), max_size=24))
+def test_content_scanner_equals_the_per_character_loop(text):
+    assert _scanned(_content_nodes, text) == _scanned(_per_character_content_nodes, text)
 
 
 # -- block nesting bound ----------------------------------------------------------

@@ -13,7 +13,19 @@ from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, program_of
 from ctxesc.compiler import compile_template
 from ctxesc.diagnostics import PlanError, RenderError, has_errors
 from ctxesc.marks import MARK_KINDS
-from ctxesc.plan import Bindings, execute_plan, plan_from_json, plan_to_json
+from ctxesc import plan as plan_mod
+from ctxesc.marks import Mark
+from ctxesc.plan import (
+    Bindings,
+    CompiledPlan,
+    Lit,
+    PlanFor,
+    PlanIf,
+    PlanInterp,
+    execute_plan,
+    plan_from_json,
+    plan_to_json,
+)
 from ctxesc.runtime import render_full
 from ctxesc.values import SafeContent
 from support import STRUCTURE_CORPUS, adversarial_values, corpus_bindings, random_template
@@ -79,7 +91,144 @@ def test_compiled_plans_name_the_template_site_and_loaded_plans_do_not(
     assert str(from_json.value.position) == "<plan>:0:0"
 
 
+# -- escapers in both engines ------------------------------------------------------
+
+# every code point, lone surrogates and control characters included
+any_text = st.text(st.characters(exclude_categories=()))
+
+# one site per escaper chain the HTML tables assign
+ESCAPER_SITES = [
+    'tag: html\n"<p>${x}</p>\n',
+    'tag: html\n"<p title="${x}">t</p>\n',
+    'tag: html\n"<a href="${x}">t</a>\n',
+    'tag: html\n"<a href=${x}>t</a>\n',
+    'tag: html\n"<script>var v = ${x};</script>\n',
+    'tag: html\n"<style>p { content: "${x}" }</style>\n',
+    'tag: html\n"<style>p { background: url(${x}) }</style>\n',
+    'tag: html\n"<div style="background: url(${x})">d</div>\n',
+]
+
+
+def render_outcome(render):
+    """("ok", text, marks), or ("error", message, position) for a RenderError."""
+    try:
+        value, marks = render()[:2]
+    except RenderError as exc:
+        return "error", exc.message, exc.position
+    return "ok", value.text, marks
+
+
+@pytest.mark.parametrize("source", ESCAPER_SITES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(value=st.tuples(st.sampled_from(["", "http:", "/", "javascript:", "a b"]),
+                       any_text).map("".join))
+def test_both_engines_agree_on_text_with_surrogates(html, source, value):
+    plan, diags = compile_template(source, "site.tpl")
+    assert not has_errors(diags)
+    bindings = Bindings({"x": value})
+    static = render_outcome(lambda: execute_plan(plan, bindings))
+    dynamic = render_outcome(
+        lambda: render_full(program_of(source, "site.tpl"), bindings, html))
+    if static[0] == "error":
+        # the plan adds the interpolation's path to the escaper's message
+        assert dynamic[0] == "error" and static[2] == dynamic[2], (static, dynamic)
+        assert static[1] == f"{dynamic[1]} (path 'x')"
+    else:
+        assert static == dynamic
+
+
+def test_url_with_a_lone_surrogate_is_a_positioned_render_error(html):
+    plan, _ = compile_template(LIST_TEMPLATE, "list.tpl")
+    values = Bindings({"items": [{"url": "\ud800x", "label": "a"}]})
+    with pytest.raises(RenderError, match="cannot percent-encode") as compiled:
+        execute_plan(plan, values)
+    assert str(compiled.value.position) == "list.tpl:4:16"
+    with pytest.raises(RenderError, match="cannot percent-encode") as dynamic:
+        render_full(program_of(LIST_TEMPLATE, "list.tpl"), values, html)
+    assert dynamic.value.position == compiled.value.position
+
+
+# -- plan JSON writer ---------------------------------------------------------------
+
+def dumped(plan) -> str:
+    """The plan document as json.dumps writes it."""
+    mark_rows: list = []
+    doc = {"language": plan.language,
+           "body": plan_mod._body_to_obj(plan.body, [], mark_rows),
+           "marks": mark_rows}
+    return json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+def test_plan_json_equals_json_dumps_on_the_corpus():
+    for source, _ in oracle_cases()[::5]:
+        plan = compile_template(source)[0]
+        assert plan_to_json(plan) == dumped(plan)
+
+
+# strings with what JSON has to escape: quotes, backslashes, C0 controls,
+# U+2028/2029, lone surrogates and characters outside the BMP
+json_text = st.text(st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028",
+                     "\u2029", "\ud800", "\udfff", "\U0001f600", "é", "a"]),
+    st.characters(exclude_categories=())), max_size=8)
+
+plan_bodies = st.recursive(
+    st.lists(st.one_of(
+        st.builds(Lit, json_text, st.lists(st.builds(Mark, st.sampled_from(MARK_KINDS),
+                                                     st.integers(0, 9),
+                                                     st.one_of(st.none(), json_text)),
+                                           max_size=2).map(tuple)),
+        st.builds(PlanInterp, json_text,
+                  st.lists(st.sampled_from(["HtmlPcdataEscaper", "JsonValueEscaper"]),
+                           max_size=2).map(tuple))), max_size=3),
+    lambda inner: st.lists(st.one_of(
+        st.builds(PlanFor, json_text, json_text, inner),
+        st.builds(PlanIf, json_text, inner, inner)), max_size=3),
+    max_leaves=10)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(language=json_text, body=plan_bodies)
+def test_plan_json_equals_json_dumps(language, body):
+    plan = CompiledPlan(language, body)
+    assert plan_to_json(plan) == dumped(plan)
+
+
+json_documents = st.recursive(
+    st.one_of(json_text, st.integers()),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=json_documents)
+def test_json_writer_equals_json_dumps(doc):
+    out: list = []
+    plan_mod._write_json(doc, "\n", out)
+    assert "".join(out) == json.dumps(doc, ensure_ascii=False, indent=2)
+
+
 # -- untrusted plan documents --------------------------------------------------------
+
+@pytest.mark.parametrize("offset", [-50, -1, 10**6])
+def test_mark_offsets_outside_their_literal_are_rejected(html, offset):
+    doc = json.loads(compile_template(MESSAGE_TEMPLATE)[0].to_json())
+    start = next(row for row in doc["marks"] if row["kind"] == "MsgStart")
+    start["offset"] = offset
+    with pytest.raises(PlanError, match="outside its literal"):
+        plan_from_json(json.dumps(doc))
+
+
+def test_mark_offsets_at_either_end_of_their_literal_load(html):
+    doc = json.loads(compile_template(MESSAGE_TEMPLATE)[0].to_json())
+    start = next(row for row in doc["marks"] if row["kind"] == "MsgStart")
+    literal = _at(doc["body"], start["at"])["lit"]
+    for offset in (0, len(literal)):
+        start["offset"] = offset
+        plan = plan_from_json(json.dumps(doc))
+        assert _at(plan.body, start["at"]).marks[0].offset == offset
+
+
 
 @functools.lru_cache(maxsize=None)
 def valid_cases() -> tuple:
@@ -185,9 +334,7 @@ def documents_and_bindings(draw):
     for _ in range(draw(st.integers(0, 2))):
         mutate_document(draw, doc)
     names = st.sampled_from(_names(doc))
-    # lone surrogates are left out: UrlPrefixFilteringEscaper's percent-encoding
-    # raises UnicodeEncodeError on them, a defect of that escaper, not of plans
-    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), any_text,
                         st.builds(SafeContent, st.sampled_from(["html", "css"]), st.text()))
     random_values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=3)
                                  | st.dictionaries(names, inner, max_size=3), max_leaves=12)
