@@ -17,7 +17,10 @@ from ctxesc.escapers import (
     get,
     known_names,
 )
-from ctxesc.values import EscapeError, SafeContent
+from ctxesc.diagnostics import RenderError
+from ctxesc.plan import Bindings, CompiledPlan, PlanInterp, execute_plan
+from ctxesc.values import EscapeError, SafeContent, stringify
+from ctxesc.web import load_table
 from support import adversarial_values
 
 
@@ -271,3 +274,77 @@ def test_escaper_matches_its_original_formula(escaper, oracle, value):
 def test_escaper_matches_its_original_formula_on_the_adversarial_corpus(escaper, oracle):
     for value in adversarial_values(2000) + ["\ud800", "a\udfffb", "\x00\x7f\x9f", "ü€😀"]:
         assert _outcome(escaper, value) == _outcome(oracle, value), repr(value)
+
+
+# -- chain-level oracle --------------------------------------------------------------
+# Every chain a shipped table's [escapers] row names, plus the empty chain, must
+# give the same text (or raise the same exception type) through apply_chain and
+# through a compiled one-interp plan as this copy of the original chain rule: a
+# per-escaper SafeContent pass-through, then the transform, innermost first,
+# then stringify.
+
+_ORIGINAL_ESCAPERS = {
+    "HtmlPcdataEscaper": (escape_pcdata, frozenset({"html"})),
+    "HtmlAttributeEscaper": (escape_html_attr, frozenset()),
+    "UrlPrefixFilteringEscaper": (filter_url_prefix, frozenset()),
+    "JsonValueEscaper": (escape_json_value, frozenset()),
+    "CssStringEscaper": (escape_css_string, frozenset()),
+}
+
+
+def _original_chain(names, value):
+    out = value
+    for name in names:
+        transform, passthrough = _ORIGINAL_ESCAPERS[name]
+        if isinstance(out, SafeContent) and out.language in passthrough:
+            out = out.text
+        else:
+            out = transform(out)
+    return out if isinstance(out, str) else stringify(out)
+
+
+def _shipped_chains():
+    chains = {()}
+    for name in ("html.tt", "url.tt", "css.tt", "text.tt"):
+        chains.update(row.escapers for row in load_table(name).escapes)
+    return sorted(chains)
+
+
+SHIPPED_CHAINS = _shipped_chains()
+
+
+def _plan_chain(names):
+    plan = CompiledPlan("html", [PlanInterp("x", tuple(names))])
+
+    def render(value):
+        try:
+            return execute_plan(plan, Bindings({"x": value}))[0].text
+        except RenderError as exc:  # the plan reports an EscapeError with its site
+            raise EscapeError(exc.message) from None
+    return render
+
+
+def test_shipped_chains_include_a_two_escaper_chain():
+    assert () in SHIPPED_CHAINS
+    assert ("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper") in SHIPPED_CHAINS
+
+
+@pytest.mark.parametrize("names", SHIPPED_CHAINS, ids="+".join)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value=escaper_inputs)
+def test_chain_matches_the_original_chain_rule(names, value):
+    expected = _outcome(lambda v: _original_chain(names, v), value)
+    assert _outcome(lambda v: apply_chain(names, v), value) == expected
+    assert _outcome(_plan_chain(names), value) == expected
+
+
+@pytest.mark.parametrize("names", SHIPPED_CHAINS, ids="+".join)
+def test_chain_matches_the_original_chain_rule_on_safe_content(names):
+    render = _plan_chain(names)
+    values = adversarial_values(200) + ["\ud800", 5, 2.5, True, None, [1]]
+    values += [SafeContent(lang, text) for lang in ("html", "css", "url", "text")
+               for text in ("", "I &lt;3 <b>you</b>", 'a"b', "javascript:x")]
+    for value in values:
+        expected = _outcome(lambda v: _original_chain(names, v), value)
+        assert _outcome(lambda v: apply_chain(names, v), value) == expected, repr(value)
+        assert _outcome(render, value) == expected, repr(value)
