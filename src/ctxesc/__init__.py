@@ -26,8 +26,7 @@ _EXPORTS = {
     "runtime": ("Accumulator", "render_full"),
     "tables": ("TransitionTable", "parse_table", "validate_table"),
     "values": ("SafeContent",),
-    "web": ("codec_decode", "codec_encode", "html_machine", "machine_for_tag",
-            "plain_text_machine"),
+    "web": ("html_machine", "machine_for_tag", "plain_text_machine"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

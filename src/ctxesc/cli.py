@@ -82,56 +82,66 @@ def cmd_compile(args) -> int:
     return code
 
 
-def _looks_like_plan(text: str) -> bool:
-    head = text.lstrip()
-    return head.startswith("{")
+def _write(text: str) -> int:
+    """Write ``text`` to stdout whole or not at all: text stdout cannot
+    encode (a lone surrogate) is exit 1, reported with the code point and
+    its offset in the output."""
+    encoding = sys.stdout.encoding or "utf-8"
+    try:
+        text.encode(encoding, sys.stdout.errors or "strict")
+    except UnicodeEncodeError as exc:
+        print(f"ctxesc: error: output offset {exc.start}: U+{ord(text[exc.start]):04X} "
+              f"cannot be encoded as {encoding}", file=sys.stderr)
+        return EXIT_ERRORS
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _render_dynamic(source: str, path: str, bindings: Bindings, args, strict: bool):
+    """The reference engine on a template, diagnostics printed. Returns
+    (value, marks, exit code); no machine (the template does not parse or
+    names no machine) means exit 2."""
+    from . import compiler, runtime
+
+    program, machine, diags = compiler.load_template(source, path, args.tables)
+    if machine is None:
+        _print_diags(diags, strict)
+        return None, (), EXIT_USAGE
+    value, marks, render_diags = runtime.render_full(program, bindings, machine)
+    return value, marks, _print_diags(diags + render_diags, strict)
 
 
 def cmd_render(args) -> int:
     source = _read(args.input)
     bindings = Bindings.from_json(_read(args.bindings))
-    if _looks_like_plan(source):
+    if source.lstrip().startswith("{"):  # a compiled plan, not a template
         if args.mode == "dynamic":
             raise SystemExit2("dynamic mode needs a template, not a compiled plan")
         value, _ = execute_plan(plan_from_json(source), bindings)
-        sys.stdout.write(value.text)
-        return EXIT_OK
-    from . import compiler, runtime
-
+        return _write(value.text)
     if args.mode == "static":
+        from . import compiler
+
         annotated, code = _analyze(source, args.input, args)
         if code != EXIT_OK:
             return code
         value, _ = execute_plan(compiler.erase(annotated), bindings)
-        sys.stdout.write(value.text)
-        return code
+        return _write(value.text)
     # the reference engine reports its own diagnostics, so it runs on the
     # program without propagation
-    program, machine, diags = compiler.load_template(source, args.input, args.tables)
-    if machine is None:
-        _print_diags(diags, args.strict)
-        return EXIT_USAGE
-    value, _, render_diags = runtime.render_full(program, bindings, machine)
-    code = _print_diags(diags + render_diags, args.strict)
-    if code == EXIT_ERRORS:
-        return EXIT_ERRORS
-    sys.stdout.write(value.text)
-    return code
+    value, _, code = _render_dynamic(source, args.input, bindings, args, args.strict)
+    return code if code != EXIT_OK else _write(value.text)
 
 
 def cmd_extract(args) -> int:
-    from . import compiler, i18n, runtime
+    from . import i18n
 
     source = _read(args.template)
     bindings = Bindings.from_json(_read(args.bindings))
-    program, machine, diags = compiler.load_template(source, args.template, args.tables)
-    if machine is None:
-        _print_diags(diags, args.strict)
-        return EXIT_USAGE
-    value, marks, render_diags = runtime.render_full(program, bindings, machine)
-    _print_diags(diags + render_diags, False)
-    bundle = i18n.extract_messages(value.text, marks)
-    sys.stdout.write(i18n.bundle_to_json(bundle))
+    value, marks, code = _render_dynamic(source, args.template, bindings, args, False)
+    if code != EXIT_OK:
+        return code
+    sys.stdout.write(i18n.bundle_to_json(i18n.extract_messages(value.text, marks)))
     return EXIT_OK
 
 

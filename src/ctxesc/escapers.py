@@ -1,7 +1,11 @@
 """The escaper registry: pure transforms applied to untrusted values.
 
 Escaper names are the vocabulary shared by table escaper maps and compiled
-plans, so renaming one is a wire-format change.
+plans, so renaming one is a wire-format change. Each transform owns its
+SafeContent rule: ``escape_pcdata`` passes ``SafeContent("html", ...)``
+through, ``escape_json_value`` rejects all SafeContent, and the others
+escape its text like any other string. ``chain`` is the one implementation
+of an escaper chain; ``apply_chain`` and compiled plans both call it.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 import json
 import re
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .values import EscapeError, SafeContent, stringify
@@ -115,11 +119,8 @@ def escape_css_string(value) -> str:
 class Escaper:
     name: str
     transform: Callable[[object], str]
-    passthrough: frozenset[str] = field(default_factory=frozenset)
 
     def apply(self, value) -> str:
-        if isinstance(value, SafeContent) and value.language in self.passthrough:
-            return value.text
         return self.transform(value)
 
 
@@ -141,19 +142,26 @@ def known_names() -> frozenset[str]:
     return frozenset(_REGISTRY)
 
 
+def chain(names) -> Callable[[object], str]:
+    """One function that applies the named escapers innermost-first, then
+    stringifies. The first escaper sees the raw value (and may honor its
+    SafeContent trademark); each later escaper re-escapes the text produced
+    so far. Names resolve in the registry when this is called."""
+    fns = [get(name).transform for name in names]
+
+    def escape(value):
+        for f in fns:
+            value = f(value)
+        return value if isinstance(value, str) else stringify(value)
+    return escape
+
+
 def apply_chain(names, value) -> str:
-    """Apply an escaper chain innermost-first.
-
-    The first escaper sees the raw value (and may honor its SafeContent
-    trademark); each later escaper re-escapes the text produced so far.
-    """
-    out = value
-    for name in names:
-        out = get(name).apply(out)
-    return stringify(out) if not isinstance(out, str) else out
+    """Apply an escaper chain innermost-first (see ``chain``)."""
+    return chain(names)(value)
 
 
-register(Escaper("HtmlPcdataEscaper", escape_pcdata, frozenset({"html"})))
+register(Escaper("HtmlPcdataEscaper", escape_pcdata))
 register(Escaper("HtmlAttributeEscaper", escape_html_attr))
 register(Escaper("UrlPrefixFilteringEscaper", filter_url_prefix))
 register(Escaper("JsonValueEscaper", escape_json_value))

@@ -44,27 +44,14 @@ class Codec:
     encoding to text emitted by the nested machine.
     """
 
-    name = "codec"
-
     def decode_unit(self, text: str) -> tuple[int, str, str | None]:
         raise NotImplementedError
 
     def encode(self, text: str) -> str:
         raise NotImplementedError
 
-    def decode(self, text: str) -> str:
-        out = []
-        i = 0
-        while i < len(text):
-            n, piece, _ = self.decode_unit(text[i:])
-            out.append(piece)
-            i += max(1, n)
-        return "".join(out)
-
 
 class IdentityCodec(Codec):
-    name = "identityCodec"
-
     def decode_unit(self, text):
         return 1, text[0], None
 
@@ -75,8 +62,6 @@ class IdentityCodec(Codec):
 class HtmlEntityCodec(Codec):
     """Decodes the named entities for ``& < > "`` plus numeric references;
     encodes those four characters back to entities."""
-
-    name = "htmlCodec"
 
     _ENTITY = re.compile(r"&(?:(amp|lt|gt|quot)|#(?:([0-9]{1,7})|[xX]([0-9a-fA-F]{1,6})));")
     _NAMED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"'}
@@ -126,6 +111,9 @@ class MachineState:
     frames: tuple[Frame, ...] = ()
     error: str | None = None
     pending_pos: Position | None = field(default=None, compare=False)
+    # where each later chunk that ``pending`` spans starts, as (offset in
+    # pending, template position)
+    pending_at: tuple[tuple[int, Position], ...] = field(default=(), compare=False)
 
 
 @dataclass
@@ -216,7 +204,10 @@ class _Run:
     step appends the root text it consumed to ``_consumed``, and ``pos``
     folds that list into ``_pos`` only when a diagnostic or ``freeze`` needs
     it. ``Position.advance`` is associative over concatenation, so the fold
-    gives the position a step-by-step advance would."""
+    gives the position a step-by-step advance would. Held-back text may
+    span chunks fed from different template lines, so the fold restarts at
+    each chunk's own position (``_anchors``, keyed by offset in the root's
+    text stream; ``_off`` is the stream offset of ``_pos``)."""
 
     def __init__(self, machine: Machine, state: MachineState, pos: Position | None):
         self.machine = machine
@@ -234,13 +225,22 @@ class _Run:
         self._pos = state.pending_pos if state.pending else pos
         if self._pos is None:
             self._pos = pos or Position("<input>", 1, 1)
+        self._off = 0
+        self._anchors = state.pending_at if state.pending else ()
         self._consumed: list[str] = []
 
     @property
     def pos(self) -> Position:
         if self._consumed:
-            self._pos = self._pos.advance("".join(self._consumed))
+            text = "".join(self._consumed)
             self._consumed.clear()
+            start, pos, end = self._off, self._pos, self._off + len(text)
+            anchors = self._anchors
+            while anchors and anchors[0][0] <= end:
+                (start, pos), anchors = anchors[0], anchors[1:]
+            self._anchors = anchors
+            self._pos = pos.advance(text[start - self._off:])
+            self._off = end
         return self._pos
 
     # -- output ------------------------------------------------------------
@@ -277,9 +277,11 @@ class _Run:
 
     def feed(self, chunk: str, pos: Position | None) -> None:
         lvl = self._levels[0]
-        if not lvl.pending and pos is not None:
-            self._pos = pos
-            self._consumed.clear()
+        if pos is not None:
+            if lvl.pending:  # feed runs first, so stream offsets are pending offsets
+                self._anchors += ((len(lvl.pending), pos),)
+            else:
+                self._pos = pos
         lvl.pending += chunk
 
     def drain(self, flushing: bool, min_level: int = 0) -> None:
@@ -410,8 +412,12 @@ class _Run:
             Frame(lvl.machine_name, lvl.codec_name, tuple(lvl.context), lvl.pending)
             for lvl in self._levels[1:])
         pending = root.pending
+        if not pending:
+            return MachineState(context=tuple(root.context), frames=frames)
+        pos = self.pos  # folds, so _off is where the pending text starts
         return MachineState(context=tuple(root.context), pending=pending, frames=frames,
-                            error=None, pending_pos=self.pos if pending else None)
+                            pending_pos=pos, pending_at=tuple(
+                                (off - self._off, at) for off, at in self._anchors))
 
 
 def step_fixed(machine: Machine, state: MachineState, chunk: str,

@@ -18,17 +18,19 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .diagnostics import PlanError, Position, RenderError
-from .escapers import Escaper
+from .escapers import chain
 from .escapers import get as get_escaper
 from .marks import EXPR_END, EXPR_START, MSG_END, MSG_START, Mark
-from .values import EscapeError, SafeContent, bindings_from_json, stringify, truthy
+from .values import EscapeError, SafeContent, bindings_from_json, truthy
 
 _encode_str = json.encoder.encode_basestring
 
 # -- render state --------------------------------------------------------------
 
 class Collector:
-    """Output buffer plus the mark list that indexes into it."""
+    """Output buffer plus the mark list that indexes into it. Messages open
+    and close only through marks the machine emitted, so ``extend_marks``
+    alone counts them."""
 
     def __init__(self):
         self._parts: list[str] = []
@@ -41,12 +43,15 @@ class Collector:
             self._parts.append(text)
             self.length += len(text)
 
-    def add_mark(self, kind: str, ident: str | None = None) -> None:
-        self.marks.append(Mark(kind, self.length, ident))
-        if kind == MSG_START:
-            self.open_messages += 1
-        elif kind == MSG_END:
-            self.open_messages = max(0, self.open_messages - 1)
+    def append_value(self, text: str) -> None:
+        """Append an escaped value; inside an open message, between
+        ExprStart and ExprEnd marks."""
+        if self.open_messages:
+            self.marks.append(Mark(EXPR_START, self.length))
+            self.append_text(text)
+            self.marks.append(Mark(EXPR_END, self.length))
+        else:
+            self.append_text(text)
 
     def extend_marks(self, new_marks, base: int) -> None:
         for mark in new_marks:
@@ -425,32 +430,6 @@ def _lookup(path: str, frames: dict, pos: Position, strict: bool) -> Callable:
     return get
 
 
-def _apply(esc: Escaper) -> Callable:
-    """``esc.apply`` as a plain function: the transform itself when nothing
-    passes through."""
-    transform, passthrough = esc.transform, esc.passthrough
-    if not passthrough:
-        return transform
-
-    def apply(value):
-        if isinstance(value, SafeContent) and value.language in passthrough:
-            return value.text
-        return transform(value)
-    return apply
-
-
-def _chain(names) -> Callable:
-    """One function that applies the named escapers in order, then
-    stringifies, as apply_chain does."""
-    fns = tuple(_apply(get_escaper(name)) for name in names)
-
-    def escape(value):
-        for f in fns:
-            value = f(value)
-        return value if isinstance(value, str) else stringify(value)
-    return escape
-
-
 def _lit_step(node: Lit, marked: bool) -> Callable:
     text, marks = node.text, node.marks
     if not marked:
@@ -468,7 +447,7 @@ def _lit_step(node: Lit, marked: bool) -> Callable:
 
 
 def _interp_step(node: PlanInterp, get: Callable, pos: Position, marked: bool) -> Callable:
-    escape, path = _chain(node.escapers), node.path
+    escape, path = chain(node.escapers), node.path
 
     if not marked:
         def step(out, scope):
@@ -479,15 +458,9 @@ def _interp_step(node: PlanInterp, get: Callable, pos: Position, marked: bool) -
     else:
         def step(out, scope):
             try:
-                text = escape(get(scope))
+                out.append_value(escape(get(scope)))
             except EscapeError as exc:
                 raise RenderError(f"{exc} (path {path!r})", pos) from None
-            if out.open_messages > 0:
-                out.add_mark(EXPR_START)
-                out.append_text(text)
-                out.add_mark(EXPR_END)
-            else:
-                out.append_text(text)
     return step
 
 

@@ -15,7 +15,6 @@ from .frontend import (
     Collected,
     LoopBlock,
 )
-from .marks import EXPR_END, EXPR_START
 from .plan import Bindings, Collector, resolve_segs
 from .values import EscapeError, SafeContent, truthy
 
@@ -56,19 +55,14 @@ class Accumulator:
         if r.error:
             return r.diagnostics
         self.collector.append_text(r.pre)
-        in_message = self.collector.open_messages > 0
-        if in_message:
-            self.collector.add_mark(EXPR_START)
         try:
-            self.collector.append_text(apply_chain(r.escapers, value))
+            self.collector.append_value(apply_chain(r.escapers, value))
         except EscapeError as exc:
             diag = Diagnostic(Severity.ERROR, str(exc), pos)
             self.diagnostics.append(diag)
             self.state = machine_mod.MachineState(
                 context=self.state.context, error=str(exc))
             return [diag]
-        if in_message:
-            self.collector.add_mark(EXPR_END)
         self.collector.append_text(r.post)
         return r.diagnostics
 

@@ -134,9 +134,9 @@ class TransitionTable:
     endmsgs: dict[str, str]
     rules: tuple[Rule, ...]
     escapes: tuple[EscapeRule, ...]
-    regex_rules: tuple[Rule, ...] = field(default=())
-    epsilon_rules: tuple[Rule, ...] = field(default=())
-    interp_rules: tuple[Rule, ...] = field(default=())
+    regex_rules: tuple[Rule, ...] = field(init=False)
+    epsilon_rules: tuple[Rule, ...] = field(init=False)
+    interp_rules: tuple[Rule, ...] = field(init=False)
     _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -149,25 +149,6 @@ class TransitionTable:
         if hit is None:
             hit = self._rows[context] = ContextRows(self, context)
         return hit
-
-    def first_regex_match(self, context, text):
-        for rule, match, _ in self.rows(context).regex:
-            m = match(text)
-            if m and m.end() > 0:
-                return rule, m
-        return None, None
-
-    def first_epsilon(self, context):
-        hit = self.rows(context).epsilon
-        return hit and hit[0]
-
-    def first_interp_rule(self, context):
-        hit = self.rows(context).interp
-        return hit and hit[0]
-
-    def escape_rule_for(self, context):
-        hit = self.rows(context).escape
-        return hit and hit[0]
 
     def end_message(self, context) -> str:
         state = context[0]

@@ -54,11 +54,3 @@ def machine_for_tag(tag: str, tables_dir: str | None = None) -> Machine:
     if tag == "text":
         return plain_text_machine(tables_dir)
     raise KeyError(f"no machine registered for tag {tag!r} (known: html, text)")
-
-
-def codec_decode(name: str, text: str) -> str:
-    return BUILTIN_CODECS[name].decode(text)
-
-
-def codec_encode(name: str, text: str) -> str:
-    return BUILTIN_CODECS[name].encode(text)

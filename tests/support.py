@@ -1,5 +1,6 @@
 """Shared fuzz machinery: a random template/bindings generator, an
-independent tokenizer oracle, and the adversarial value corpus."""
+independent tokenizer oracle, the adversarial value corpus, and a codec
+decoder that steps the way the machine does."""
 
 from __future__ import annotations
 
@@ -7,7 +8,27 @@ import html.parser
 import itertools
 import random
 
+from ctxesc.machine import BUILTIN_CODECS
 from ctxesc.values import SafeContent
+
+# -- codecs --------------------------------------------------------------------
+
+
+def codec_decode(name: str, text: str) -> str:
+    """Decode ``text`` one ``decode_unit`` at a time, as the machine feeds a
+    subsidiary; a unit that consumes nothing would stall the machine."""
+    codec, out = BUILTIN_CODECS[name], []
+    while text:
+        n, piece, _ = codec.decode_unit(text)
+        assert n > 0, f"{name} consumed nothing at {text[:16]!r}"
+        out.append(piece)
+        text = text[n:]
+    return "".join(out)
+
+
+def codec_encode(name: str, text: str) -> str:
+    return BUILTIN_CODECS[name].encode(text)
+
 
 # -- independent tokenizer oracle ---------------------------------------------
 

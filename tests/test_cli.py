@@ -336,3 +336,17 @@ def test_deeply_nested_bindings_are_usage_error(workdir, capsys, deep):
         assert main(["render", str(source), "--bindings", str(data)]) == 2, source
     err = capsys.readouterr().err
     assert err.count("bindings nest too deeply") == 2 and "Traceback" not in err
+
+
+def test_unencodable_output_exits_one_and_writes_nothing(workdir, capsys):
+    tpl, plan, data = workdir / "p.tpl", workdir / "p.json", workdir / "lone.json"
+    tpl.write_text('tag: html\n"<p>${x}</p>\n', encoding="utf-8")
+    data.write_text('{"x": "\\ud800"}', encoding="utf-8")
+    assert main(["compile", str(tpl), "--out", str(plan)]) == 0
+    for source, mode in ((plan, "static"), (tpl, "static"), (tpl, "dynamic")):
+        assert main(["render", str(source), "--bindings", str(data), "--mode", mode]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        (line,) = out.err.splitlines()
+        assert re.fullmatch(r"ctxesc: error: output offset 3: U\+D800 cannot be encoded "
+                            r"as utf-8", line, re.IGNORECASE), line

@@ -97,9 +97,9 @@ WARNING_BINDINGS = {"x": "v", "y": "w", "c": True, "xs": ["1", "2"]}
 
 # sha256 over (stage, severity, message, file:line:col) of every diagnostic
 # analyze_template and render_full report for the inputs of
-# diagnostic_cases(), recorded before the machine folded its positions
-# lazily.
-PINNED_DIAGNOSTICS_SHA256 = "a96da22c24214e77f4d8bd4e2fa9dcc824d10109845ee8f3f6cefccd8a1a3674"
+# diagnostic_cases(), recorded once the machine positioned held-back text
+# from each fed chunk's own position (past its line's margin and indent).
+PINNED_DIAGNOSTICS_SHA256 = "5f82181a6e57f15973e438f755063c4400edc08dbf9266a62ad19fa1053b7e5e"
 
 
 def diagnostic_cases():
@@ -132,3 +132,21 @@ def test_diagnostic_positions_are_pinned():
             count += 1
     assert count >= 40
     assert digest.hexdigest() == PINNED_DIAGNOSTICS_SHA256
+
+
+_MALFORMED_REF = "malformed numeric character reference copied verbatim"
+
+
+@pytest.mark.parametrize("lines, where", [
+    ('"&#1;&#', "3:6"),
+    ('    "&#1;&#', "3:10"),
+    ('"y\n  "&#', "4:4"),
+], ids=["unindented", "indented", "three-lines"])
+def test_held_back_text_is_positioned_from_its_own_line(lines, where):
+    # the root machine holds back "x\n" and the next lines' text until it
+    # has a full lookahead, then reports the "&#" it finds there
+    source = f'tag: html\n"<a href="x\n{lines}\n"${{x}}">z</a>\n'
+    assert diagnostic_rows(source, {"x": "v"}, "t.tpl") == [
+        ("analyze", "warning", _MALFORMED_REF, f"t.tpl:{where}"),
+        ("render", "warning", _MALFORMED_REF, f"t.tpl:{where}"),
+    ]

@@ -8,8 +8,9 @@ from ctxesc.i18n import apply_translation, extract_messages
 from ctxesc.machine import MachineState, finish, merge, step_fixed, step_interp
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.values import SafeContent
-from ctxesc.web import codec_decode, codec_encode, html_machine
+from ctxesc.web import html_machine
 from conftest import program_of
+from support import codec_decode, codec_encode
 
 POS = Position("t", 1, 1)
 

@@ -212,7 +212,9 @@ DISPATCH_TEXTS = ("<", "</x", '"', "a b", "-->", "&amp;")
 
 
 def scan_first(rows, context):
-    return next((r for r in rows if r.pattern.matches(context)), None)
+    """The first matching row with its successor for ``context``, or None."""
+    row = next((r for r in rows if r.pattern.matches(context)), None)
+    return row and (row, row.successor.apply_to(context))
 
 
 def scan_regex(table, context, text):
@@ -225,8 +227,13 @@ def scan_regex(table, context, text):
 
 
 def memo_regex(table, context, text):
-    rule, m = table.first_regex_match(context, text)
-    return rule, m and m.group(0)
+    """The first memoized regex row that matches, as the machine walks them."""
+    for rule, match, successor in table.rows(context).regex:
+        assert successor == rule.successor.apply_to(context)
+        m = match(text)
+        if m and m.end() > 0:
+            return rule, m.group(0)
+    return None, None
 
 
 @pytest.mark.parametrize("name", ["html.tt", "url.tt", "css.tt", "text.tt"])
@@ -234,9 +241,10 @@ def test_memoized_dispatch_equals_linear_scan(name):
     table = load_table(name)
     for ctx in table.all_contexts():
         for _cold_then_warm in range(2):
-            assert table.first_epsilon(ctx) is scan_first(table.epsilon_rules, ctx), ctx
-            assert table.first_interp_rule(ctx) is scan_first(table.interp_rules, ctx), ctx
-            assert table.escape_rule_for(ctx) is scan_first(table.escapes, ctx), ctx
+            rows = table.rows(ctx)
+            assert rows.epsilon == scan_first(table.epsilon_rules, ctx), ctx
+            assert rows.interp == scan_first(table.interp_rules, ctx), ctx
+            assert rows.escape == scan_first(table.escapes, ctx), ctx
             for text in DISPATCH_TEXTS:
                 assert memo_regex(table, ctx, text) == scan_regex(table, ctx, text), (ctx, text)
 
@@ -269,6 +277,7 @@ terminal _, _
         assert memo_regex(table, ctx, "ab") == (wild_regex, "a")
         assert memo_regex(table, ctx, "ba") == (specific_regex, "ba")
         assert memo_regex(table, ("B", "Y"), "ba") == (None, None)
-        assert table.first_epsilon(ctx) is wild_eps
-        assert table.first_interp_rule(ctx) is wild_interp
-        assert table.escape_rule_for(ctx).escapers == ("HtmlPcdataEscaper",)
+        rows = table.rows(ctx)
+        assert rows.epsilon[0] is wild_eps
+        assert rows.interp[0] is wild_interp
+        assert rows.escape[0].escapers == ("HtmlPcdataEscaper",)

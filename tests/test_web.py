@@ -2,7 +2,8 @@ import pytest
 
 from ctxesc.diagnostics import Position
 from ctxesc.machine import finish, step_fixed, step_interp
-from ctxesc.web import codec_decode, codec_encode, machine_for_tag
+from ctxesc.web import machine_for_tag
+from support import codec_decode, codec_encode
 
 POS = Position("t", 1, 1)
 
