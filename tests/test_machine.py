@@ -1,3 +1,5 @@
+from conftest import program_of
+from ctxesc.compiler import erase, propagate
 from ctxesc.diagnostics import Position, Severity
 from ctxesc.machine import (
     MachineState,
@@ -9,6 +11,9 @@ from ctxesc.machine import (
     step_fixed,
     step_interp,
 )
+from ctxesc.marks import Mark
+from ctxesc.plan import execute_plan
+from ctxesc.runtime import Bindings, render_full
 from ctxesc.tables import parse_table
 
 POS = Position("t", 1, 1)
@@ -239,6 +244,76 @@ def test_interp_trigger_rule_contributes_pre_text():
     assert r.pre == "["
     assert r.state.context == ("B",)
     assert r.escapers == ()
+
+
+def test_interp_rule_records_its_events():
+    machine = toy_machine("""
+[escapers]
+| B | | | | _ |
+[rules]
+| A | interp | !MsgStart(x) | B |
+""")
+    r = step_interp(machine, machine.zero_state(), POS)
+    assert not r.error
+    assert r.marks == (Mark("MsgStart", 0, "x"),)
+
+
+def test_interp_row_output_precedes_the_rows_it_leads_to():
+    machine = toy_machine("""
+[escapers]
+| C | | | | _ |
+[rules]
+| A | interp | `1` | B |
+| B | | `2` | C |
+""")
+    r = step_interp(machine, machine.zero_state(), POS)
+    assert not r.error
+    assert r.emitted + r.pre == "12"
+    assert r.state.context == ("C",)
+
+
+def test_interp_row_events_agree_between_engines():
+    machine = toy_machine("""
+[escapers]
+| B | | | | A |
+[rules]
+| A | interp | `[` !MsgStart(m) | B |
+""")
+    program = program_of('tag: toy\n"x${v}y\n')
+    bindings = Bindings({"v": "<v>"})
+    value, marks, _ = render_full(program, bindings, machine)
+    plan_value, plan_marks = execute_plan(erase(propagate(program, machine)), bindings)
+    assert (plan_value.text, plan_marks) == (value.text, marks)
+    assert value.text == "x[<v>y\n"
+    assert Mark("MsgStart", 1, "m") in marks
+
+
+def assert_table_bug(r):
+    assert r.error
+    assert "table bug" in r.state.error
+    assert any(d.severity is Severity.ERROR and d.position == POS and "table bug" in d.message
+               for d in r.diagnostics)
+
+
+def test_interp_rule_that_keeps_its_context_is_a_table_bug():
+    machine = toy_machine("""
+[escapers]
+| A | | | | _ |
+[rules]
+| A | interp | `[` | _ |
+""")
+    assert_table_bug(step_interp(machine, machine.zero_state(), POS))
+
+
+def test_interp_epsilon_ping_pong_is_a_table_bug():
+    machine = toy_machine("""
+[escapers]
+| _ | | | | _ |
+[rules]
+| A | interp | | B |
+| B | | | A |
+""")
+    assert_table_bug(step_interp(machine, machine.zero_state(), POS))
 
 
 def test_epsilon_rule_with_substitution_and_diagnostic():
