@@ -97,7 +97,7 @@ def _write(text: str) -> int:
     return EXIT_OK
 
 
-def _render_dynamic(source: str, path: str, bindings: Bindings, args, strict: bool):
+def _render_dynamic(source: str, path: str, bindings: Bindings, args):
     """The reference engine on a template, diagnostics printed. Returns
     (value, marks, exit code); no machine (the template does not parse or
     names no machine) means exit 2."""
@@ -105,10 +105,10 @@ def _render_dynamic(source: str, path: str, bindings: Bindings, args, strict: bo
 
     program, machine, diags = compiler.load_template(source, path, args.tables)
     if machine is None:
-        _print_diags(diags, strict)
+        _print_diags(diags, args.strict)
         return None, (), EXIT_USAGE
     value, marks, render_diags = runtime.render_full(program, bindings, machine)
-    return value, marks, _print_diags(diags + render_diags, strict)
+    return value, marks, _print_diags(diags + render_diags, args.strict)
 
 
 def cmd_render(args) -> int:
@@ -129,7 +129,7 @@ def cmd_render(args) -> int:
         return _write(value.text)
     # the reference engine reports its own diagnostics, so it runs on the
     # program without propagation
-    value, _, code = _render_dynamic(source, args.input, bindings, args, args.strict)
+    value, _, code = _render_dynamic(source, args.input, bindings, args)
     return code if code != EXIT_OK else _write(value.text)
 
 
@@ -138,7 +138,7 @@ def cmd_extract(args) -> int:
 
     source = _read(args.template)
     bindings = Bindings.from_json(_read(args.bindings))
-    value, marks, code = _render_dynamic(source, args.template, bindings, args, False)
+    value, marks, code = _render_dynamic(source, args.template, bindings, args)
     if code != EXIT_OK:
         return code
     sys.stdout.write(i18n.bundle_to_json(i18n.extract_messages(value.text, marks)))

@@ -5,6 +5,12 @@ can spin up (URL inside an HTML attribute, CSS inside a style element).
 Machine states are immutable values; stepping produces a new state. Between
 steps a machine may hold back a bounded amount of unconsumed text so regex
 matching is independent of how fixed text is chunked.
+
+A ``[rules]`` row does the same thing whichever trigger fires it (a regex
+match, an epsilon step, an arriving interpolation): ``_Run._fire`` applies
+every row. At an interpolation site the machine flushes held-back text,
+fires epsilon and interp rows (epsilon first), then reads escaper-map rows
+from the innermost machine outward.
 """
 
 from __future__ import annotations
@@ -14,12 +20,7 @@ from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Position, Severity, TableError
 from .marks import Mark
-from .tables import (
-    Action,
-    Rule,
-    TransitionTable,
-    context_str,
-)
+from .tables import Rule, TransitionTable, context_str
 
 _op_count = 0
 
@@ -251,9 +252,9 @@ class _Run:
         return text
 
     def _emit_from(self, i: int, text: str) -> None:
-        if i:
-            text = self._encode_text(i, text)
         if text:
+            if i:
+                text = self._encode_text(i, text)
             self.out.append(text)
             self.out_len += len(text)
 
@@ -262,16 +263,35 @@ class _Run:
         if severity is Severity.ERROR and self.error is None:
             self.error = message
 
-    def _internal_error(self, message: str) -> None:
-        self._diag(Severity.ERROR, message)
-
-    def _record_events(self, rule: Rule, m, i: int) -> None:
-        if i != 0:
-            self._internal_error("events from subsidiary machine rules are not supported")
+    def _fire(self, i: int, rule: Rule, successor, m, text: str) -> None:
+        """Apply one ``[rules]`` row at level ``i``, whatever its trigger.
+        ``m`` and ``text`` are a regex row's match and matched text (None
+        and "" otherwise); the caller consumes the matched text."""
+        action = rule.action
+        if action is not None and action.kind == "end":
+            self._pop_below(i)
+        severity = rule.severity
+        if severity is Severity.ERROR:
+            self._diag(severity, rule.message)
             return
-        for ev in rule.events:
-            ident = m.group(ev.group) if (ev.group is not None and m is not None) else ev.ident
-            self.marks.append(Mark(ev.kind, self.out_len, ident))
+        if rule.events:
+            if i:
+                self._diag(Severity.ERROR, "events from subsidiary machine rules are not supported")
+            else:
+                for ev in rule.events:
+                    ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
+                    self.marks.append(Mark(ev.kind, self.out_len, ident))
+        self._emit_from(i, text if rule.substitution is None else rule.substitution)
+        if severity is Severity.WARNING:
+            self._diag(severity, rule.message)
+        self._levels[i].enter(successor)
+        if action is not None and action.kind == "start":
+            if i != len(self._levels) - 1:
+                self._diag(Severity.ERROR, "subsidiary started while another is active (table bug)")
+                return
+            table = self.machine.subs[action.machine]
+            self._levels.append(_Level(table, action.machine, action.codec,
+                                       self.machine.codecs[action.codec], table.start, ""))
 
     # -- stepping ----------------------------------------------------------
 
@@ -284,58 +304,41 @@ class _Run:
                 self._pos = pos
         lvl.pending += chunk
 
-    def drain(self, flushing: bool, min_level: int = 0) -> None:
-        eps_streak = 0
+    def drain(self, flushing: bool, min_level: int = 0, at_interp: bool = False) -> None:
+        """Fire rows and consume held-back text until nothing moves. Before
+        each consuming step the innermost machine fires its epsilon row, or
+        with ``at_interp`` (an interpolation site, all text flushed) its
+        interp row when it has no epsilon row."""
+        streak = 0
         while self.error is None:
-            if len(self._levels) - 1 >= min_level and self._fire_epsilon():
-                eps_streak += 1
-                if eps_streak > len(self._levels[-1].table.rules) + 4:
-                    self._internal_error("epsilon rules never reached a consuming step (table bug)")
+            if len(self._levels) - 1 >= min_level and self._fire_epsilon(at_interp):
+                streak += 1
+                if streak > len(self._levels[-1].table.rules) + 4:
+                    self._diag(Severity.ERROR, "epsilon and interp rules never reached "
+                                               "a consuming step (table bug)")
                     return
                 continue
-            eps_streak = 0
-            progressed = False
+            streak = 0
             for i in range(min_level, len(self._levels)):
                 if self._consume_at(i, flushing):
-                    progressed = True
                     break
-            if not progressed:
+            else:
                 return
 
-    def _fire_epsilon(self) -> bool:
-        lvl = self._levels[-1]
-        if lvl.rows.epsilon is None:
+    def _fire_epsilon(self, at_interp: bool) -> bool:
+        i = len(self._levels) - 1
+        lvl = self._levels[i]
+        row = lvl.rows.epsilon or (lvl.rows.interp if at_interp else None)
+        if row is None:
             return False
-        rule, new_ctx = lvl.rows.epsilon
+        rule, successor = row
         _bump()
-        if rule.severity is Severity.ERROR:
-            self._diag(Severity.ERROR, rule.message)
-            return True
-        if new_ctx == lvl.context and rule.action is None:
-            self._internal_error(
-                f"epsilon rule at {lvl.table.filename}:{rule.line} does not change the context")
-            return True
-        if rule.events:
-            self._record_events(rule, None, len(self._levels) - 1)
-        if rule.substitution is not None:
-            self._emit_from(len(self._levels) - 1, rule.substitution)
-        if rule.severity is Severity.WARNING:
-            self._diag(Severity.WARNING, rule.message)
-        lvl.enter(new_ctx)
-        if rule.action is not None:
-            self._apply_action(len(self._levels) - 1, rule.action)
-        return True
-
-    def _apply_action(self, i: int, action: Action) -> None:
-        if action.kind == "start":
-            if i != len(self._levels) - 1:
-                self._internal_error("subsidiary started while another is active (table bug)")
-                return
-            table = self.machine.subs[action.machine]
-            codec = self.machine.codecs[action.codec]
-            self._levels.append(_Level(table, action.machine, action.codec, codec, table.start, ""))
+        if successor == lvl.context and rule.action is None and rule.severity is not Severity.ERROR:
+            self._diag(Severity.ERROR, f"{rule.trigger} rule at {lvl.table.filename}:{rule.line} "
+                                       "does not change the context (table bug)")
         else:
-            self._pop_below(i)
+            self._fire(i, rule, successor, None, "")
+        return True
 
     def _pop_below(self, i: int) -> None:
         while len(self._levels) - 1 > i:
@@ -355,33 +358,17 @@ class _Run:
         for rule, match, successor in lvl.rows.regex:
             m = match(pending)
             if m and m.end() > 0:
-                break
-        else:
-            rule = None
-        if rule is not None:
-            _bump()
-            if i < len(self._levels) - 1:
-                self.drain(flushing=True, min_level=i + 1)
-                if self.error is not None:
-                    return True
-            if rule.action is not None and rule.action.kind == "end":
-                self._pop_below(i)
-            if rule.severity is Severity.ERROR:
-                self._diag(Severity.ERROR, rule.message)
+                _bump()
+                if i < len(self._levels) - 1:
+                    self.drain(flushing=True, min_level=i + 1)
+                    if self.error is not None:
+                        return True
+                text = m.group(0)
+                self._fire(i, rule, successor, m, text)
+                lvl.pending = pending[len(text):]
+                if i == 0:
+                    self._consumed.append(text)
                 return True
-            matched = m.group(0)
-            if rule.events:
-                self._record_events(rule, m, i)
-            self._emit_from(i, rule.substitution if rule.substitution is not None else matched)
-            if rule.severity is Severity.WARNING:
-                self._diag(Severity.WARNING, rule.message)
-            lvl.pending = pending[m.end():]
-            if i == 0:
-                self._consumed.append(matched)
-            lvl.enter(successor)
-            if rule.action is not None and rule.action.kind == "start":
-                self._apply_action(i, rule.action)
-            return True
         if i < len(self._levels) - 1:
             inner = self._levels[i + 1]
             n, out, warn = inner.codec.decode_unit(pending)
@@ -444,38 +431,14 @@ def finish(machine: Machine, state: MachineState, pos: Position | None = None) -
 
 def step_interp(machine: Machine, state: MachineState,
                 pos: Position | None = None) -> InterpResult:
-    """Resolve an interpolation boundary: flush, fire any interp-trigger
-    rules and epsilon transitions, then assemble the escaper chain from the
-    innermost machine outward."""
+    """Resolve an interpolation boundary: flush held-back text, fire epsilon
+    and interp rows (epsilon first), then assemble the escaper chain from
+    the innermost machine outward."""
     if state.error is not None:
         return InterpResult(state, state, "", (), (), "", "", [], error=True)
     run = _Run(machine, state, pos)
     run.drain(flushing=True)
-
-    pre_parts: list[str] = []
-    fired = 0
-    while run.error is None:
-        lvl = run._levels[-1]
-        if lvl.rows.interp is None:
-            break
-        rule, successor = lvl.rows.interp
-        _bump()
-        fired += 1
-        if fired > len(lvl.table.rules) + 1:
-            run._internal_error("interpolation rules never settled (table bug)")
-            break
-        if rule.severity is Severity.ERROR:
-            run._diag(Severity.ERROR, rule.message)
-            break
-        if rule.substitution is not None:
-            pre_parts.append(run._encode_text(len(run._levels) - 1, rule.substitution))
-        if rule.severity is Severity.WARNING:
-            run._diag(Severity.WARNING, rule.message)
-        lvl.enter(successor)
-        if rule.action is not None:
-            run._apply_action(len(run._levels) - 1, rule.action)
-        run.drain(flushing=True)
-
+    run.drain(flushing=True, at_interp=True)
     site = run.freeze()
     emitted = "".join(run.out)
     emitted_marks = tuple(run.marks)
@@ -508,7 +471,7 @@ def step_interp(machine: Machine, state: MachineState,
         lvl.enter(successor)
 
     map_pres.sort(key=lambda t: t[0])  # outer delimiters wrap inner ones
-    pre = "".join(pre_parts) + "".join(run._encode_text(li, t) for li, t in map_pres)
+    pre = "".join(run._encode_text(li, t) for li, t in map_pres)
     post = "".join(run._encode_text(li, t) for li, t in map_posts)
     return InterpResult(run.freeze(), site, emitted, emitted_marks, tuple(chain),
                         pre, post, run.diags, error=False)

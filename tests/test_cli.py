@@ -194,6 +194,20 @@ def test_extract_template_without_messages(workdir, capsys):
     assert json.loads(capsys.readouterr().out) == {}
 
 
+def test_extract_strict_promotes_warnings(workdir, capsys):
+    warned = workdir / "warned_msg.tpl"
+    warned.write_text('tag: html\n"<p><message i18n="@@m">hi ${s}</message></p><a href=x>t</a\n',
+                      encoding="utf-8")
+    args = [str(warned), "--bindings", str(workdir / "b.json")]
+    assert main(["extract", *args]) == 0
+    capsys.readouterr()
+    assert main(["extract", "--strict", *args]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert any(DIAG_LINE.match(line) and ": error: " in line
+               for line in out.err.splitlines())
+
+
 def test_extract_nested_messages_exit_one(workdir, capsys):
     nested = workdir / "nested.tpl"
     nested.write_text(

@@ -232,7 +232,7 @@ def test_error_severity_rule_sets_fail_stop():
     assert r.emitted == "" and r.state == state
 
 
-def test_interp_trigger_rule_contributes_pre_text():
+def test_interp_trigger_rule_emits_its_substitution():
     machine = toy_machine("""
 [escapers]
 | B | | | | _ |
@@ -241,7 +241,8 @@ def test_interp_trigger_rule_contributes_pre_text():
 """)
     r = step_interp(machine, machine.zero_state(), POS)
     assert not r.error
-    assert r.pre == "["
+    assert r.emitted == "["
+    assert r.pre == ""
     assert r.state.context == ("B",)
     assert r.escapers == ()
 
