@@ -474,8 +474,8 @@ _VALIDATE_PRODUCT_CAP = 50_000
 
 
 def validate_table(table: TransitionTable) -> list[Diagnostic]:
-    """Static lint of a parsed table: epsilon cycles, shadowed rules,
-    undeclared subsidiary machines."""
+    """Static lint of a parsed table: epsilon and interp rows that make no
+    progress, shadowed rules, undeclared subsidiary machines."""
     diags: list[Diagnostic] = []
     pos = lambda line: Position(table.filename, line, 1)  # noqa: E731
 
@@ -499,38 +499,39 @@ def validate_table(table: TransitionTable) -> list[Diagnostic]:
     total = 1
     for f in table.fields:
         total *= max(1, len(table.vocab.get(f, ())))
-    if table.epsilon_rules and total <= _VALIDATE_PRODUCT_CAP:
+    # Walk each context as an interpolation site fires rows: its epsilon row,
+    # else its interp row. As at run time, a row with an action or an error
+    # severity ends the walk, and any other row must change the context.
+    walked = table.epsilon_rules + table.interp_rules
+    if walked and total <= _VALIDATE_PRODUCT_CAP:
         reported: set[tuple] = set()
         for ctx in table.all_contexts():
             cur = ctx
-            chain: list[int] = []
+            chain: list[Rule] = []
             visited = {cur}
-            while True:
+            while len(chain) <= 100:
                 # a scan, not the row memo: this lint visits every context,
                 # most of which no input reaches, and resolving all of their
                 # rows would cost several times the lint itself
-                rule = next((r for r in table.epsilon_rules if r.pattern.matches(cur)), None)
-                if rule is None or rule.action is not None:
+                rule = next((r for r in walked if r.pattern.matches(cur)), None)
+                if rule is None or rule.action is not None or rule.severity is Severity.ERROR:
                     break
                 nxt = rule.successor.apply_to(cur)
-                chain.append(rule.line)
+                chain.append(rule)
                 if nxt == cur:
-                    key = (rule.line,)
-                    if key not in reported:
-                        reported.add(key)
-                        diags.append(error(
-                            "epsilon rule produces a successor context identical to the current context",
-                            pos(rule.line)))
-                    break
-                if nxt in visited:
-                    key = tuple(sorted(set(chain)))
-                    if key not in reported:
-                        reported.add(key)
-                        lines = ", ".join(str(n) for n in key)
-                        diags.append(error(f"epsilon cycle through rules at lines {lines}", pos(chain[0])))
-                    break
-                visited.add(nxt)
-                cur = nxt
-                if len(chain) > 100:
-                    break
+                    key, line = (rule.line,), rule.line
+                    message = (f"{rule.trigger} rule produces a successor context identical "
+                               "to the current context")
+                elif nxt in visited:
+                    key, line = tuple(sorted({r.line for r in chain})), chain[0].line
+                    kinds = "/".join(sorted({r.trigger for r in chain}, reverse=True))
+                    message = f"{kinds} cycle through rules at lines {', '.join(map(str, key))}"
+                else:
+                    visited.add(nxt)
+                    cur = nxt
+                    continue
+                if key not in reported:
+                    reported.add(key)
+                    diags.append(error(message, pos(line)))
+                break
     return diags

@@ -163,6 +163,37 @@ def test_epsilon_identical_successor_detected():
     assert any("identical" in d.message for d in diags)
 
 
+def test_interp_row_that_keeps_its_context_detected():
+    table = parse_ok(MINIMAL + """
+[rules]
+| A | interp | `[` | _ |
+""")
+    diags = validate_table(table)
+    assert [d.message for d in diags] == [
+        "interp rule produces a successor context identical to the current context"]
+    assert diags[0].position.line == table.rules[0].line
+
+
+def test_interp_epsilon_cycle_detected():
+    table = parse_ok(MINIMAL + """
+[rules]
+| A | interp | | B |
+| B | | | A |
+""")
+    diags = validate_table(table)
+    lines = ", ".join(str(rule.line) for rule in table.rules)
+    assert [d.message for d in diags] == [f"interp/epsilon cycle through rules at lines {lines}"]
+
+
+def test_epsilon_error_row_that_keeps_its_context_is_accepted():
+    # the row stops the run with its own diagnostic, so it needs no progress
+    table = parse_ok(MINIMAL + """
+[rules]
+| A | | | _ | E: no content may follow here |
+""")
+    assert validate_table(table) == []
+
+
 def test_shadowed_duplicate_rule_warning():
     table = parse_ok(MINIMAL + """
 [rules]
