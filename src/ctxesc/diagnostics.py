@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+
+from .records import FrozenRecord
 
 
 class Severity(enum.Enum):
@@ -11,11 +12,13 @@ class Severity(enum.Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class Position:
-    file: str
-    line: int
-    col: int
+class Position(FrozenRecord):
+    __slots__ = _fields = ("file", "line", "col")
+
+    def __init__(self, file: str, line: int, col: int):
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
     def advance(self, text: str) -> "Position":
         """Position after consuming ``text`` starting here."""
@@ -28,11 +31,13 @@ class Position:
         return f"{self.file}:{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    severity: Severity
-    message: str
-    position: Position
+class Diagnostic(FrozenRecord):
+    __slots__ = _fields = ("severity", "message", "position")
+
+    def __init__(self, severity: Severity, message: str, position: Position):
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "position", position)
 
     def __str__(self) -> str:
         return f"{self.position}: {self.severity.value}: {self.message}"

@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import re
 import urllib.parse
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
+from .records import FrozenRecord
 from .values import EscapeError, SafeContent, stringify
 
 # Each escaper first searches for a character it would change and returns
@@ -115,10 +115,12 @@ def escape_css_string(value) -> str:
             .replace("\n", "\\a ").replace("\r", "\\a ").replace("\f", "\\a "))
 
 
-@dataclass(frozen=True)
-class Escaper:
-    name: str
-    transform: Callable[[object], str]
+class Escaper(FrozenRecord):
+    __slots__ = _fields = ("name", "transform")
+
+    def __init__(self, name: str, transform: Callable[[object], str]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "transform", transform)
 
     def apply(self, value) -> str:
         return self.transform(value)

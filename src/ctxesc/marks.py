@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import FrozenRecord
 
 MSG_START = "MsgStart"
 MSG_END = "MsgEnd"
@@ -12,11 +12,13 @@ EXPR_END = "ExprEnd"
 MARK_KINDS = (MSG_START, MSG_END, EXPR_START, EXPR_END)
 
 
-@dataclass(frozen=True)
-class Mark:
-    kind: str
-    offset: int
-    ident: str | None = None
+class Mark(FrozenRecord):
+    __slots__ = _fields = ("kind", "offset", "ident")
+
+    def __init__(self, kind: str, offset: int, ident: str | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "ident", ident)
 
     def shifted(self, base: int) -> "Mark":
         return Mark(self.kind, self.offset + base, self.ident)

@@ -14,13 +14,13 @@ and every path a lookup whose loop frame was resolved while lowering.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .diagnostics import PlanError, Position, RenderError
 from .escapers import chain
 from .escapers import get as get_escaper
 from .marks import EXPR_END, EXPR_START, MSG_END, MSG_START, Mark
+from .records import Record
 from .values import EscapeError, SafeContent, bindings_from_json, truthy
 
 _encode_str = json.encoder.encode_basestring
@@ -65,11 +65,13 @@ class Collector:
         return "".join(self._parts)
 
 
-@dataclass
-class Bindings:
+class Bindings(Record):
     """Named values available to interpolation paths."""
 
-    values: dict = field(default_factory=dict)
+    __slots__ = _fields = ("values",)
+
+    def __init__(self, values: dict | None = None):
+        self.values = {} if values is None else values
 
     @classmethod
     def from_json(cls, text: str) -> "Bindings":
@@ -107,51 +109,56 @@ def resolve_segs(segs, bindings: Bindings, frames: list[dict],
 
 
 # -- plan nodes ------------------------------------------------------------------
-# Fields with compare=False are not part of a node's value and not serialized.
 
-@dataclass
-class _Site:
+class _Site(Record):
     """``pos`` is the template position the node was compiled from; a plan
-    loaded from JSON has none, and its render errors name ``<plan>:0:0``."""
+    loaded from JSON has none, and its render errors name ``<plan>:0:0``.
+    Copies keep it; ``==``, repr and plan JSON leave it out."""
 
-    pos: Position | None = field(default=None, compare=False, repr=False, kw_only=True)
+    __slots__ = ("pos",)
 
-
-@dataclass(eq=True)
-class Lit:
-    text: str
-    marks: tuple[Mark, ...] = ()
+    def __reduce__(self):
+        return self.__class__, self._values(), (None, {"pos": self.pos})
 
 
-@dataclass(eq=True)
+class Lit(Record):
+    __slots__ = _fields = ("text", "marks")
+
+    def __init__(self, text: str, marks: tuple[Mark, ...] = ()):
+        self.text, self.marks = text, marks
+
+
 class PlanInterp(_Site):
-    path: str
-    escapers: tuple[str, ...]
+    __slots__ = _fields = ("path", "escapers")
+
+    def __init__(self, path: str, escapers: tuple[str, ...], *, pos: Position | None = None):
+        self.path, self.escapers, self.pos = path, escapers, pos
 
 
-@dataclass(eq=True)
 class PlanFor(_Site):
-    var: str
-    path: str
-    body: list
+    __slots__ = _fields = ("var", "path", "body")
+
+    def __init__(self, var: str, path: str, body: list, *, pos: Position | None = None):
+        self.var, self.path, self.body, self.pos = var, path, body, pos
 
 
-@dataclass(eq=True)
 class PlanIf(_Site):
-    path: str
-    then: list
-    els: list
+    __slots__ = _fields = ("path", "then", "els")
+
+    def __init__(self, path: str, then: list, els: list, *, pos: Position | None = None):
+        self.path, self.then, self.els, self.pos = path, then, els, pos
 
 
-@dataclass
-class CompiledPlan:
-    """Erased output: no context values, no machine references. Literal
-    chunks already carry every substitution the machine would have made.
-    ``lowered`` is the render function execute_plan builds on first use."""
+class CompiledPlan(Record):
+    """Erased output, free of contexts and machines: literal chunks carry
+    every substitution the machine would have made. ``lowered`` is the render
+    function execute_plan builds on first use; ``==`` and copies leave it out."""
 
-    language: str
-    body: list
-    lowered: Callable | None = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("language", "body")
+    __slots__ = (*_fields, "lowered")
+
+    def __init__(self, language: str, body: list):
+        self.language, self.body, self.lowered = language, body, None
 
     def to_json(self) -> str:
         return plan_to_json(self)

@@ -9,19 +9,22 @@ vouches for the text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from .records import FrozenRecord
 
 
 class EscapeError(Exception):
     """A value cannot be converted to text in the requested context."""
 
 
-@dataclass(frozen=True)
-class SafeContent:
+class SafeContent(FrozenRecord):
     """Text attested to be safe for a named content language."""
 
-    language: str
-    text: str
+    __slots__ = _fields = ("language", "text")
+
+    def __init__(self, language: str, text: str):
+        object.__setattr__(self, "language", language)
+        object.__setattr__(self, "text", text)
 
 
 def stringify(value) -> str:

@@ -1,5 +1,6 @@
-"""The experiment scripts import the front end, compiler and runtime
-directly, so tier-1 runs each one at a small count to keep it working."""
+"""The experiment scripts and the benchmark import the front end, compiler
+and runtime directly, so tier-1 runs each script at a small count, and the
+benchmark's own tests, to keep them working."""
 
 import os
 import pathlib
@@ -22,3 +23,10 @@ def test_fuzz_script_passes(argv):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_benchmark_tests_pass():
+    # the benchmark's tests put its checkout's src/ on sys.path themselves
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "perfbench"], cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
