@@ -119,7 +119,7 @@ def test_render_plan_loads_no_machine(workdir, capsys):
              "ctxesc.compiler"}
     assert not heavy & imported, sorted(heavy & imported)
     # the render path's records are plain slotted classes, not dataclasses
-    assert not {"dataclasses", "inspect"} & imported, sorted({"dataclasses", "inspect"} & imported)
+    assert not {"dataclasses", "inspect"} & imported
     assert compiled.err == ""
 
 
