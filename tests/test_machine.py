@@ -1,6 +1,8 @@
+import pytest
+
 from conftest import program_of
 from ctxesc.compiler import erase, propagate
-from ctxesc.diagnostics import Position, Severity
+from ctxesc.diagnostics import Position, Severity, TableError
 from ctxesc.machine import (
     MachineState,
     build_machine,
@@ -342,3 +344,34 @@ def test_runaway_epsilon_reported_as_internal_error():
 
 def test_bounded_lookahead_is_declared_per_table(html):
     assert html.root_table.lookahead == 64
+
+
+def _linked(root_rows, sub_rows=None):
+    """Link a toy root table, and a toy ``Sub`` table when given rows."""
+    head = "machine {}\nfields state\nvalues state: A B\nstart A\n[rules]\n"
+    root, diags = parse_table(head.format("toy") + root_rows, filename="root.tt")
+    assert root is not None, [str(d) for d in diags]
+    subs = {}
+    if sub_rows is not None:
+        subs["Sub"], diags = parse_table(head.format("Sub") + sub_rows, filename="sub.tt")
+        assert subs["Sub"] is not None, [str(d) for d in diags]
+    return build_machine(root, subs)
+
+
+def test_link_rejects_unknown_subsidiary():
+    with pytest.raises(TableError) as info:
+        _linked("| A | `x` | | B; start(Nope, identityCodec) |\n")
+    assert str(info.value) == "root.tt:6: unknown subsidiary machine 'Nope'"
+
+
+def test_link_rejects_unknown_codec():
+    with pytest.raises(TableError) as info:
+        _linked("| A | `x` | | B; start(Sub, rot13Codec) |\n", "| A | `y` | | B |\n")
+    assert str(info.value) == "root.tt:6: unknown codec 'rot13Codec'"
+
+
+def test_link_rejects_marks_from_a_subsidiary():
+    with pytest.raises(TableError) as info:
+        _linked("| A | `x` | | B; start(Sub, identityCodec) |\n",
+                "| A | `y` | | B |\n| B | `m` | !MsgStart(m1) | A |\n")
+    assert str(info.value) == "sub.tt:7: subsidiary machines may not emit marks"

@@ -58,6 +58,47 @@ def test_unknown_escaper_name_is_an_error():
     assert any("unknown escaper name" in d.message for d in diags)
 
 
+RULES = MINIMAL + "[rules]\n"  # a row appended to RULES is line 7
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("fields state\nvalues state: A\nstart A\n", 0, "missing 'machine' directive"),
+    ("machine toy\n", 0, "missing 'fields' directive"),
+    ("machine toy\nfields state\nvalues state: A\n", 0, "missing 'start' directive"),
+    (MINIMAL + "values mode: X\n", 6, "values for undeclared field 'mode'"),
+    (MINIMAL + "lookahead many\n", 6, "bad lookahead value 'many'"),
+    (MINIMAL + "bogus x\n", 6, "unknown directive 'bogus'"),
+    (MINIMAL + "| A | `x` | | _ |\n", 6,
+     "table row outside of a [rules] or [escapers] section"),
+    ("machine toy\nstart A\nfields state\nvalues state: A\n", 2,
+     "pattern before 'fields' directive"),
+    (RULES + "| A, B | `x` | | _ |\n", 7,
+     "pattern 'A, B' has 2 slots; table declares 1 fields"),
+    ("machine toy\nfields state\nvalues state: A\nstart _\n", 4, "wildcard not allowed in '_'"),
+    (RULES + "| A | `x` | | C |\n", 7, "unknown state name 'C'"),
+    # a lone backtick quotes the rest of the row, so the row is short a column
+    (RULES + "| A | `x` | `abc | _ |\n", 7, "rule row has 3 columns; expected 4 or 5"),
+    (RULES + "| A | `x` | junk | _ |\n", 7, "bad substitution cell 'junk'"),
+    (RULES + "| A | `x` | !Bogus | _ |\n", 7, "unknown event kind 'Bogus'"),
+    (RULES + "| A | `x` | | B; launch(Url) |\n", 7, "bad subsidiary action 'launch(Url)'"),
+    (RULES + "| A | `x` |\n", 7, "rule row has 2 columns; expected 4 or 5"),
+    (RULES + "| A | `x` | | _ | W: a | b |\n", 7, "rule row has 6 columns; expected 4 or 5"),
+    (RULES + "| A | `x` | | _ | X: oops |\n", 7, "bad diagnostic cell 'X: oops'"),
+    (MINIMAL + "[escapers]\n| A | | HtmlPcdataEscaper |\n", 7,
+     "escaper row has 3 columns; expected 5"),
+    (MINIMAL + "[escapers]\n| A | | NoSuchEscaper | | _ |\n", 7,
+     "unknown escaper name 'NoSuchEscaper'"),
+    (MINIMAL + "[escapers]\n| C | | HtmlPcdataEscaper | | _ |\n", 7, "unknown state name 'C'"),
+    (MINIMAL + "[escapers]\n| A | | HtmlPcdataEscaper | | A, A |\n", 7,
+     "pattern 'A, A' has 2 slots; table declares 1 fields"),
+])
+def test_malformed_table_is_an_error_on_its_line(text, line, message):
+    table, diags = parse_table(text)
+    assert table is None
+    assert (line, message) in [(d.position.line, d.message) for d in diags
+                               if d.severity is Severity.ERROR]
+
+
 def test_malformed_regex_is_an_error():
     table, diags = parse_table(MINIMAL + """
 [rules]
