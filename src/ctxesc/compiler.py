@@ -67,11 +67,9 @@ class AnnotatedProgram:
     CompiledPlan; their PlanInterp nodes carry the escaper chain chosen at
     each unsafe append."""
 
-    program: AppendProgram
     machine: machine_mod.Machine
     in_states: dict = field(default_factory=dict)
     merged: dict = field(default_factory=dict)
-    loop_iterations: dict = field(default_factory=dict)
     items: list = field(default_factory=list)
     end_ok: bool = False
     diagnostics: list[Diagnostic] = field(default_factory=list)
@@ -82,7 +80,7 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
     loop body and branch once and joining the states where control flow
     meets, re-emitting machine diagnostics with the source position of the
     offending append argument."""
-    ann = AnnotatedProgram(program=program, machine=machine)
+    ann = AnnotatedProgram(machine=machine)
     table, sink = machine.root_table, ann.diagnostics
 
     def flush_into(state, items, pos):
@@ -125,7 +123,6 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 # fail-stops otherwise: one pass proves a fixed point or a conflict
                 out, body = analyze(node.body, state)
                 out = flush_into(out, body, node.pos)
-                ann.loop_iterations[node] = 1
                 items.append(PlanFor(node.var, node.path, body, pos=node.pos))
                 state = join(node, state, out)
             elif isinstance(node, BranchBlock):

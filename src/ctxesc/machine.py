@@ -37,22 +37,7 @@ def transition_op_count() -> int:
     return _op_count
 
 
-class Codec:
-    """Paired decode/encode bridging a nesting and a nested content language.
-
-    decode_unit consumes one unit (a character or one full escape sequence)
-    from the head of the text; encode re-applies the outer language's
-    encoding to text emitted by the nested machine.
-    """
-
-    def decode_unit(self, text: str) -> tuple[int, str, str | None]:
-        raise NotImplementedError
-
-    def encode(self, text: str) -> str:
-        raise NotImplementedError
-
-
-class IdentityCodec(Codec):
+class IdentityCodec:
     def decode_unit(self, text):
         return 1, text[0], None
 
@@ -60,7 +45,7 @@ class IdentityCodec(Codec):
         return text
 
 
-class HtmlEntityCodec(Codec):
+class HtmlEntityCodec:
     """Decodes the named entities for ``& < > "`` plus numeric references;
     encodes those four characters back to entities."""
 
@@ -88,7 +73,11 @@ class HtmlEntityCodec(Codec):
         return text.translate(self._ENCODE)
 
 
-BUILTIN_CODECS: dict[str, Codec] = {
+# A codec bridges a nesting and a nested content language: decode_unit consumes
+# one unit (a character or one full escape sequence) from the head of non-empty
+# text, and encode re-applies the outer language's encoding to text emitted by
+# the nested machine. Tables can name only these.
+BUILTIN_CODECS = {
     "identityCodec": IdentityCodec(),
     "htmlCodec": HtmlEntityCodec(),
 }
@@ -143,11 +132,9 @@ class InterpResult:
 
 
 class Machine:
-    def __init__(self, root_table: TransitionTable, subs: dict[str, TransitionTable],
-                 codecs: dict[str, Codec]):
+    def __init__(self, root_table: TransitionTable, subs: dict[str, TransitionTable]):
         self.root_table = root_table
         self.subs = subs
-        self.codecs = codecs
 
     @property
     def language(self) -> str:
@@ -157,25 +144,24 @@ class Machine:
         return MachineState(context=self.root_table.start)
 
 
-def build_machine(root: TransitionTable, subs: dict[str, TransitionTable] | None = None,
-                  codecs: dict[str, Codec] | None = None) -> Machine:
-    """Link a root table with its subsidiary tables and codecs, checking the
-    references a single-table validation cannot see."""
+def build_machine(root: TransitionTable,
+                  subs: dict[str, TransitionTable] | None = None) -> Machine:
+    """Link a root table with its subsidiary tables and the built-in codecs,
+    checking the references a single-table validation cannot see."""
     subs = dict(subs or {})
-    codecs = dict(codecs) if codecs is not None else dict(BUILTIN_CODECS)
     problems = []
     for tname, table in [(root.name, root)] + list(subs.items()):
         for rule in table.rules:
             if rule.action and rule.action.kind == "start":
                 if rule.action.machine not in subs:
                     problems.append(f"{table.filename}:{rule.line}: unknown subsidiary machine {rule.action.machine!r}")
-                if rule.action.codec not in codecs:
+                if rule.action.codec not in BUILTIN_CODECS:
                     problems.append(f"{table.filename}:{rule.line}: unknown codec {rule.action.codec!r}")
             if rule.events and table is not root:
                 problems.append(f"{table.filename}:{rule.line}: subsidiary machines may not emit marks")
     if problems:
         raise TableError("; ".join(problems))
-    return Machine(root, subs, codecs)
+    return Machine(root, subs)
 
 
 class _Level:
@@ -217,7 +203,7 @@ class _Run:
         for fr in state.frames:
             self._levels.append(_Level(
                 machine.subs[fr.machine], fr.machine, fr.codec,
-                machine.codecs[fr.codec], fr.context, fr.pending))
+                BUILTIN_CODECS[fr.codec], fr.context, fr.pending))
         self.error: str | None = state.error
         self.out: list[str] = []
         self.out_len = 0
@@ -274,13 +260,10 @@ class _Run:
         if severity is Severity.ERROR:
             self._diag(severity, rule.message)
             return
-        if rule.events:
-            if i:
-                self._diag(Severity.ERROR, "events from subsidiary machine rules are not supported")
-            else:
-                for ev in rule.events:
-                    ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
-                    self.marks.append(Mark(ev.kind, self.out_len, ident))
+        # build_machine lets only the root table's rows carry events
+        for ev in rule.events:
+            ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
+            self.marks.append(Mark(ev.kind, self.out_len, ident))
         self._emit_from(i, text if rule.substitution is None else rule.substitution)
         if severity is Severity.WARNING:
             self._diag(severity, rule.message)
@@ -291,7 +274,7 @@ class _Run:
                 return
             table = self.machine.subs[action.machine]
             self._levels.append(_Level(table, action.machine, action.codec,
-                                       self.machine.codecs[action.codec], table.start, ""))
+                                       BUILTIN_CODECS[action.codec], table.start, ""))
 
     # -- stepping ----------------------------------------------------------
 
@@ -372,8 +355,6 @@ class _Run:
         if i < len(self._levels) - 1:
             inner = self._levels[i + 1]
             n, out, warn = inner.codec.decode_unit(pending)
-            if n == 0:
-                return False
             if warn:
                 self._diag(Severity.WARNING, warn)
             inner.pending += out
@@ -411,8 +392,6 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
                pos: Position | None = None) -> StepResult:
     """Consume a fixed chunk. An errored state absorbs input and emits
     nothing."""
-    if state.error is not None:
-        return StepResult(state, "", (), [])
     run = _Run(machine, state, pos)
     run.feed(chunk, pos)
     run.drain(flushing=False)
@@ -422,8 +401,6 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
 def finish(machine: Machine, state: MachineState, pos: Position | None = None) -> StepResult:
     """Flush all held-back text. Called at interpolation sites, control-flow
     boundaries, and before the end-context check."""
-    if state.error is not None:
-        return StepResult(state, "", (), [])
     run = _Run(machine, state, pos)
     run.drain(flushing=True)
     return StepResult(run.freeze(), "".join(run.out), tuple(run.marks), run.diags)
@@ -434,8 +411,6 @@ def step_interp(machine: Machine, state: MachineState,
     """Resolve an interpolation boundary: flush held-back text, fire epsilon
     and interp rows (epsilon first), then assemble the escaper chain from
     the innermost machine outward."""
-    if state.error is not None:
-        return InterpResult(state, state, "", (), (), "", "", [], error=True)
     run = _Run(machine, state, pos)
     run.drain(flushing=True)
     run.drain(flushing=True, at_interp=True)

@@ -29,7 +29,7 @@ _encode_str = json.encoder.encode_basestring
 
 class Collector:
     """Output buffer plus the mark list that indexes into it. Messages open
-    and close only through marks the machine emitted, so ``extend_marks``
+    and close only through marks the machine emitted, so ``append_text``
     alone counts them."""
 
     def __init__(self):
@@ -38,7 +38,15 @@ class Collector:
         self.marks: list[Mark] = []
         self.open_messages = 0
 
-    def append_text(self, text: str) -> None:
+    def append_text(self, text: str, marks=()) -> None:
+        """Append text and the marks emitted with it, whose offsets count
+        from the start of ``text``."""
+        for mark in marks:
+            self.marks.append(mark.shifted(self.length))
+            if mark.kind == MSG_START:
+                self.open_messages += 1
+            elif mark.kind == MSG_END:
+                self.open_messages = max(0, self.open_messages - 1)
         if text:
             self._parts.append(text)
             self.length += len(text)
@@ -52,14 +60,6 @@ class Collector:
             self.marks.append(Mark(EXPR_END, self.length))
         else:
             self.append_text(text)
-
-    def extend_marks(self, new_marks, base: int) -> None:
-        for mark in new_marks:
-            self.marks.append(mark.shifted(base))
-            if mark.kind == MSG_START:
-                self.open_messages += 1
-            elif mark.kind == MSG_END:
-                self.open_messages = max(0, self.open_messages - 1)
 
     def text(self) -> str:
         return "".join(self._parts)
@@ -442,14 +442,9 @@ def _lit_step(node: Lit, marked: bool) -> Callable:
     if not marked:
         def step(out, scope):
             out(text)
-    elif marks:
-        def step(out, scope):
-            base = out.length
-            out.append_text(text)
-            out.extend_marks(marks, base)
     else:
         def step(out, scope):
-            out.append_text(text)
+            out.append_text(text, marks)
     return step
 
 

@@ -34,9 +34,7 @@ class Accumulator:
         return self.state.error is not None
 
     def _absorb(self, result) -> list[Diagnostic]:
-        base = self.collector.length
-        self.collector.append_text(result.emitted)
-        self.collector.extend_marks(result.marks, base)
+        self.collector.append_text(result.emitted, result.marks)
         self.diagnostics.extend(result.diagnostics)
         self.state = result.state
         return result.diagnostics

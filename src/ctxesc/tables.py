@@ -24,7 +24,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from . import marks
+from . import escapers, marks
 from .diagnostics import Diagnostic, Position, Severity, error, warning
 
 WILDCARD = "_"
@@ -50,9 +50,6 @@ class Pattern:
     def apply_to(self, context: tuple[str, ...]) -> tuple[str, ...]:
         """As a successor: wildcard slots keep the current field."""
         return tuple(c if s == WILDCARD else s for s, c in zip(self.slots, context))
-
-    def __str__(self) -> str:
-        return ", ".join(self.slots)
 
 
 @dataclass(frozen=True)
@@ -129,7 +126,6 @@ class TransitionTable:
     start: tuple[str, ...]
     terminal: Pattern
     lookahead: int
-    macros: dict[str, str]
     uses: tuple[str, ...]
     endmsgs: dict[str, str]
     rules: tuple[Rule, ...]
@@ -192,10 +188,9 @@ _EVENT_RE = re.compile(r"!([A-Za-z]+)(?:\(([^()]*)\))?")
 
 
 class _Parser:
-    def __init__(self, text: str, filename: str, escaper_names):
+    def __init__(self, text: str, filename: str):
         self.lines = text.splitlines()
         self.filename = filename
-        self.escaper_names = escaper_names
         self.diags: list[Diagnostic] = []
         self.name = None
         self.fields: tuple[str, ...] | None = None
@@ -253,7 +248,6 @@ class _Parser:
             start=self.start,
             terminal=self.terminal,
             lookahead=self.lookahead,
-            macros=dict(self.macros),
             uses=tuple(self.uses),
             endmsgs=dict(self.endmsgs),
             rules=tuple(self.rules),
@@ -363,10 +357,8 @@ class _Parser:
         events: list[Event] = []
         rest = cell.strip()
         if rest.startswith("`"):
-            end = rest.find("`", 1)
-            if end < 0:
-                self.err(idx, "unterminated backtick in substitution")
-                return None, ()
+            # _split_row ends a cell only outside backticks, so this one closes
+            end = rest.index("`", 1)
             text = rest[1:end]
             rest = rest[end + 1 :].strip()
         while rest:
@@ -448,7 +440,7 @@ class _Parser:
         pre = self._tick_text(cells[1]) or ""
         names = tuple(cells[2].split())
         for name in names:
-            if name not in self.escaper_names:
+            if name not in escapers.known_names():
                 self.err(idx, f"unknown escaper name {name!r}")
                 return
         post = self._tick_text(cells[3]) or ""
@@ -458,14 +450,10 @@ class _Parser:
         self.escapes.append(EscapeRule(idx, pattern, pre, names, post, successor))
 
 
-def parse_table(text: str, filename: str = "<table>", escaper_names=None):
+def parse_table(text: str, filename: str = "<table>"):
     """Parse a transition table. Returns (table, diagnostics); the table is
     None when any diagnostic is an error."""
-    if escaper_names is None:
-        from . import escapers
-
-        escaper_names = escapers.known_names()
-    parser = _Parser(text, filename, escaper_names)
+    parser = _Parser(text, filename)
     table = parser.parse()
     return table, parser.diags
 

@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from .diagnostics import Severity, TableError
-from .machine import BUILTIN_CODECS, Machine, build_machine
+from .machine import Machine, build_machine
 from .tables import parse_table, validate_table
 
 
@@ -39,13 +39,13 @@ def html_machine(tables_dir: str | None = None) -> Machine:
         "Url": load_table("url.tt", tables_dir),
         "Css": load_table("css.tt", tables_dir),
     }
-    return build_machine(root, subs, BUILTIN_CODECS)
+    return build_machine(root, subs)
 
 
 @functools.lru_cache(maxsize=None)
 def plain_text_machine(tables_dir: str | None = None) -> Machine:
     """Identity machine: copies fixed text and stringifies values verbatim."""
-    return build_machine(load_table("text.tt", tables_dir), {}, BUILTIN_CODECS)
+    return build_machine(load_table("text.tt", tables_dir))
 
 
 def machine_for_tag(tag: str, tables_dir: str | None = None) -> Machine:

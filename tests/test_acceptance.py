@@ -76,8 +76,8 @@ def test_c02_propagation_annotations(html):
             "(Pcdata, _, _, _)",       # appendFixed "</ul>\n"
             "(Pcdata, _, _, _)",       # collected
         ]
-        (iterations,) = ann.loop_iterations.values()
-        assert iterations == 1
+        (loop,) = ann.merged
+        assert ann.merged[loop] == ann.in_states[loop]
         (merged,) = ann.merged.values()
         assert state_str(merged) == "(Pcdata, _, _, _)"
         assert ann.end_ok

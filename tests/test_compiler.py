@@ -64,7 +64,7 @@ def test_list_template_annotations(html):
     assert interps[1].escapers == ("HtmlPcdataEscaper",)
 
     loop = by_kind["LoopBlock"][0]
-    assert ann.loop_iterations[loop] == 1
+    assert ann.merged[loop] == ann.in_states[loop]
     assert state_str(ann.merged[loop]) == "(Pcdata, _, _, _)"
     assert ann.end_ok
     assert ann.diagnostics == []
@@ -72,7 +72,6 @@ def test_list_template_annotations(html):
 
 def test_straight_line_program_single_pass(html):
     _, ann = annotations_for('tag: html\n"<p>hello</p>\n', html)
-    assert ann.loop_iterations == {}
     assert ann.merged == {}
     assert ann.end_ok
 
