@@ -46,6 +46,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise SystemExit2(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"cannot read {path}: {exc}")
 
 
 class SystemExit2(Exception):

@@ -20,8 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, Position, Severity, error
-
-PATH_RE = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+from .plan import PATH_RE
 
 _FOR_RE = re.compile(r"for\s+([A-Za-z_]\w*)\s+of\s+(\S+)\s*\{$")
 _IF_RE = re.compile(r"if\s+(\S+)\s*\{$")

@@ -14,16 +14,22 @@ and every path a lookup whose loop frame was resolved while lowering.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable
 
 from .diagnostics import PlanError, Position, RenderError
 from .escapers import chain
 from .escapers import get as get_escaper
-from .marks import EXPR_END, EXPR_START, MSG_END, MSG_START, Mark
+from .marks import EXPR_END, EXPR_START, MARK_KINDS, MSG_END, MSG_START, Mark
 from .records import Record
 from .values import EscapeError, SafeContent, bindings_from_json, truthy
 
 _encode_str = json.encoder.encode_basestring
+
+# The template path grammar: a loop variable or binding name, then fields.
+_NAME = r"[A-Za-z_]\w*"
+_NAME_RE = re.compile(_NAME)
+PATH_RE = re.compile(rf"{_NAME}(?:\.{_NAME})*")
 
 # -- render state --------------------------------------------------------------
 
@@ -236,10 +242,10 @@ def plan_to_json(plan: CompiledPlan) -> str:
     return "".join(out)
 
 
-def _str_field(payload: dict, key: str, kind: str) -> str:
+def _str_field(payload: dict, key: str, kind: str, grammar: re.Pattern) -> str:
     value = payload.get(key)
-    if not isinstance(value, str):
-        raise PlanError(f"{kind!r} node needs a string {key!r}, got {value!r}")
+    if not isinstance(value, str) or not grammar.fullmatch(value):
+        raise PlanError(f"{kind!r} node has a malformed {key!r}: {value!r}")
     return value
 
 
@@ -264,7 +270,7 @@ def _node_from_obj(obj) -> object:
         raise PlanError(f"unknown plan node kind {kind!r}")
     if not isinstance(payload, dict):
         raise PlanError(f"{kind!r} node needs an object, got {payload!r}")
-    path = _str_field(payload, "path", kind)
+    path = _str_field(payload, "path", kind, PATH_RE)
     if kind == "interp":
         names = payload.get("escapers")
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
@@ -276,7 +282,7 @@ def _node_from_obj(obj) -> object:
                 raise PlanError(f"unknown escaper {name!r} at path {path!r}") from None
         return PlanInterp(path, tuple(names))
     if kind == "for":
-        return PlanFor(_str_field(payload, "var", kind), path,
+        return PlanFor(_str_field(payload, "var", kind, _NAME_RE), path,
                        _body_from_obj(payload.get("body"), "'for' body"))
     return PlanIf(path, _body_from_obj(payload.get("then"), "'if' then"),
                   _body_from_obj(payload.get("else", []), "'if' else"))
@@ -306,14 +312,15 @@ def _plan_from_doc(doc) -> CompiledPlan:
     if not isinstance(rows, list):
         raise PlanError(f"plan 'marks' must be a list, got {rows!r}")
     for row in rows:
+        # bool is an int subclass, and no compiled plan holds true or false
         if not (isinstance(row, dict) and isinstance(row.get("at"), list)
-                and isinstance(row.get("offset"), int) and isinstance(row.get("kind"), str)
+                and type(row.get("offset")) is int and row.get("kind") in MARK_KINDS
                 and isinstance(row.get("id", ""), str)):
             raise PlanError(f"malformed mark row: {row!r}")
         node = plan.body
         for step in row["at"]:
             try:
-                if isinstance(step, int) and step >= 0:
+                if type(step) is int and step >= 0:
                     node = node[step]
                 else:
                     node = getattr(node, _MARK_STEPS[step])

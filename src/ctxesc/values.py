@@ -41,7 +41,10 @@ def stringify(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):
-        return repr(value) if isinstance(value, float) else str(value)
+        try:
+            return repr(value) if isinstance(value, float) else str(value)
+        except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+            raise EscapeError(f"cannot render a number as text: {exc}") from None
     if value is None:
         raise EscapeError("cannot render null as text")
     raise EscapeError(f"cannot render a {type(value).__name__} as text")

@@ -65,6 +65,19 @@ def test_check_missing_file_exit_two(workdir, capsys):
     assert main(["check", str(workdir / "nope.tpl")]) == 2
 
 
+def test_undecodable_files_are_named_and_exit_two(workdir, capsys):
+    bad = workdir / "bad.tpl"
+    bad.write_bytes(b"\xff\xfe")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        f"ctxesc: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n")
+    bindings = workdir / "bad.json"
+    bindings.write_bytes(b'{"s": "\xff"}')
+    assert main(["render", str(workdir / "list.tpl"), "--bindings", str(bindings)]) == 2
+    assert capsys.readouterr().err.startswith(f"ctxesc: cannot read {bindings}: 'utf-8' codec")
+
+
 def test_compile_writes_plan(workdir, capsys):
     out = workdir / "plan.json"
     assert main(["compile", str(workdir / "list.tpl"), "--out", str(out)]) == 0

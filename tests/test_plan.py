@@ -219,6 +219,48 @@ def test_mark_offsets_outside_their_literal_are_rejected(html, offset):
         plan_from_json(json.dumps(doc))
 
 
+def _lit_doc(**mark):
+    return {"language": "html", "body": [{"lit": "a"}],
+            "marks": [{"at": [0], "offset": 0, "kind": "MsgStart", **mark}]}
+
+
+def _interp(path):
+    return {"interp": {"path": path, "escapers": ["HtmlPcdataEscaper"]}}
+
+
+@pytest.mark.parametrize("doc", [
+    _lit_doc(at=[False], offset=True, kind="Bogus"),
+    _lit_doc(at=[False]),
+    _lit_doc(offset=True),
+    _lit_doc(kind="Bogus"),
+    _lit_doc(kind="msgstart"),
+] + [
+    {"language": "html", "body": [node]} for node in (
+        _interp(""), _interp("a..b"), _interp(".a"), _interp("a."), _interp("1a"),
+        _interp("a b"), _interp("a[0]"),
+        {"for": {"var": "i", "path": "", "body": []}},
+        {"for": {"var": "i", "path": "a..b", "body": []}},
+        {"if": {"path": "", "then": [], "else": []}},
+        {"if": {"path": "a.", "then": [], "else": []}},
+        {"for": {"var": "", "path": "xs", "body": []}},
+        {"for": {"var": "i.j", "path": "xs", "body": []}},
+        {"for": {"var": "1", "path": "xs", "body": []}},
+    )
+])
+def test_values_no_compiled_plan_holds_are_rejected(doc):
+    with pytest.raises(PlanError):
+        plan_from_json(json.dumps(doc))
+
+
+def test_every_mark_kind_and_a_dotted_path_load():
+    for kind in MARK_KINDS:
+        plan = plan_from_json(json.dumps(_lit_doc(kind=kind)))
+        assert plan.body[0].marks == (Mark(kind, 0),)
+    plan = plan_from_json(json.dumps({"language": "html", "body": [
+        {"for": {"var": "_i2", "path": "page.items", "body": [_interp("_i2.x_1")]}}]}))
+    assert plan.body[0].body[0].path == "_i2.x_1"
+
+
 def test_mark_offsets_at_either_end_of_their_literal_load(html):
     doc = json.loads(compile_template(MESSAGE_TEMPLATE)[0].to_json())
     start = next(row for row in doc["marks"] if row["kind"] == "MsgStart")

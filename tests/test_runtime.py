@@ -2,7 +2,9 @@ import pytest
 
 from conftest import LIST_TEMPLATE, program_of, render_text
 from ctxesc.diagnostics import Position, RenderError, Severity
+from ctxesc.compiler import compile_template
 from ctxesc.machine import finish, step_fixed, step_interp
+from ctxesc.plan import execute_plan
 from ctxesc.runtime import Accumulator, Bindings, render_full, resolve_segs
 from ctxesc.values import SafeContent
 
@@ -156,6 +158,16 @@ def test_render_fail_stop_has_no_partial_output(html):
     src = 'tag: html\n"before\n"<!-- ${x} -->\n'
     with pytest.raises(RenderError, match="interpolation not allowed"):
         render_text(src, {"x": "y"}, html)
+
+
+def test_integer_too_long_to_print_is_a_render_error_in_both_engines(html):
+    src = 'tag: html\n"<p>\n"${x}</p>\n'
+    bindings = Bindings({"x": 10**5000})
+    with pytest.raises(RenderError, match="cannot render a number as text") as dynamic:
+        render_full(program_of(src), bindings, html)
+    with pytest.raises(RenderError, match="cannot render a number as text") as static:
+        execute_plan(compile_template(src)[0], bindings)
+    assert dynamic.value.position == static.value.position == Position("<template>", 3, 2)
 
 
 def test_render_determinism(html):
