@@ -260,10 +260,10 @@ class _Run:
         if severity is Severity.ERROR:
             self._diag(severity, rule.message)
             return
-        # build_machine lets only the root table's rows carry events
-        for ev in rule.events:
-            ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
-            self.marks.append(Mark(ev.kind, self.out_len, ident))
+        if rule.events:  # only root rows have events: build_machine checks
+            for ev in rule.events:
+                ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
+                self.marks.append(Mark(ev.kind, self.out_len, ident))
         self._emit_from(i, text if rule.substitution is None else rule.substitution)
         if severity is Severity.WARNING:
             self._diag(severity, rule.message)

@@ -47,12 +47,13 @@ class Collector:
     def append_text(self, text: str, marks=()) -> None:
         """Append text and the marks emitted with it, whose offsets count
         from the start of ``text``."""
-        for mark in marks:
-            self.marks.append(mark.shifted(self.length))
-            if mark.kind == MSG_START:
-                self.open_messages += 1
-            elif mark.kind == MSG_END:
-                self.open_messages = max(0, self.open_messages - 1)
+        if marks:
+            for mark in marks:
+                self.marks.append(mark.shifted(self.length))
+                if mark.kind == MSG_START:
+                    self.open_messages += 1
+                elif mark.kind == MSG_END:
+                    self.open_messages = max(0, self.open_messages - 1)
         if text:
             self._parts.append(text)
             self.length += len(text)
