@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +30,7 @@ from ctxesc.diagnostics import PlanError, RenderError, Severity, has_errors
 from ctxesc.frontend import AppendFixed, AppendUnsafe, LoopBlock, walk
 from ctxesc.machine import state_str
 from ctxesc.runtime import Bindings, render_full
-from support import STRUCTURE_CORPUS, adversarial_values
+from support import STRUCTURE_CORPUS, adversarial_values, random_template
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "list_plan.json"
 
@@ -338,6 +339,39 @@ def test_compile_op_counts_and_plans_are_pinned():
             digest.update(plan.to_json().encode("utf-8"))
     assert ops == PINNED_COMPILE_OPS
     assert digest.hexdigest() == PINNED_CORPUS_PLANS_SHA256
+
+
+# The same pins over random_template seeds 0-199, whose CSS inside
+# attributes, style and script elements, messages, loops and branches
+# keep subsidiary machines running: the sums and sha256 digests of the
+# per-seed transition_op_count deltas of compile_template and of
+# render_full, and the sha256 of the plans' JSON.
+PINNED_RANDOM_COMPILE_OPS = (
+    6324, "ba2b90ebd19a3d32c15cebc97934a2edbb0d845afeca53828ef1a162f383d4cb")
+PINNED_RANDOM_RENDER_OPS = (
+    5425, "f2e6208a91f79d76086ec3f0c750c924cf19ba8636bc2fe3b65c58f53be21217")
+PINNED_RANDOM_PLANS_SHA256 = "a037f98eb2ca4d005fc391f593ae8976db3e20f313739e3a23dc97b2d714f28d"
+
+
+def _sum_and_digest(counts):
+    return sum(counts), hashlib.sha256(repr(counts).encode("ascii")).hexdigest()
+
+
+def test_random_template_op_counts_and_plans_are_pinned(html):
+    compile_ops, render_ops, digest = [], [], hashlib.sha256()
+    for seed in range(200):
+        source, values = random_template(random.Random(seed))
+        before = machine_mod.transition_op_count()
+        plan, diags = compile_template(source, f"t{seed}.tpl")
+        compile_ops.append(machine_mod.transition_op_count() - before)
+        assert not has_errors(diags)
+        digest.update(plan.to_json().encode("utf-8"))
+        before = machine_mod.transition_op_count()
+        render_full(program_of(source), Bindings(values), html)
+        render_ops.append(machine_mod.transition_op_count() - before)
+    assert _sum_and_digest(compile_ops) == PINNED_RANDOM_COMPILE_OPS
+    assert _sum_and_digest(render_ops) == PINNED_RANDOM_RENDER_OPS
+    assert digest.hexdigest() == PINNED_RANDOM_PLANS_SHA256
 
 
 def fresh_html_machine():
