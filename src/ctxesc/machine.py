@@ -6,28 +6,26 @@ Machine states are immutable values; stepping produces a new state. Between
 steps a machine may hold back a bounded amount of unconsumed text so regex
 matching is independent of how fixed text is chunked.
 
-A ``[rules]`` row does the same thing whichever trigger fires it (a regex
-match, an epsilon step, an arriving interpolation): ``_Run._fire`` applies
-every row. At an interpolation site the machine flushes held-back text,
-fires epsilon and interp rows (epsilon first), then reads escaper-map rows
-from the innermost machine outward.
+One loop, ``_Run.drain``, steps a thawed state: it fires epsilon rows and
+consumes text, in place while the root machine runs alone, through
+``_consume_at`` while a subsidiary is active. Rows that only emit their
+matched text and move the context are applied in the loop; ``_Run._fire``
+applies every other row, whatever its trigger. At an interpolation site the
+machine flushes held-back text, fires epsilon and interp rows (epsilon
+first), then reads escaper-map rows from the innermost machine outward.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, Position, Severity, TableError
 from .marks import Mark
+from .records import FrozenRecord
 from .tables import Rule, TransitionTable, context_str
 
 _op_count = 0
-
-
-def _bump() -> None:
-    global _op_count
-    _op_count += 1
 
 
 def transition_op_count() -> int:
@@ -83,27 +81,43 @@ BUILTIN_CODECS = {
 }
 
 
-@dataclass(frozen=True)
-class Frame:
+_set = object.__setattr__
+
+
+class Frame(FrozenRecord):
     """One active subsidiary machine: its name, the codec bridging it to the
     enclosing machine, its context, and its own held-back text."""
 
-    machine: str
-    codec: str
-    context: tuple[str, ...]
-    pending: str
+    __slots__ = _fields = ("machine", "codec", "context", "pending")
+
+    def __init__(self, machine: str, codec: str, context: tuple[str, ...], pending: str):
+        _set(self, "machine", machine)
+        _set(self, "codec", codec)
+        _set(self, "context", context)
+        _set(self, "pending", pending)
 
 
-@dataclass(frozen=True)
-class MachineState:
-    context: tuple[str, ...]
-    pending: str = ""
-    frames: tuple[Frame, ...] = ()
-    error: str | None = None
-    pending_pos: Position | None = field(default=None, compare=False)
-    # where each later chunk that ``pending`` spans starts, as (offset in
-    # pending, template position)
-    pending_at: tuple[tuple[int, Position], ...] = field(default=(), compare=False)
+class MachineState(FrozenRecord):
+    """``pending_pos`` is where the held-back text starts in the template,
+    and ``pending_at`` where each later chunk it spans starts, as (offset in
+    pending, template position). Copies keep both; ``==``, hashing and repr
+    leave them out."""
+
+    _fields = ("context", "pending", "frames", "error")
+    __slots__ = (*_fields, "pending_pos", "pending_at")
+
+    def __init__(self, context: tuple[str, ...], pending: str = "", frames: tuple[Frame, ...] = (),
+                 error: str | None = None, pending_pos: Position | None = None,
+                 pending_at: tuple[tuple[int, Position], ...] = ()):
+        _set(self, "context", context)
+        _set(self, "pending", pending)
+        _set(self, "frames", frames)
+        _set(self, "error", error)
+        _set(self, "pending_pos", pending_pos)
+        _set(self, "pending_at", pending_at)
+
+    def __reduce__(self):
+        return self.__class__, (*self._values(), self.pending_pos, self.pending_at)
 
 
 @dataclass
@@ -209,9 +223,7 @@ class _Run:
         self.out_len = 0
         self.marks: list[Mark] = []
         self.diags: list[Diagnostic] = []
-        self._pos = state.pending_pos if state.pending else pos
-        if self._pos is None:
-            self._pos = pos or Position("<input>", 1, 1)
+        self._pos = (state.pending_pos if state.pending else pos) or pos or Position("<input>", 1, 1)
         self._off = 0
         self._anchors = state.pending_at if state.pending else ()
         self._consumed: list[str] = []
@@ -288,40 +300,71 @@ class _Run:
         lvl.pending += chunk
 
     def drain(self, flushing: bool, min_level: int = 0, at_interp: bool = False) -> None:
-        """Fire rows and consume held-back text until nothing moves. Before
-        each consuming step the innermost machine fires its epsilon row, or
-        with ``at_interp`` (an interpolation site, all text flushed) its
-        interp row when it has no epsilon row."""
+        """Fire rows and consume held-back text until nothing moves. Each
+        turn fires the innermost machine's epsilon row (with ``at_interp``,
+        all text flushed, its interp row if it has no epsilon row), or else
+        consumes: through ``_consume_at`` from ``min_level`` outward while a
+        subsidiary is active, here while the root runs alone, until a row
+        needs ``_fire`` or the new context has an epsilon or interp row."""
+        global _op_count
+        levels = self._levels
         streak = 0
         while self.error is None:
-            if len(self._levels) - 1 >= min_level and self._fire_epsilon(at_interp):
+            i = len(levels) - 1
+            lvl = levels[i]
+            rows = lvl.rows
+            row = rows.epsilon or (rows.interp if at_interp else None)
+            if row is not None:
+                rule, successor = row
+                _op_count += 1
+                if successor == lvl.context and rule.action is None and rule.severity is not Severity.ERROR:
+                    self._diag(Severity.ERROR, f"{rule.trigger} rule at {lvl.table.filename}:{rule.line} "
+                                               "does not change the context (table bug)")
+                else:
+                    self._fire(i, rule, successor, None, "")
                 streak += 1
-                if streak > len(self._levels[-1].table.rules) + 4:
+                if streak > len(levels[-1].table.rules) + 4:
                     self._diag(Severity.ERROR, "epsilon and interp rules never reached "
                                                "a consuming step (table bug)")
                     return
                 continue
             streak = 0
-            for i in range(min_level, len(self._levels)):
-                if self._consume_at(i, flushing):
+            if i:
+                for j in range(min_level, i + 1):
+                    if levels[j].pending and self._consume_at(j, flushing):
+                        break
+                else:
+                    return
+                continue
+            table, pending, out, consumed = lvl.table, lvl.pending, self.out, self._consumed
+            hold = 0 if flushing else table.lookahead
+            while pending and len(pending) >= hold:
+                for rule, match, successor in rows.regex:
+                    m = match(pending)
+                    if m and m.end() > 0:
+                        text = m.group(0)
+                        break
+                else:  # implicit default: copy one character, keep the context
+                    rule, text = None, pending[0]
+                _op_count += 1
+                pending = pending[len(text):]
+                if rule is not None and (rule.action or rule.events or rule.severity
+                                         or rule.substitution is not None):
+                    self._fire(0, rule, successor, m, text)
+                    consumed.append(text)
                     break
+                out.append(text)
+                self.out_len += len(text)
+                consumed.append(text)
+                if rule is not None:
+                    lvl.context, lvl.rows = successor, table.rows(successor)
+                    rows = lvl.rows
+                    if rows.epsilon or (at_interp and rows.interp):
+                        break
             else:
+                lvl.pending = pending
                 return
-
-    def _fire_epsilon(self, at_interp: bool) -> bool:
-        i = len(self._levels) - 1
-        lvl = self._levels[i]
-        row = lvl.rows.epsilon or (lvl.rows.interp if at_interp else None)
-        if row is None:
-            return False
-        rule, successor = row
-        _bump()
-        if successor == lvl.context and rule.action is None and rule.severity is not Severity.ERROR:
-            self._diag(Severity.ERROR, f"{rule.trigger} rule at {lvl.table.filename}:{rule.line} "
-                                       "does not change the context (table bug)")
-        else:
-            self._fire(i, rule, successor, None, "")
-        return True
+            lvl.pending = pending
 
     def _pop_below(self, i: int) -> None:
         while len(self._levels) - 1 > i:
@@ -332,16 +375,15 @@ class _Run:
                            f"{lvl.table.end_message(lvl.context)}")
 
     def _consume_at(self, i: int, flushing: bool) -> bool:
+        global _op_count
         lvl = self._levels[i]
         pending = lvl.pending
-        if not pending:
-            return False
         if not flushing and len(pending) < lvl.table.lookahead:
             return False
         for rule, match, successor in lvl.rows.regex:
             m = match(pending)
             if m and m.end() > 0:
-                _bump()
+                _op_count += 1
                 if i < len(self._levels) - 1:
                     self.drain(flushing=True, min_level=i + 1)
                     if self.error is not None:
@@ -362,20 +404,16 @@ class _Run:
             if i == 0:
                 self._consumed.append(pending[:n])
             return True
-        # Implicit default: copy one character, keep the context.
-        _bump()
-        ch = pending[0]
-        self._emit_from(i, ch)
+        # Implicit default at the innermost level: copy one character.
+        _op_count += 1
+        self._emit_from(i, pending[0])
         lvl.pending = pending[1:]
-        if i == 0:
-            self._consumed.append(ch)
         return True
 
     def freeze(self) -> MachineState:
         root = self._levels[0]
         if self.error is not None:
-            return MachineState(context=tuple(root.context), pending="", frames=(),
-                                error=self.error, pending_pos=None)
+            return MachineState(tuple(root.context), error=self.error)
         frames = tuple(
             Frame(lvl.machine_name, lvl.codec_name, tuple(lvl.context), lvl.pending)
             for lvl in self._levels[1:])
@@ -411,6 +449,7 @@ def step_interp(machine: Machine, state: MachineState,
     """Resolve an interpolation boundary: flush held-back text, fire epsilon
     and interp rows (epsilon first), then assemble the escaper chain from
     the innermost machine outward."""
+    global _op_count
     run = _Run(machine, state, pos)
     run.drain(flushing=True)
     run.drain(flushing=True, at_interp=True)
@@ -437,7 +476,7 @@ def step_interp(machine: Machine, state: MachineState,
             return InterpResult(bad, site, emitted, emitted_marks, (), "", "",
                                 run.diags, error=True)
         row, successor = lvl.rows.escape
-        _bump()
+        _op_count += 1
         chain.extend(row.escapers)
         if row.pre:
             map_pres.append((li, row.pre))

@@ -1,9 +1,13 @@
+import copy
+import pickle
+
 import pytest
 
 from conftest import program_of
 from ctxesc.compiler import erase, propagate
 from ctxesc.diagnostics import Position, Severity, TableError
 from ctxesc.machine import (
+    Frame,
     MachineState,
     build_machine,
     finish,
@@ -19,6 +23,8 @@ from ctxesc.runtime import Bindings, render_full
 from ctxesc.tables import parse_table
 
 POS = Position("t", 1, 1)
+CTX = ("Attr", "None", "Url", "Double")
+FRAME = Frame("Url", "htmlCodec", ("Path",), "a")
 
 
 def run_fixed(machine, text, state=None):
@@ -375,3 +381,57 @@ def test_link_rejects_marks_from_a_subsidiary():
         _linked("| A | `x` | | B; start(Sub, identityCodec) |\n",
                 "| A | `y` | | B |\n| B | `m` | !MsgStart(m1) | A |\n")
     assert str(info.value) == "sub.tt:7: subsidiary machines may not emit marks"
+
+
+# -- state records ---------------------------------------------------------------
+
+
+def held_back_state():
+    state = MachineState(CTX, "x\ny", (FRAME,), None, POS, ((2, Position("t", 4, 3)),))
+    assert state.pending_pos == POS and state.pending_at == ((2, Position("t", 4, 3)),)
+    return state
+
+
+def test_state_equality_and_hash_ignore_held_back_positions():
+    a = held_back_state()
+    b = MachineState(CTX, "x\ny", (FRAME,))
+    assert a == b and hash(a) == hash(b) and {a, b} == {a}
+    assert a != MachineState(CTX, "x\nz", (FRAME,), None, POS, a.pending_at)
+    assert a != MachineState(CTX, "x\ny", (Frame("Url", "htmlCodec", ("Path",), "b"),))
+    assert a != MachineState(CTX, "x\ny", (FRAME,), "boom")
+    assert repr(b) == repr(a) == (
+        f"MachineState(context={CTX!r}, pending='x\\ny', frames=({FRAME!r},), error=None)")
+    assert Frame("Url", "htmlCodec", ("Path",), "a") == FRAME
+    assert hash(Frame("Url", "htmlCodec", ("Path",), "a")) == hash(FRAME)
+
+
+@pytest.mark.parametrize("record, names", [
+    (held_back_state(), ("context", "pending", "frames", "error", "pending_pos", "pending_at")),
+    (FRAME, ("machine", "codec", "context", "pending")),
+], ids=["MachineState", "Frame"])
+def test_state_records_refuse_assignment(record, names):
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.other = 1
+
+
+def test_state_copies_and_pickles_keep_held_back_positions():
+    a = held_back_state()
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and type(b) is MachineState
+        assert (b.pending_pos, b.pending_at) == (a.pending_pos, a.pending_at)
+        assert b.frames == (FRAME,) and type(b.frames[0]) is Frame
+
+
+def test_copied_state_positions_later_diagnostics_alike(html):
+    # the root holds back the line-2 "&#" and reports it on the next flush
+    state = step_fixed(html, html.zero_state(), '<a href="x\n&#', POS).state
+    assert state.pending and state.pending_pos is not None
+    expected = [str(d) for d in finish(html, state, POS).diagnostics]
+    assert expected == ["t:2:1: warning: malformed numeric character reference copied verbatim"]
+    for copied in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert [str(d) for d in finish(html, copied, POS).diagnostics] == expected
