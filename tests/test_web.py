@@ -1,7 +1,10 @@
 import pytest
 
-from ctxesc.diagnostics import Position
+from conftest import program_of
+from ctxesc.compiler import compile_template, execute_plan
+from ctxesc.diagnostics import Position, RenderError
 from ctxesc.machine import finish, step_fixed, step_interp
+from ctxesc.runtime import Bindings, render_full
 from ctxesc.web import machine_for_tag
 from support import codec_decode, codec_encode
 
@@ -161,3 +164,57 @@ def test_css_url_in_style_body_inserts_plain_quotes(html):
     r = step_interp(html, state, POS)
     assert r.escapers == ("UrlPrefixFilteringEscaper", "CssStringEscaper")
     assert (r.pre, r.post) == ('"', '"')
+
+
+# -- attributes typed by name ------------------------------------------------------
+
+URL_ATTRIBUTES = ["href", "src", "action", "formaction", "data", "poster", "cite",
+                  "background", "codebase", "longdesc", "manifest", "icon", "usemap",
+                  "ping", "xmlns", "xlink:href"]
+
+
+@pytest.mark.parametrize("name", URL_ATTRIBUTES + ["XLINK:HREF", "Data"])
+def test_every_url_attribute_reaches_a_url_context(html, name):
+    state, _ = feed(html, f"<a {name}=")
+    assert state.context == ("BeforeValue", "None", "Url", "None")
+    state, _ = feed(html, f'<a {name}="')
+    assert state.context[2] == "Url" and [f.machine for f in state.frames] == ["Url"]
+
+
+@pytest.mark.parametrize("name, attr", [
+    ("onclick", "Js"), ("ONLOAD", "Js"), ("srcdoc", "Deny"), ("srcset", "Deny"),
+    ("src-set", "Plain"), ("database", "Plain"), ("hreflang", "Plain"), ("xlink:title", "Plain"),
+])
+def test_attributes_outside_the_url_list_are_typed_by_name(html, name, attr):
+    state, _ = feed(html, f"<a {name}=")
+    assert state.context[2] == attr
+
+
+# Values an attacker controls in attributes the tables once typed Plain or
+# missed as URLs. Each either fails to compile at the interpolation or has its
+# URL filtered, in the plan and in the dynamic engine alike.
+@pytest.mark.parametrize("line, value, expected", [
+    ('<button onclick="f(${x})">', "1);alert(2", "(Attr, _, Js, Double)"),
+    ('<iframe srcdoc="${x}">', "<script>alert(3)</script>", "(Attr, _, Deny, Double)"),
+    ('<object data="${x}">', "javascript:alert(4)", '<object data="about:invalid#blocked">'),
+    ('<svg><a xlink:href="${x}">', "javascript:alert(7)",
+     '<svg><a xlink:href="about:invalid#blocked">'),
+    ('<img srcset="${x}">', "javascript:alert(8)", "(Attr, _, Deny, Double)"),
+], ids=["probe2-onclick", "probe3-srcdoc", "probe4-object-data", "probe7-xlink-href",
+        "probe8-srcset"])
+def test_attribute_probes_fail_closed(html, line, value, expected):
+    source = f'tag: html\n"{line}\n'
+    plan, diags = compile_template(source, "p.tpl")
+    bindings = Bindings({"x": value})
+    if expected.startswith("("):
+        where = f"p.tpl:2:{line.index('${') + 2}"
+        assert plan is None
+        assert [str(d) for d in diags] == [
+            f"{where}: error: interpolation not allowed in this context: {expected}"]
+        with pytest.raises(RenderError) as exc:
+            render_full(program_of(source, "p.tpl"), bindings, html)
+        assert str(exc.value.position) == where
+    else:
+        assert diags == []
+        assert execute_plan(plan, bindings)[0].text == expected + "\n"
+        assert render_full(program_of(source, "p.tpl"), bindings, html)[0].text == expected + "\n"
