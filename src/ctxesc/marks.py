@@ -10,6 +10,9 @@ EXPR_START = "ExprStart"
 EXPR_END = "ExprEnd"
 
 MARK_KINDS = (MSG_START, MSG_END, EXPR_START, EXPR_END)
+# the kinds table rows emit into literal text, and so the only ones a compiled
+# plan holds; Collector.append_value adds the Expr marks around each value
+LITERAL_MARK_KINDS = (MSG_START, MSG_END)
 
 
 class Mark(FrozenRecord):

@@ -20,7 +20,7 @@ from collections.abc import Callable
 from .diagnostics import PlanError, Position, RenderError
 from .escapers import chain
 from .escapers import get as get_escaper
-from .marks import EXPR_END, EXPR_START, MARK_KINDS, MSG_END, MSG_START, Mark
+from .marks import EXPR_END, EXPR_START, LITERAL_MARK_KINDS, MSG_END, MSG_START, Mark
 from .records import Record
 from .values import EscapeError, SafeContent, bindings_from_json, truthy
 
@@ -315,7 +315,7 @@ def _plan_from_doc(doc) -> CompiledPlan:
     for row in rows:
         # bool is an int subclass, and no compiled plan holds true or false
         if not (isinstance(row, dict) and isinstance(row.get("at"), list)
-                and type(row.get("offset")) is int and row.get("kind") in MARK_KINDS
+                and type(row.get("offset")) is int and row.get("kind") in LITERAL_MARK_KINDS
                 and isinstance(row.get("id", ""), str)):
             raise PlanError(f"malformed mark row: {row!r}")
         node = plan.body

@@ -367,8 +367,9 @@ class _Parser:
                 self.err(idx, f"bad substitution cell {cell!r}")
                 return None, ()
             kind, arg = m.group(1), m.group(2)
-            if kind not in marks.MARK_KINDS:
-                self.err(idx, f"unknown event kind {kind!r}")
+            if kind not in marks.LITERAL_MARK_KINDS:
+                self.err(idx, f"event kind {kind!r} is added only around rendered values"
+                         if kind in marks.MARK_KINDS else f"unknown event kind {kind!r}")
                 return None, ()
             if arg and arg.startswith("$"):
                 events.append(Event(kind, group=int(arg[1:])))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, program_of
 from ctxesc.compiler import compile_template
 from ctxesc.diagnostics import PlanError, RenderError, has_errors
-from ctxesc.marks import MARK_KINDS
+from ctxesc.marks import LITERAL_MARK_KINDS, MARK_KINDS
 from ctxesc import plan as plan_mod
 from ctxesc.marks import Mark
 from ctxesc.plan import (
@@ -252,8 +252,16 @@ def test_values_no_compiled_plan_holds_are_rejected(doc):
         plan_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("kind", ["ExprStart", "ExprEnd"])
+def test_render_time_marks_in_a_plan_are_rejected(kind):
+    # Collector.append_value adds these around each value at render time; a
+    # plan that carried them would report a value where the render made none
+    with pytest.raises(PlanError, match="malformed mark row"):
+        plan_from_json(json.dumps(_lit_doc(kind=kind)))
+
+
 def test_every_mark_kind_and_a_dotted_path_load():
-    for kind in MARK_KINDS:
+    for kind in LITERAL_MARK_KINDS:
         plan = plan_from_json(json.dumps(_lit_doc(kind=kind)))
         assert plan.body[0].marks == (Mark(kind, 0),)
     plan = plan_from_json(json.dumps({"language": "html", "body": [

@@ -80,6 +80,10 @@ RULES = MINIMAL + "[rules]\n"  # a row appended to RULES is line 7
     (RULES + "| A | `x` | `abc | _ |\n", 7, "rule row has 3 columns; expected 4 or 5"),
     (RULES + "| A | `x` | junk | _ |\n", 7, "bad substitution cell 'junk'"),
     (RULES + "| A | `x` | !Bogus | _ |\n", 7, "unknown event kind 'Bogus'"),
+    (RULES + "| A | `x` | !ExprStart | _ |\n", 7,
+     "event kind 'ExprStart' is added only around rendered values"),
+    (RULES + "| A | `x` | !ExprEnd | _ |\n", 7,
+     "event kind 'ExprEnd' is added only around rendered values"),
     (RULES + "| A | `x` | | B; launch(Url) |\n", 7, "bad subsidiary action 'launch(Url)'"),
     (RULES + "| A | `x` |\n", 7, "rule row has 2 columns; expected 4 or 5"),
     (RULES + "| A | `x` | | _ | W: a | b |\n", 7, "rule row has 6 columns; expected 4 or 5"),
