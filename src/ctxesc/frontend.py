@@ -20,9 +20,9 @@ import re
 from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, Position, Severity, error
-from .plan import PATH_RE
+from .plan import _NAME, PATH_RE
 
-_FOR_RE = re.compile(r"for\s+([A-Za-z_]\w*)\s+of\s+(\S+)\s*\{$")
+_FOR_RE = re.compile(rf"for\s+({_NAME})\s+of\s+(\S+)\s*\{{$")
 _IF_RE = re.compile(r"if\s+(\S+)\s*\{$")
 _ELSE_RE = re.compile(r"\}\s*else\s*\{$")
 _END_RE = re.compile(r"\}$")

@@ -1,10 +1,12 @@
 import hashlib
+import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import LIST_TEMPLATE
-from ctxesc.diagnostics import Position, Severity, error
+from ctxesc.diagnostics import PlanError, Position, Severity, error
 from ctxesc.frontend import (
     MAX_BLOCK_DEPTH,
     PATH_RE,
@@ -18,6 +20,7 @@ from ctxesc.frontend import (
     parse_template,
     walk,
 )
+from ctxesc.plan import plan_from_json
 from support import STRUCTURE_CORPUS, nested_loops, random_template
 
 STORY = """tag: story
@@ -324,3 +327,17 @@ def test_if_else_chains_count_toward_the_bound():
     ir, diags = parse_template(src)
     assert ir is None and len(diags) == 1
     assert diags[0].position.line == MAX_BLOCK_DEPTH + 3
+
+
+@pytest.mark.parametrize("var", ["item", "_i2", "x_1", "\u00e9t\u00e9", "a\u0663", "1a", "\u00e9",
+                                 "a-b", "a.b", "$a"])
+def test_the_parser_and_the_plan_loader_accept_the_same_loop_variables(var):
+    ir, _ = parse_template(f"tag: html\n:for {var} of xs {{\n:}}\n")
+    try:
+        plan_from_json(json.dumps({"language": "html", "body": [
+            {"for": {"var": var, "path": "xs", "body": []}}]}))
+    except PlanError:
+        loads = False
+    else:
+        loads = True
+    assert (ir is not None) == loads
