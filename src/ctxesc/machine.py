@@ -223,7 +223,8 @@ class _Run:
         self.out_len = 0
         self.marks: list[Mark] = []
         self.diags: list[Diagnostic] = []
-        self._pos = (state.pending_pos if state.pending else pos) or pos or Position("<input>", 1, 1)
+        self._pos = ((state.pending_pos if state.pending else pos) or pos
+                     or Position("<input>", 1, 1))
         self._off = 0
         self._anchors = state.pending_at if state.pending else ()
         self._consumed: list[str] = []
@@ -317,9 +318,10 @@ class _Run:
             if row is not None:
                 rule, successor = row
                 _op_count += 1
-                if successor == lvl.context and rule.action is None and rule.severity is not Severity.ERROR:
-                    self._diag(Severity.ERROR, f"{rule.trigger} rule at {lvl.table.filename}:{rule.line} "
-                                               "does not change the context (table bug)")
+                if (successor == lvl.context and rule.action is None
+                        and rule.severity is not Severity.ERROR):
+                    self._diag(Severity.ERROR, f"{rule.trigger} rule at {lvl.table.filename}:"
+                               f"{rule.line} does not change the context (table bug)")
                 else:
                     self._fire(i, rule, successor, None, "")
                 streak += 1
@@ -414,9 +416,8 @@ class _Run:
         root = self._levels[0]
         if self.error is not None:
             return MachineState(tuple(root.context), error=self.error)
-        frames = tuple(
-            Frame(lvl.machine_name, lvl.codec_name, tuple(lvl.context), lvl.pending)
-            for lvl in self._levels[1:])
+        frames = tuple(Frame(lvl.machine_name, lvl.codec_name, tuple(lvl.context), lvl.pending)
+                       for lvl in self._levels[1:])
         pending = root.pending
         if not pending:
             return MachineState(context=tuple(root.context), frames=frames)
