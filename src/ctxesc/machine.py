@@ -98,17 +98,15 @@ class Frame(FrozenRecord):
 
 
 class MachineState(FrozenRecord):
-    """``pending_pos`` is where the held-back text starts in the template,
-    and ``pending_at`` where each later chunk it spans starts, as (offset in
-    pending, template position). Copies keep both; ``==``, hashing and repr
-    leave them out."""
+    """``pending_pos`` is where held-back text starts in the template and
+    ``pending_at`` where each later chunk of it starts, as (offset in pending,
+    position). Copies keep both; ``==``, hashing and repr leave them out."""
 
     _fields = ("context", "pending", "frames", "error")
     __slots__ = (*_fields, "pending_pos", "pending_at")
 
-    def __init__(self, context: tuple[str, ...], pending: str = "", frames: tuple[Frame, ...] = (),
-                 error: str | None = None, pending_pos: Position | None = None,
-                 pending_at: tuple[tuple[int, Position], ...] = ()):
+    def __init__(self, context: tuple[str, ...], pending: str = "", frames: tuple = (),
+                 error: str | None = None, pending_pos: Position | None = None, pending_at=()):
         _set(self, "context", context)
         _set(self, "pending", pending)
         _set(self, "frames", frames)
@@ -193,10 +191,6 @@ class _Level:
         self.rows = table.rows(context)
         self.pending = pending
 
-    def enter(self, context) -> None:
-        self.context = context
-        self.rows = self.table.rows(context)
-
 
 class _Run:
     """Mutable working form of a MachineState for one step call.
@@ -280,7 +274,8 @@ class _Run:
         self._emit_from(i, text if rule.substitution is None else rule.substitution)
         if severity is Severity.WARNING:
             self._diag(severity, rule.message)
-        self._levels[i].enter(successor)
+        lvl = self._levels[i]
+        lvl.context, lvl.rows = successor, lvl.table.rows(successor)
         if action is not None and action.kind == "start":
             if i != len(self._levels) - 1:
                 self._diag(Severity.ERROR, "subsidiary started while another is active (table bug)")
@@ -291,22 +286,12 @@ class _Run:
 
     # -- stepping ----------------------------------------------------------
 
-    def feed(self, chunk: str, pos: Position | None) -> None:
-        lvl = self._levels[0]
-        if pos is not None:
-            if lvl.pending:  # feed runs first, so stream offsets are pending offsets
-                self._anchors += ((len(lvl.pending), pos),)
-            else:
-                self._pos = pos
-        lvl.pending += chunk
-
     def drain(self, flushing: bool, min_level: int = 0, at_interp: bool = False) -> None:
-        """Fire rows and consume held-back text until nothing moves. Each
-        turn fires the innermost machine's epsilon row (with ``at_interp``,
-        all text flushed, its interp row if it has no epsilon row), or else
-        consumes: through ``_consume_at`` from ``min_level`` outward while a
-        subsidiary is active, here while the root runs alone, until a row
-        needs ``_fire`` or the new context has an epsilon or interp row."""
+        """Fire rows and consume held-back text until nothing moves. Each turn
+        fires the innermost machine's epsilon row (with ``at_interp``, all text
+        flushed, else its interp row) or consumes: via ``_consume_at`` while a
+        subsidiary is active, else here, until a row needs ``_fire`` or the new
+        context has an epsilon or interp row."""
         global _op_count
         levels = self._levels
         streak = 0
@@ -358,7 +343,7 @@ class _Run:
                 out.append(text)
                 self.out_len += len(text)
                 consumed.append(text)
-                if rule is not None:
+                if rule is not None and successor != lvl.context:
                     lvl.context, lvl.rows = successor, table.rows(successor)
                     rows = lvl.rows
                     if rows.epsilon or (at_interp and rows.interp):
@@ -377,62 +362,79 @@ class _Run:
                            f"{lvl.table.end_message(lvl.context)}")
 
     def _consume_at(self, i: int, flushing: bool) -> bool:
+        """One consuming step at level ``i``; an enclosing level moves units of
+        its text inward until one of its rows matches, as a drain turn per unit
+        would (a decoded unit moves no context, so no epsilon row can fire)."""
         global _op_count
         lvl = self._levels[i]
         pending = lvl.pending
-        if not flushing and len(pending) < lvl.table.lookahead:
+        hold = 0 if flushing else lvl.table.lookahead
+        if len(pending) < hold:
             return False
-        for rule, match, successor in lvl.rows.regex:
-            m = match(pending)
-            if m and m.end() > 0:
+        inner = self._levels[i + 1] if i < len(self._levels) - 1 else None
+        while True:
+            for rule, match, successor in lvl.rows.regex:
+                m = match(pending)
+                if m and m.end() > 0:
+                    _op_count += 1
+                    lvl.pending = pending
+                    if inner is not None:
+                        self.drain(flushing=True, min_level=i + 1)
+                        if self.error is not None:
+                            return True
+                    text = m.group(0)
+                    self._fire(i, rule, successor, m, text)
+                    lvl.pending = pending[len(text):]
+                    if i == 0:
+                        self._consumed.append(text)
+                    return True
+            if inner is None:  # implicit default: copy one character
                 _op_count += 1
-                if i < len(self._levels) - 1:
-                    self.drain(flushing=True, min_level=i + 1)
-                    if self.error is not None:
-                        return True
-                text = m.group(0)
-                self._fire(i, rule, successor, m, text)
-                lvl.pending = pending[len(text):]
-                if i == 0:
-                    self._consumed.append(text)
+                self._emit_from(i, pending[0])
+                lvl.pending = pending[1:]
                 return True
-        if i < len(self._levels) - 1:
-            inner = self._levels[i + 1]
             n, out, warn = inner.codec.decode_unit(pending)
             if warn:
                 self._diag(Severity.WARNING, warn)
             inner.pending += out
-            lvl.pending = pending[n:]
             if i == 0:
                 self._consumed.append(pending[:n])
-            return True
-        # Implicit default at the innermost level: copy one character.
-        _op_count += 1
-        self._emit_from(i, pending[0])
-        lvl.pending = pending[1:]
-        return True
+            pending = pending[n:]
+            if not pending or len(pending) < hold:
+                lvl.pending = pending
+                return True
 
     def freeze(self) -> MachineState:
-        root = self._levels[0]
+        levels = self._levels
+        root = levels[0]
         if self.error is not None:
-            return MachineState(tuple(root.context), error=self.error)
-        frames = tuple(Frame(lvl.machine_name, lvl.codec_name, tuple(lvl.context), lvl.pending)
-                       for lvl in self._levels[1:])
-        pending = root.pending
-        if not pending:
-            return MachineState(context=tuple(root.context), frames=frames)
+            return MachineState(tuple(root.context), "", (), self.error)
+        frames = () if len(levels) == 1 else tuple([Frame(
+            lvl.machine_name, lvl.codec_name, lvl.context, lvl.pending) for lvl in levels[1:]])
+        if not root.pending:
+            return MachineState(tuple(root.context), "", frames)
         pos = self.pos  # folds, so _off is where the pending text starts
-        return MachineState(context=tuple(root.context), pending=pending, frames=frames,
-                            pending_pos=pos, pending_at=tuple(
-                                (off - self._off, at) for off, at in self._anchors))
+        return MachineState(tuple(root.context), root.pending, frames, None, pos, tuple(
+            (off - self._off, at) for off, at in self._anchors))
 
 
 def step_fixed(machine: Machine, state: MachineState, chunk: str,
                pos: Position | None = None) -> StepResult:
     """Consume a fixed chunk. An errored state absorbs input and emits
-    nothing."""
+    nothing. The chunk joins the held-back text first, anchored at ``pos``;
+    while the root runs alone, holds back less than its lookahead and has no
+    epsilon row, nothing can fire or consume, and that is the result."""
+    held, table = state.pending, machine.root_table
+    if held:
+        at = state.pending_at if pos is None else state.pending_at + ((len(held), pos),)
+        start = state.pending_pos or pos or Position("<input>", 1, 1)
+    else:
+        at, start = (), pos or Position("<input>", 1, 1)
+    state = MachineState(state.context, held + chunk, state.frames, state.error, start, at)
+    if (state.error is None and not state.frames and len(state.pending) < table.lookahead
+            and table.rows(state.context).epsilon is None):
+        return StepResult(state, "", (), [])
     run = _Run(machine, state, pos)
-    run.feed(chunk, pos)
     run.drain(flushing=False)
     return StepResult(run.freeze(), "".join(run.out), tuple(run.marks), run.diags)
 
@@ -458,8 +460,7 @@ def step_interp(machine: Machine, state: MachineState,
     emitted = "".join(run.out)
     emitted_marks = tuple(run.marks)
     if run.error is not None:
-        return InterpResult(site, site, emitted, emitted_marks, (), "", "",
-                            run.diags, error=True)
+        return InterpResult(site, site, emitted, emitted_marks, (), "", "", run.diags, True)
 
     chain: list[str] = []
     map_pres: list[tuple[int, str]] = []
@@ -473,9 +474,7 @@ def step_interp(machine: Machine, state: MachineState,
                 msg = (f"no escaper mapping for enclosing {lvl.table.name} context "
                        f"({context_str(lvl.context)})")
             run._diag(Severity.ERROR, msg)
-            bad = run.freeze()
-            return InterpResult(bad, site, emitted, emitted_marks, (), "", "",
-                                run.diags, error=True)
+            return InterpResult(run.freeze(), site, emitted, emitted_marks, (), "", "", run.diags, True)
         row, successor = lvl.rows.escape
         _op_count += 1
         chain.extend(row.escapers)
@@ -483,11 +482,11 @@ def step_interp(machine: Machine, state: MachineState,
             map_pres.append((li, row.pre))
         if row.post:
             map_posts.append((li, row.post))
-        lvl.enter(successor)
+        lvl.context, lvl.rows = successor, lvl.table.rows(successor)
 
-    map_pres.sort(key=lambda t: t[0])  # outer delimiters wrap inner ones
-    pre = "".join(run._encode_text(li, t) for li, t in map_pres)
-    post = "".join(run._encode_text(li, t) for li, t in map_posts)
+    # outer delimiters wrap inner ones
+    pre = "".join([run._encode_text(li, t) for li, t in reversed(map_pres)])
+    post = "".join([run._encode_text(li, t) for li, t in map_posts])
     return InterpResult(run.freeze(), site, emitted, emitted_marks, tuple(chain),
                         pre, post, run.diags, error=False)
 
