@@ -4,7 +4,8 @@ Each table resolves a context's rows once: the matching regex rows with
 their successor contexts, and the first epsilon, interp and escape row.
 These tests check that memo against a plain linear scan over the table's
 rules, and pin every diagnostic's position across a fixed input set, so a
-position the lazy fold shifted shows up as a changed digest.
+position the lazy fold shifted shows up as a changed digest. A last pin
+covers long literal text inside subsidiary machines.
 """
 
 import hashlib
@@ -12,9 +13,10 @@ import random
 
 import pytest
 
-from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE
+from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, program_of
+from ctxesc import machine as machine_mod
 from ctxesc import web
-from ctxesc.compiler import analyze_template
+from ctxesc.compiler import analyze_template, compile_template
 from ctxesc.diagnostics import RenderError
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.tables import TRIGGER_EPSILON, TRIGGER_INTERP, TRIGGER_REGEX
@@ -150,3 +152,48 @@ def test_held_back_text_is_positioned_from_its_own_line(lines, where):
         ("analyze", "warning", _MALFORMED_REF, f"t.tpl:{where}"),
         ("render", "warning", _MALFORMED_REF, f"t.tpl:{where}"),
     ]
+
+
+# -- nested-machine work, pinned ------------------------------------------------------
+
+# Long literal text inside subsidiary machines, one and two levels deep: a
+# style element body full of url()s (Css, then Url), many lines of literal
+# URL and style attribute values (Url and Css behind the HTML entity codec),
+# a malformed "&#" in a URL attribute on a later line, and an interpolation
+# inside a style attribute's url().
+NESTED_TEMPLATES = [
+    'tag: html\n"<style>\n' + "".join(
+        f"\"  .c{i} {{ background: url('/img/{i}.png?v=1') no-repeat; color: red; }}\n"
+        for i in range(120)) + '"</style>\n"<p>${x}</p>\n',
+    'tag: html\n' + "".join(
+        f'"<a href="https://example.com/p/{i}?a=1&amp;b=2#f" style="color: red">t{i}</a>\n'
+        for i in range(120)) + '"<b title=${x}>e</b>\n',
+    'tag: html\n"<a href="https://example.com/?a=1\n"&amp;b=2\n"&#c#f">t</a>\n"<p>${x}</p>\n',
+    'tag: html\n"<div style="background: url(${x})">d</div>\n',
+]
+
+# Per template: the transition_op_count deltas of compile_template and of
+# render_full, the sha256 of all plans' JSON, and every diagnostic_rows row,
+# recorded on the machine that consumed nested text one step per drain turn.
+PINNED_NESTED_OPS = [(1214, 1214), (3252, 3252), (28, 28), (22, 22)]
+PINNED_NESTED_PLANS_SHA256 = "edebc473c420280e7feaea16700ee6b32bf04cb4b75f6c6c40dc140c62094d2d"
+PINNED_NESTED_DIAGNOSTICS = [
+    ("analyze", "warning", _MALFORMED_REF, "n2.tpl:4:2"),
+    ("render", "warning", _MALFORMED_REF, "n2.tpl:4:2"),
+]
+
+
+def test_nested_machine_work_is_pinned(html):
+    ops, digest, diagnostics = [], hashlib.sha256(), []
+    for i, source in enumerate(NESTED_TEMPLATES):
+        before = machine_mod.transition_op_count()
+        plan, _ = compile_template(source, f"n{i}.tpl")
+        compile_ops = machine_mod.transition_op_count() - before
+        digest.update(plan.to_json().encode("utf-8"))
+        before = machine_mod.transition_op_count()
+        render_full(program_of(source), Bindings({"x": "v"}), html)
+        ops.append((compile_ops, machine_mod.transition_op_count() - before))
+        diagnostics += diagnostic_rows(source, {"x": "v"}, f"n{i}.tpl")
+    assert ops == PINNED_NESTED_OPS
+    assert digest.hexdigest() == PINNED_NESTED_PLANS_SHA256
+    assert diagnostics == PINNED_NESTED_DIAGNOSTICS
