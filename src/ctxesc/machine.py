@@ -6,13 +6,15 @@ Machine states are immutable values; stepping produces a new state. Between
 steps a machine may hold back a bounded amount of unconsumed text so regex
 matching is independent of how fixed text is chunked.
 
-One loop, ``_Run.drain``, steps a thawed state: it fires epsilon rows and
-consumes text, in place while the root machine runs alone, through
-``_consume_at`` while a subsidiary is active. Rows that only emit their
-matched text and move the context are applied in the loop; ``_Run._fire``
-applies every other row, whatever its trigger. At an interpolation site the
-machine flushes held-back text, fires epsilon and interp rows (epsilon
-first), then reads escaper-map rows from the innermost machine outward.
+One loop, ``_Run.drain``, steps a thawed state: it fires the innermost
+machine's epsilon rows and consumes that machine's text, at any nesting
+depth. Rows that only emit their matched text and move the context are
+applied in the loop; ``_Run._fire`` applies every other row, whatever its
+trigger. Text an enclosing machine holds back moves inward through
+``_consume_at``, one decoded unit at a time, until one of that machine's own
+rows matches. At an interpolation site the machine flushes held-back text,
+fires epsilon and interp rows (epsilon first), then reads escaper-map rows
+from the innermost machine outward.
 """
 
 from __future__ import annotations
@@ -244,13 +246,6 @@ class _Run:
             text = self._levels[j].codec.encode(text)
         return text
 
-    def _emit_from(self, i: int, text: str) -> None:
-        if text:
-            if i:
-                text = self._encode_text(i, text)
-            self.out.append(text)
-            self.out_len += len(text)
-
     def _diag(self, severity: Severity, message: str) -> None:
         self.diags.append(Diagnostic(severity, message, self.pos))
         if severity is Severity.ERROR and self.error is None:
@@ -271,7 +266,13 @@ class _Run:
             for ev in rule.events:
                 ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
                 self.marks.append(Mark(ev.kind, self.out_len, ident))
-        self._emit_from(i, text if rule.substitution is None else rule.substitution)
+        if rule.substitution is not None:
+            text = rule.substitution
+        if text:
+            if i:
+                text = self._encode_text(i, text)
+            self.out.append(text)
+            self.out_len += len(text)
         if severity is Severity.WARNING:
             self._diag(severity, rule.message)
         lvl = self._levels[i]
@@ -289,9 +290,9 @@ class _Run:
     def drain(self, flushing: bool, min_level: int = 0, at_interp: bool = False) -> None:
         """Fire rows and consume held-back text until nothing moves. Each turn
         fires the innermost machine's epsilon row (with ``at_interp``, all text
-        flushed, else its interp row) or consumes: via ``_consume_at`` while a
-        subsidiary is active, else here, until a row needs ``_fire`` or the new
-        context has an epsilon or interp row."""
+        flushed, else its interp row), moves an enclosing level's text inward
+        (``_consume_at``), or consumes the innermost machine's own text here,
+        until a row needs ``_fire`` or the new context has an epsilon row."""
         global _op_count
         levels = self._levels
         streak = 0
@@ -316,12 +317,10 @@ class _Run:
                     return
                 continue
             streak = 0
-            if i:
-                for j in range(min_level, i + 1):
-                    if levels[j].pending and self._consume_at(j, flushing):
-                        break
-                else:
-                    return
+            j = min_level
+            while j < i and not (levels[j].pending and self._consume_at(j, flushing)):
+                j += 1
+            if j < i:
                 continue
             table, pending, out, consumed = lvl.table, lvl.pending, self.out, self._consumed
             hold = 0 if flushing else table.lookahead
@@ -337,16 +336,20 @@ class _Run:
                 pending = pending[len(text):]
                 if rule is not None and (rule.action or rule.events or rule.severity
                                          or rule.substitution is not None):
-                    self._fire(0, rule, successor, m, text)
-                    consumed.append(text)
+                    self._fire(i, rule, successor, m, text)
+                    if not i:
+                        consumed.append(text)
                     break
+                if i:
+                    text = self._encode_text(i, text)
+                else:
+                    consumed.append(text)
                 out.append(text)
                 self.out_len += len(text)
-                consumed.append(text)
                 if rule is not None and successor != lvl.context:
                     lvl.context, lvl.rows = successor, table.rows(successor)
                     rows = lvl.rows
-                    if rows.epsilon or (at_interp and rows.interp):
+                    if rows.epsilon:
                         break
             else:
                 lvl.pending = pending
@@ -362,37 +365,33 @@ class _Run:
                            f"{lvl.table.end_message(lvl.context)}")
 
     def _consume_at(self, i: int, flushing: bool) -> bool:
-        """One consuming step at level ``i``; an enclosing level moves units of
-        its text inward until one of its rows matches, as a drain turn per unit
-        would (a decoded unit moves no context, so no epsilon row can fire)."""
+        """Move enclosing level ``i``'s text inward unit by unit until one of
+        its rows matches, then drain the inner machines and fire that row, as
+        a drain turn per unit would (a decoded unit moves no context, so no
+        epsilon row can fire). False while ``i`` holds back less than its
+        lookahead."""
         global _op_count
         lvl = self._levels[i]
         pending = lvl.pending
         hold = 0 if flushing else lvl.table.lookahead
         if len(pending) < hold:
             return False
-        inner = self._levels[i + 1] if i < len(self._levels) - 1 else None
+        inner = self._levels[i + 1]
         while True:
             for rule, match, successor in lvl.rows.regex:
                 m = match(pending)
                 if m and m.end() > 0:
                     _op_count += 1
                     lvl.pending = pending
-                    if inner is not None:
-                        self.drain(flushing=True, min_level=i + 1)
-                        if self.error is not None:
-                            return True
+                    self.drain(flushing=True, min_level=i + 1)
+                    if self.error is not None:
+                        return True
                     text = m.group(0)
                     self._fire(i, rule, successor, m, text)
                     lvl.pending = pending[len(text):]
                     if i == 0:
                         self._consumed.append(text)
                     return True
-            if inner is None:  # implicit default: copy one character
-                _op_count += 1
-                self._emit_from(i, pending[0])
-                lvl.pending = pending[1:]
-                return True
             n, out, warn = inner.codec.decode_unit(pending)
             if warn:
                 self._diag(Severity.WARNING, warn)
