@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import re
-import urllib.parse
 from collections.abc import Callable
 
 from .records import FrozenRecord
@@ -81,8 +80,10 @@ def filter_url_prefix(value) -> str:
             return URL_REPLACEMENT
     if _URL_UNCHANGED(text):
         return text
+    # imported here so that a render whose URLs need no encoding never loads it
+    from urllib.parse import quote
     try:
-        return urllib.parse.quote(text, safe=_URL_SAFE)
+        return quote(text, safe=_URL_SAFE)
     except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
         raise EscapeError(f"cannot percent-encode URL value: {exc.reason} "
                           f"at index {exc.start}") from None

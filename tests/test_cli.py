@@ -118,21 +118,28 @@ def test_render_plan_loads_no_machine(workdir, capsys):
     compiled = capsys.readouterr()
     env = dict(os.environ, PYTHONIOENCODING="utf-8")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    # -X importtime lists every module the interpreter imports on stderr
-    result = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "ctxesc", "render", str(plan),
-         "--bindings", str(workdir / "b.json")],
-        cwd=workdir, env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == '<ul>\n  <li><a href="https://e.com">a&lt;b</a></li>\n</ul>\n'
-    imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+
+    def imports(*flags):
+        # -X importtime lists every module the interpreter imports on stderr
+        result = subprocess.run(
+            [sys.executable, *flags, "-X", "importtime", "-m", "ctxesc", "render", str(plan),
+             "--bindings", str(workdir / "b.json")],
+            cwd=workdir, env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == '<ul>\n  <li><a href="https://e.com">a&lt;b</a></li>\n</ul>\n'
+        return {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
+
+    imported = imports()
     assert {"ctxesc.cli", "ctxesc.plan", "ctxesc.escapers"} <= imported
     heavy = {"ctxesc.machine", "ctxesc.tables", "ctxesc.frontend", "ctxesc.web",
              "ctxesc.compiler"}
     assert not heavy & imported, sorted(heavy & imported)
     # the render path's records are plain slotted classes, not dataclasses
     assert not {"dataclasses", "inspect"} & imported
+    # without site, whose hooks may load it anyway, a URL that needs no
+    # percent-encoding leaves urllib.parse unloaded
+    assert "urllib.parse" not in imports("-S")
     assert compiled.err == ""
 
 
