@@ -5,28 +5,24 @@ parse state of the content language across fixed chunks and interpolation
 boundaries, and the compiler erases the machine into a plan of literal
 chunks plus statically chosen escaper chains.
 
-The public names below are imported from their submodules on first access
-(PEP 562), so importing the package, or rendering a plan through
-``ctxesc.plan``, loads neither the context machine nor its tables.
+The names below are what a user calls: compile, load, save and render a
+plan, extract and translate messages, and the diagnostics and errors those
+report. The front end, the machine, its tables and the dynamic engine are
+imported from their modules. Each name is imported from its submodule on
+first access (PEP 562), so importing the package, or rendering a plan
+through ``ctxesc.plan``, loads neither the context machine nor its tables.
 """
 
 import importlib
 
 _EXPORTS = {
-    "compiler": ("AnnotatedProgram", "analyze_template", "compile_template", "erase",
-                 "propagate"),
+    "compiler": ("compile_template",),
     "diagnostics": ("CompositionError", "Diagnostic", "PlanError", "Position",
                     "RenderError", "Severity", "TableError"),
-    "frontend": ("AppendProgram", "TemplateIR", "desugar", "parse_template"),
-    "i18n": ("apply_translation", "extract_messages", "substitute_placeholders"),
-    "machine": ("Machine", "MachineState", "build_machine", "finish", "is_valid_end",
-                "merge", "step_fixed", "step_interp", "transition_op_count"),
+    "i18n": ("apply_translation", "extract_messages"),
     "marks": ("Mark",),
     "plan": ("Bindings", "CompiledPlan", "execute_plan", "plan_from_json", "plan_to_json"),
-    "runtime": ("Accumulator", "render_full"),
-    "tables": ("TransitionTable", "parse_table", "validate_table"),
     "values": ("SafeContent",),
-    "web": ("html_machine", "machine_for_tag", "plain_text_machine"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

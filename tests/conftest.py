@@ -1,6 +1,7 @@
 import pytest
 
-from ctxesc import desugar, html_machine, parse_template, plain_text_machine
+from ctxesc.frontend import desugar, parse_template
+from ctxesc.web import html_machine, plain_text_machine
 from ctxesc.runtime import Bindings, render_full
 
 LIST_TEMPLATE = """tag: html
