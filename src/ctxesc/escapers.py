@@ -31,6 +31,11 @@ _URL_SCHEME_END = re.compile(r"[:/?#]").search
 _URL_UNCHANGED = re.compile("[%s]*" % re.escape(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~" + _URL_SAFE)).fullmatch
 
+# urllib.parse.quote, imported by the first value that needs percent-encoding,
+# so a render whose URLs need none never loads urllib.parse (an import
+# statement per call would cost more than the quoting)
+_quote = None
+
 _ALLOWED_SCHEMES = frozenset({"http", "https", "mailto", "tel", "ftp"})
 
 # Substituting instead of deleting keeps a rejected URL from turning the
@@ -80,10 +85,11 @@ def filter_url_prefix(value) -> str:
             return URL_REPLACEMENT
     if _URL_UNCHANGED(text):
         return text
-    # imported here so that a render whose URLs need no encoding never loads it
-    from urllib.parse import quote
+    global _quote
+    if _quote is None:
+        from urllib.parse import quote as _quote
     try:
-        return quote(text, safe=_URL_SAFE)
+        return _quote(text, safe=_URL_SAFE)
     except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
         raise EscapeError(f"cannot percent-encode URL value: {exc.reason} "
                           f"at index {exc.start}") from None
