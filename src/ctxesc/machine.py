@@ -317,11 +317,12 @@ class _Run:
                     return
                 continue
             streak = 0
-            j = min_level
-            while j < i and not (levels[j].pending and self._consume_at(j, flushing)):
-                j += 1
-            if j < i:
-                continue
+            if i:
+                j = min_level
+                while j < i and not (levels[j].pending and self._consume_at(j, flushing)):
+                    j += 1
+                if j < i:
+                    continue
             table, pending, out, consumed = lvl.table, lvl.pending, self.out, self._consumed
             hold = 0 if flushing else table.lookahead
             while pending and len(pending) >= hold:
@@ -368,8 +369,7 @@ class _Run:
         """Move enclosing level ``i``'s text inward unit by unit until one of
         its rows matches, then drain the inner machines and fire that row, as
         a drain turn per unit would (a decoded unit moves no context, so no
-        epsilon row can fire). False while ``i`` holds back less than its
-        lookahead."""
+        epsilon row fires). False if ``i`` holds back less than its lookahead."""
         global _op_count
         lvl = self._levels[i]
         pending = lvl.pending
