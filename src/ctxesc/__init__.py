@@ -5,11 +5,8 @@ parse state of the content language across fixed chunks and interpolation
 boundaries, and the compiler erases the machine into a plan of literal
 chunks plus statically chosen escaper chains.
 
-The names below are what a user calls: compile, load, save and render a
-plan, extract and translate messages, and the diagnostics and errors those
-report. The front end, the machine, its tables and the dynamic engine are
-imported from their modules. Each name is imported from its submodule on
-first access (PEP 562), so importing the package, or rendering a plan
+The names below, the ones a user calls, are imported from their submodules
+on first access (PEP 562), so importing the package, or rendering a plan
 through ``ctxesc.plan``, loads neither the context machine nor its tables.
 """
 

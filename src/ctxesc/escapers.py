@@ -31,9 +31,8 @@ _URL_SCHEME_END = re.compile(r"[:/?#]").search
 _URL_UNCHANGED = re.compile("[%s]*" % re.escape(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~" + _URL_SAFE)).fullmatch
 
-# urllib.parse.quote, imported by the first value that needs percent-encoding,
-# so a render whose URLs need none never loads urllib.parse (an import
-# statement per call would cost more than the quoting)
+# urllib.parse.quote, bound once by the first value that needs percent-encoding
+# (an import per call costs more than the quoting); other renders never load it
 _quote = None
 
 _ALLOWED_SCHEMES = frozenset({"http", "https", "mailto", "tel", "ftp"})

@@ -1,8 +1,8 @@
 import pytest
 
 from ctxesc.frontend import desugar, parse_template
-from ctxesc.web import html_machine, plain_text_machine
 from ctxesc.runtime import Bindings, render_full
+from ctxesc.web import html_machine, plain_text_machine
 
 LIST_TEMPLATE = """tag: html
 "<ul>
