@@ -154,6 +154,39 @@ def test_held_back_text_is_positioned_from_its_own_line(lines, where):
     ]
 
 
+_URL_OPEN = "nested css content ended prematurely: CSS url( is never closed"
+_CSS_STRING_OPEN = "nested css content ended prematurely: CSS string is never closed"
+_CLOSE_TAG_ATTR = "HTML attribute in close tag"
+
+
+# Diagnostics fired while a subsidiary machine runs or is popped: a nested
+# machine cut off by its attribute's closing quote or by the end of a style
+# element, malformed references decoded on their way into CSS and URL
+# machines, and close-tag warnings on lines that continue a tag. Each fires
+# once at analysis and once at render, at the same position.
+@pytest.mark.parametrize("source, expected", [
+    ('tag: html\n"<p style="a: url(x">\n"${x}</p>\n', [(_URL_OPEN, "2:20")]),
+    ('tag: html\n"<b>t</b>\n"<p style="content: \'x">\n"${x}</p>\n',
+     [(_CSS_STRING_OPEN, "3:23")]),
+    ('tag: html\n"<b>t</b>\n"<p id="abc" style="bg: url(\'&#;x&#;\')">\n"${x}</p>\n',
+     [(_MALFORMED_REF, "3:30"), (_MALFORMED_REF, "3:34")]),
+    ('tag: html\n"<style>p { background: url(x</style>\n"<p>${x}</p>\n',
+     [(_URL_OPEN, "2:30")]),
+    ('tag: html\n"<p style="a: url(${x}">\n', [(_URL_OPEN, "2:23")]),
+    ('tag: html\n"<a href="/p?a=1\n"xy&amp;b=2&#;" style="a:\n"ab&#;c;\n"&#;&#;">${x}</a>\n',
+     [(_MALFORMED_REF, "3:12"), (_MALFORMED_REF, "4:4"),
+      (_MALFORMED_REF, "5:2"), (_MALFORMED_REF, "5:5")]),
+    ('tag: html\n"<i>a</i\n"  "x">ab</b "y">\n"${x}</i "z">\n',
+     [(_CLOSE_TAG_ATTR, "3:4"), (_CLOSE_TAG_ATTR, "3:14"), (_CLOSE_TAG_ATTR, "4:10")]),
+], ids=["url-cut-by-quote", "css-string-cut-by-quote", "refs-in-css-url",
+        "url-cut-by-style-end", "url-cut-after-interp", "refs-across-lines",
+        "close-tag-attrs"])
+def test_nested_machine_diagnostics_are_positioned(source, expected):
+    assert diagnostic_rows(source, {"x": "v"}, "t.tpl") == [
+        (stage, "warning", message, f"t.tpl:{where}")
+        for stage in ("analyze", "render") for message, where in expected]
+
+
 # -- nested-machine work, pinned ------------------------------------------------------
 
 # Long literal text inside subsidiary machines, one and two levels deep: a
