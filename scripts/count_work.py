@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Count the interpreter work of the compile and dynamic paths.
+
+Runs ``compile_template`` over each distinct template of the benchmark's
+``compile_pages`` batch (``perfbench.gen.compile_batch``) and ``render_full``
+over each of its (template, bindings) pairs, as the benchmark's compile and
+dynamic paths do. Each path runs twice, and the second, warm pass is
+counted: Python calls and C calls with ``sys.setprofile``, bytecode
+instructions with ``sys.settrace``. Unlike wall time, these counts
+are the same on every run of the same code, so they can tell apart two
+commits whose timings a busy host cannot. The defaults are the benchmark's
+batch sizes:
+
+    PYTHONPATH=src python scripts/count_work.py --seed 1
+"""
+
+import argparse
+import pathlib
+import sys
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+
+import checkout  # noqa: E402
+
+checkout.bootstrap()
+
+import gen  # noqa: E402
+from ctxesc.compiler import compile_template  # noqa: E402
+from ctxesc.frontend import desugar, parse_template  # noqa: E402
+from ctxesc.runtime import Bindings, render_full  # noqa: E402
+from ctxesc.web import html_machine  # noqa: E402
+
+
+def count_calls(run):
+    counts = {"call": 0, "c_call": 0}
+
+    def profile(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
+
+
+def count_opcodes(run):
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def trace(frame, event, arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(trace)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pages", type=int, default=8)
+    ap.add_argument("--page-bytes", type=int, default=4096)
+    ap.add_argument("--line-bytes", type=int, default=34 * 1024)
+    ap.add_argument("--corpus-values", type=int, default=5)
+    args = ap.parse_args()
+
+    batch = gen.compile_batch(args.seed, pages=args.pages, page_bytes=args.page_bytes,
+                              line_bytes=args.line_bytes, corpus_values=args.corpus_values)
+    machine = html_machine()
+    sources = list(dict.fromkeys(source for _, source, _ in batch))
+    programs = [(desugar(parse_template(source)[0]), Bindings(values))
+                for _, source, values in batch]
+
+    def compile_pass():
+        for source in sources:
+            compile_template(source)
+
+    def dynamic_pass():
+        for program, bindings in programs:
+            render_full(program, bindings, machine)
+
+    print(f"seed {args.seed}: {len(sources)} templates, {len(batch)} renders")
+    print(f"{'path':<8} {'python calls':>13} {'C calls':>10} {'opcodes':>11}")
+    for name, run in (("compile", compile_pass), ("dynamic", dynamic_pass)):
+        run()  # warm the table memo and the machine cache
+        calls, c_calls = count_calls(run)
+        print(f"{name:<8} {calls:>13,} {c_calls:>10,} {count_opcodes(run):>11,}")
+
+
+if __name__ == "__main__":
+    main()

@@ -25,6 +25,17 @@ def test_fuzz_script_passes(argv):
     assert "Traceback" not in result.stderr
 
 
+def test_count_work_counts_both_paths():
+    result = subprocess.run([sys.executable, "scripts/count_work.py", "--pages", "1",
+                             "--page-bytes", "512", "--line-bytes", "512",
+                             "--corpus-values", "1"],
+                            cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in result.stdout.splitlines()[2:]}
+    assert sorted(rows) == ["compile", "dynamic"]
+    assert all(int(n.replace(",", "")) > 0 for counts in rows.values() for n in counts)
+
+
 def test_benchmark_tests_pass():
     # the benchmark's tests put its checkout's src/ on sys.path themselves
     result = subprocess.run([sys.executable, "-m", "pytest", "-q", "perfbench"], cwd=ROOT,
