@@ -197,14 +197,14 @@ class _Level:
 class _Run:
     """Mutable working form of a MachineState for one step call.
 
-    The position of the root's unconsumed text is computed lazily: each
-    step appends the root text it consumed to ``_consumed``, and ``pos``
-    folds that list into ``_pos`` only when a diagnostic or ``freeze`` needs
-    it. ``Position.advance`` is associative over concatenation, so the fold
-    gives the position a step-by-step advance would. Held-back text may
-    span chunks fed from different template lines, so the fold restarts at
-    each chunk's own position (``_anchors``, keyed by offset in the root's
-    text stream; ``_off`` is the stream offset of ``_pos``)."""
+    The root's text is kept once, as ``_text`` at thaw. The root's
+    ``pending`` is consumed only from the front, nothing appends to it
+    during a run (``_consume_at`` appends to inner levels only), and every
+    path stores it before a diagnostic can fire; so the consumed text is
+    ``_text`` up to ``pending``. ``pos`` folds it into ``_pos`` only when a
+    diagnostic or ``freeze`` needs it (``Position.advance`` is associative
+    over concatenation), restarting at each fed chunk's own position
+    (``_anchors``, keyed by offset in ``_text``; ``_off`` is ``_pos``'s)."""
 
     def __init__(self, machine: Machine, state: MachineState, pos: Position | None):
         self.machine = machine
@@ -221,22 +221,18 @@ class _Run:
         self.diags: list[Diagnostic] = []
         self._pos = ((state.pending_pos if state.pending else pos) or pos
                      or Position("<input>", 1, 1))
+        self._text = state.pending
         self._off = 0
         self._anchors = state.pending_at if state.pending else ()
-        self._consumed: list[str] = []
 
     @property
     def pos(self) -> Position:
-        if self._consumed:
-            text = "".join(self._consumed)
-            self._consumed.clear()
-            start, pos, end = self._off, self._pos, self._off + len(text)
-            anchors = self._anchors
+        end = len(self._text) - len(self._levels[0].pending)
+        if end > self._off:
+            start, pos, anchors = self._off, self._pos, self._anchors
             while anchors and anchors[0][0] <= end:
                 (start, pos), anchors = anchors[0], anchors[1:]
-            self._anchors = anchors
-            self._pos = pos.advance(text[start - self._off:])
-            self._off = end
+            self._pos, self._off, self._anchors = pos.advance(self._text[start:end]), end, anchors
         return self._pos
 
     # -- output ------------------------------------------------------------
@@ -323,7 +319,7 @@ class _Run:
                     j += 1
                 if j < i:
                     continue
-            table, pending, out, consumed = lvl.table, lvl.pending, self.out, self._consumed
+            table, pending, out = lvl.table, lvl.pending, self.out
             hold = 0 if flushing else table.lookahead
             while pending and len(pending) >= hold:
                 for rule, match, successor in rows.regex:
@@ -334,17 +330,15 @@ class _Run:
                 else:  # implicit default: copy one character, keep the context
                     rule, text = None, pending[0]
                 _op_count += 1
-                pending = pending[len(text):]
                 if rule is not None and (rule.action or rule.events or rule.severity
                                          or rule.substitution is not None):
+                    lvl.pending = pending
                     self._fire(i, rule, successor, m, text)
-                    if not i:
-                        consumed.append(text)
+                    pending = pending[len(text):]
                     break
+                pending = pending[len(text):]
                 if i:
                     text = self._encode_text(i, text)
-                else:
-                    consumed.append(text)
                 out.append(text)
                 self.out_len += len(text)
                 if rule is not None and successor != lvl.context:
@@ -389,15 +383,12 @@ class _Run:
                     text = m.group(0)
                     self._fire(i, rule, successor, m, text)
                     lvl.pending = pending[len(text):]
-                    if i == 0:
-                        self._consumed.append(text)
                     return True
             n, out, warn = inner.codec.decode_unit(pending)
             if warn:
+                lvl.pending = pending
                 self._diag(Severity.WARNING, warn)
             inner.pending += out
-            if i == 0:
-                self._consumed.append(pending[:n])
             pending = pending[n:]
             if not pending or len(pending) < hold:
                 lvl.pending = pending
