@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import program_of
+from ctxesc import machine as machine_mod
 from ctxesc.compiler import compile_template, execute_plan
 from ctxesc.diagnostics import Position, RenderError
 from ctxesc.machine import finish, step_fixed, step_interp
@@ -218,3 +219,18 @@ def test_attribute_probes_fail_closed(html, line, value, expected):
         assert diags == []
         assert execute_plan(plan, bindings)[0].text == expected + "\n"
         assert render_full(program_of(source, "p.tpl"), bindings, html)[0].text == expected + "\n"
+
+
+# Literal text in a Js or Deny value is consumed a run at a time, as in a
+# Plain value: a 200-character value costs what it costs in a title.
+@pytest.mark.parametrize("quote", ['"', "'", ""], ids=["double", "single", "unquoted"])
+@pytest.mark.parametrize("name", ["onclick", "srcdoc", "srcset"])
+def test_js_and_deny_values_cost_what_plain_values_cost(quote, name):
+    def compile_ops(attr):
+        source = f'tag: html\n"<p {attr}={quote}{"a" * 200}{quote}>t</p>\n'
+        before = machine_mod.transition_op_count()
+        plan, diags = compile_template(source)
+        assert plan is not None and diags == []
+        return machine_mod.transition_op_count() - before
+
+    assert compile_ops(name) == compile_ops("title") == (14 if not quote else 15)
