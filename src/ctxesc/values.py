@@ -68,8 +68,11 @@ def truthy(value) -> bool:
 
 def _decode(obj):
     if isinstance(obj, dict):
-        if set(obj.keys()) == {"$safe", "content"}:
-            return SafeContent(str(obj["$safe"]), str(obj["content"]))
+        if "$safe" in obj:
+            language, content = obj["$safe"], obj.get("content")
+            if len(obj) != 2 or not isinstance(language, str) or not isinstance(content, str):
+                raise ValueError('a "$safe" binding must be {"$safe": string, "content": string}')
+            return SafeContent(language, content)
         return {k: _decode(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_decode(v) for v in obj]
@@ -80,8 +83,9 @@ def bindings_from_json(text: str) -> dict:
     """Parse a bindings document.
 
     The object form ``{"$safe": "html", "content": "..."}`` constructs
-    SafeContent and is trusted input by definition. A document nested past
-    the recursion limit is a ValueError like any other malformed one.
+    SafeContent and is trusted input by definition; any other object with a
+    ``$safe`` key is a ValueError. A document nested past the recursion
+    limit is a ValueError like any other malformed one.
     """
     try:
         obj = json.loads(text)

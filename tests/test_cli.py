@@ -196,6 +196,23 @@ def test_render_safe_content_two_contexts(workdir, capsys):
                        ">I &lt;3 <b>you</b></i>\n"), mode
 
 
+@pytest.mark.parametrize("value", [
+    {"$safe": "html", "content": {"a": 1}},
+    {"$safe": None, "content": "<b>x</b>"},
+    {"$safe": "html"},
+    {"$safe": "html", "content": "<b>x</b>", "note": "y"},
+    {"$safe": ["html"], "content": "<b>x</b>"},
+], ids=["content-object", "language-null", "no-content", "extra-key", "language-list"])
+def test_render_malformed_safe_binding_exit_two(workdir, capsys, value):
+    tpl, b = workdir / "safe.tpl", workdir / "safe.json"
+    tpl.write_text('tag: html\n"<p>${v}</p>\n', encoding="utf-8")
+    b.write_text(json.dumps({"v": value}), encoding="utf-8")
+    for mode in ("static", "dynamic"):
+        assert main(["render", str(tpl), "--bindings", str(b), "--mode", mode]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and '"$safe" binding must be' in out.err, mode
+
+
 def test_render_missing_binding_exit_one(workdir, capsys):
     empty = workdir / "empty.json"
     empty.write_text("{}", encoding="utf-8")
