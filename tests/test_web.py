@@ -1,10 +1,9 @@
 import pytest
 
 from conftest import program_of
-from ctxesc import machine as machine_mod
 from ctxesc.compiler import compile_template, execute_plan
 from ctxesc.diagnostics import Position, RenderError
-from ctxesc.machine import finish, step_fixed, step_interp
+from ctxesc.machine import finish, step_fixed, step_interp, transition_op_count
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.web import machine_for_tag
 from support import codec_decode, codec_encode
@@ -228,9 +227,9 @@ def test_attribute_probes_fail_closed(html, line, value, expected):
 def test_js_and_deny_values_cost_what_plain_values_cost(quote, name):
     def compile_ops(attr):
         source = f'tag: html\n"<p {attr}={quote}{"a" * 200}{quote}>t</p>\n'
-        before = machine_mod.transition_op_count()
+        before = transition_op_count()
         plan, diags = compile_template(source)
         assert plan is not None and diags == []
-        return machine_mod.transition_op_count() - before
+        return transition_op_count() - before
 
-    assert compile_ops(name) == compile_ops("title") == (14 if not quote else 15)
+    assert compile_ops(name) == compile_ops("title") == (15 if quote else 14)
