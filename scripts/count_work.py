@@ -6,10 +6,11 @@ Runs ``compile_template`` over each distinct template of the benchmark's
 over each of its (template, bindings) pairs, as the benchmark's compile and
 dynamic paths do. Each path runs twice, and the second, warm pass is
 counted: Python calls and C calls with ``sys.setprofile``, bytecode
-instructions with ``sys.settrace``. Unlike wall time, these counts
-are the same on every run of the same code, so they can tell apart two
-commits whose timings a busy host cannot. The defaults are the benchmark's
-batch sizes:
+instructions with ``sys.settrace``, and the pass's transition-table
+operations (``transition_op_count``), which a step memo must not change.
+Unlike wall time, these counts are the same on every run of the same code,
+so they can tell apart two commits whose timings a busy host cannot. The
+defaults are the benchmark's batch sizes:
 
     PYTHONPATH=src python scripts/count_work.py --seed 1
 """
@@ -27,6 +28,7 @@ checkout.bootstrap()
 import gen  # noqa: E402
 from ctxesc.compiler import compile_template  # noqa: E402
 from ctxesc.frontend import desugar, parse_template  # noqa: E402
+from ctxesc.machine import transition_op_count  # noqa: E402
 from ctxesc.runtime import Bindings, render_full  # noqa: E402
 from ctxesc.web import html_machine  # noqa: E402
 
@@ -94,11 +96,13 @@ def main():
             render_full(program, bindings, machine)
 
     print(f"seed {args.seed}: {len(sources)} templates, {len(batch)} renders")
-    print(f"{'path':<8} {'python calls':>13} {'C calls':>10} {'opcodes':>11}")
+    print(f"{'path':<8} {'python calls':>13} {'C calls':>10} {'opcodes':>11} {'transition ops':>15}")
     for name, run in (("compile", compile_pass), ("dynamic", dynamic_pass)):
         run()  # warm the table memo and the machine cache
+        before = transition_op_count()
         calls, c_calls = count_calls(run)
-        print(f"{name:<8} {calls:>13,} {c_calls:>10,} {count_opcodes(run):>11,}")
+        ops = transition_op_count() - before
+        print(f"{name:<8} {calls:>13,} {c_calls:>10,} {count_opcodes(run):>11,} {ops:>15,}")
 
 
 if __name__ == "__main__":

@@ -81,10 +81,10 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
     meets, re-emitting machine diagnostics with the source position of the
     offending append argument."""
     ann = AnnotatedProgram(machine=machine)
-    table, sink = machine.root_table, ann.diagnostics
+    table, sink, memo = machine.root_table, ann.diagnostics, {}
 
     def flush_into(state, items, pos):
-        r = machine_mod.finish(machine, state, pos)
+        r = machine_mod.finish(machine, state, pos, memo=memo)
         sink.extend(r.diagnostics)
         _emit_lit(items, r.emitted, r.marks)
         return r.state
@@ -110,7 +110,7 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 _emit_lit(items, r.emitted, r.marks)
                 state = r.state
             elif isinstance(node, AppendUnsafe):
-                r = machine_mod.step_interp(machine, state, node.pos)
+                r = machine_mod.step_interp(machine, state, node.pos, memo=memo)
                 ann.in_states[node] = r.site
                 sink.extend(r.diagnostics)
                 _emit_lit(items, r.emitted + r.pre, r.marks)

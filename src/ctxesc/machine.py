@@ -14,11 +14,14 @@ trigger. Text an enclosing machine holds back moves inward through
 ``_consume_at``, one decoded unit at a time, until one of that machine's own
 rows matches. At an interpolation site the machine flushes held-back text,
 fires epsilon and interp rows (epsilon first), then reads escaper-map rows
-from the innermost machine outward.
+from the innermost machine outward. ``finish`` and ``step_interp`` take a
+``memo`` that one compile or render owns: a step whose result holds no
+position (no diagnostics, error or held-back root text) is replayed after.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -33,7 +36,8 @@ _op_count = 0
 def transition_op_count() -> int:
     """Monotone counter of transition-table operations (rule applications,
     default copies, escaper-map lookups). Used to prove that compiled plans
-    never touch the machine."""
+    never touch the machine. A memo replay adds the ops its first run
+    counted, so the count does not depend on the memo."""
     return _op_count
 
 
@@ -259,6 +263,7 @@ class _Run:
             self._diag(severity, rule.message)
             return
         if rule.events:  # only root rows have events: build_machine checks
+            m = m and rule.regex.match(m.string)  # number groups as the rule's regex does
             for ev in rule.events:
                 ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
                 self.marks.append(Mark(ev.kind, self.out_len, ident))
@@ -322,13 +327,12 @@ class _Run:
             table, pending, out = lvl.table, lvl.pending, self.out
             hold = 0 if flushing else table.lookahead
             while pending and len(pending) >= hold:
-                for rule, match, successor in rows.regex:
-                    m = match(pending)
-                    if m and m.end() > 0:
-                        text = m.group(0)
-                        break
-                else:  # implicit default: copy one character, keep the context
-                    rule, text = None, pending[0]
+                m = rows.fused(pending)
+                if m and m.end():
+                    rule, successor = rows.won[m.lastindex]
+                else:  # a row matched empty, or none did
+                    rule, successor, m = rows.first_match(pending) if m else (None, None, None)
+                text = m.group(0) if m else pending[0]  # no row: the default copies one
                 _op_count += 1
                 if rule is not None and (rule.action or rule.events or rule.severity
                                          or rule.substitution is not None):
@@ -354,7 +358,7 @@ class _Run:
     def _pop_below(self, i: int) -> None:
         while len(self._levels) - 1 > i:
             lvl = self._levels.pop()
-            if not lvl.table.terminal.matches(lvl.context):
+            if not lvl.rows.terminal:
                 self._diag(Severity.WARNING,
                            f"nested {lvl.table.name} content ended prematurely: "
                            f"{lvl.table.end_message(lvl.context)}")
@@ -372,18 +376,17 @@ class _Run:
             return False
         inner = self._levels[i + 1]
         while True:
-            for rule, match, successor in lvl.rows.regex:
-                m = match(pending)
-                if m and m.end() > 0:
-                    _op_count += 1
-                    lvl.pending = pending
-                    self.drain(flushing=True, min_level=i + 1)
-                    if self.error is not None:
-                        return True
-                    text = m.group(0)
-                    self._fire(i, rule, successor, m, text)
-                    lvl.pending = pending[len(text):]
+            rule, successor, m = lvl.rows.first_match(pending)
+            if m is not None:
+                _op_count += 1
+                lvl.pending = pending
+                self.drain(flushing=True, min_level=i + 1)
+                if self.error is not None:
                     return True
+                text = m.group(0)
+                self._fire(i, rule, successor, m, text)
+                lvl.pending = pending[len(text):]
+                return True
             n, out, warn = inner.codec.decode_unit(pending)
             if warn:
                 lvl.pending = pending
@@ -429,6 +432,30 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
     return StepResult(run.freeze(), "".join(run.out), tuple(run.marks), run.diags)
 
 
+def _memoizable(step):
+    """Add ``memo`` to ``step(machine, state, pos)``, keyed by a plain tuple. A
+    replay counts its first run's ops and gets a diagnostics list of its own."""
+
+    @functools.wraps(step)
+    def stepped(machine, state, pos=None, memo=None):
+        global _op_count
+        if memo is None:
+            return step(machine, state, pos)
+        key = (step, state.context, state.pending, state.frames, state.error)
+        if key in memo:
+            result, ops = memo[key]
+            _op_count += ops
+            return type(result)(**{**vars(result), "diagnostics": []})
+        before = _op_count
+        result = step(machine, state, pos)
+        if not result.diagnostics and result.state.error is None and not result.state.pending:
+            memo[key] = result, _op_count - before
+        return result
+
+    return stepped
+
+
+@_memoizable
 def finish(machine: Machine, state: MachineState, pos: Position | None = None) -> StepResult:
     """Flush all held-back text. Called at interpolation sites, control-flow
     boundaries, and before the end-context check."""
@@ -437,6 +464,7 @@ def finish(machine: Machine, state: MachineState, pos: Position | None = None) -
     return StepResult(run.freeze(), "".join(run.out), tuple(run.marks), run.diags)
 
 
+@_memoizable
 def step_interp(machine: Machine, state: MachineState,
                 pos: Position | None = None) -> InterpResult:
     """Resolve an interpolation boundary: flush held-back text, fire epsilon
@@ -522,7 +550,7 @@ def is_valid_end(machine: Machine, state: MachineState) -> tuple[bool, str | Non
     if state.pending or any(fr.pending for fr in state.frames):
         return False, "unprocessed trailing text (state was not flushed)"
     table = machine.root_table
-    if not table.terminal.matches(state.context):
+    if not table.rows(state.context).terminal:
         return False, table.end_message(state.context)
     if state.frames:
         return False, f"content ends inside nested {state.frames[-1].machine} content"

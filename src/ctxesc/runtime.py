@@ -21,13 +21,14 @@ from .values import EscapeError, SafeContent, truthy
 
 class Accumulator:
     """Owns a machine state and a collector; the state is always the fold of
-    every append so far."""
+    every append so far. Its step memo lives as long as it does."""
 
     def __init__(self, machine: machine_mod.Machine):
         self.machine = machine
         self.state = machine.zero_state()
         self.collector = Collector()
         self.diagnostics: list[Diagnostic] = []
+        self.memo: dict = {}
 
     @property
     def errored(self) -> bool:
@@ -45,10 +46,10 @@ class Accumulator:
     def flush_boundary(self, pos: Position) -> list[Diagnostic]:
         """Force held-back text through; used at control-flow edges where
         fixed text on different paths must not be joined for matching."""
-        return self._absorb(machine_mod.finish(self.machine, self.state, pos))
+        return self._absorb(machine_mod.finish(self.machine, self.state, pos, memo=self.memo))
 
     def append_unsafe(self, value, pos: Position) -> list[Diagnostic]:
-        r = machine_mod.step_interp(self.machine, self.state, pos)
+        r = machine_mod.step_interp(self.machine, self.state, pos, memo=self.memo)
         self._absorb(r)
         if r.error:
             return r.diagnostics
@@ -70,7 +71,7 @@ class Accumulator:
         if pos is None:
             pos = Position("<template>", 0, 1)
         if not self.errored:
-            self._absorb(machine_mod.finish(self.machine, self.state, pos))
+            self._absorb(machine_mod.finish(self.machine, self.state, pos, memo=self.memo))
         if self.errored:
             return None, self.diagnostics
         ok, message = machine_mod.is_valid_end(self.machine, self.state)

@@ -14,8 +14,9 @@ Contexts are finite, so a table resolves its rules per context, not per step:
 it keeps one memo of resolved rows per context. The first time a context is
 seen, its regex rows are memoized in file order, each with its bound match
 function and successor context, next to the first epsilon, interp and escape
-row with theirs. Dispatch then walks only those rows, and "first match wins"
-is unchanged.
+row with theirs. Dispatch is one match of those rows' alternation, a group
+per row: ``re`` tries alternatives left to right, so "first match wins" is
+unchanged, and ``lastindex`` names the winner.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ TRIGGER_EPSILON = "epsilon"
 
 DEFAULT_LOOKAHEAD = 16
 
-_BACKREF_RE = re.compile(r"\\[1-9]|\(\?P=")
+_BACKREF_RE = re.compile(r"\\[1-9]|\(\?P=|(?<!\\)\(\?\(")  # fusing renumbers (?(1)...)
+
+
+def _alternative(src: str) -> str:
+    """A rule regex as one group of a fused alternation, with a leading
+    global-flag group scoped: ``(?i)x`` -> ``((?i:x))``."""
+    return "(" + re.sub(r"\A\(\?([aiLmsux]+)\)(.*)", r"(?\1:\2)", src, flags=re.S) + ")"
 
 
 @dataclass(frozen=True)
@@ -96,10 +103,12 @@ class EscapeRule:
 
 class ContextRows:
     """The rows of one table that match one context, resolved once: the
-    regex rows in file order as (rule, rule.regex.match, successor), and the
-    first epsilon, interp and escape row as (row, successor) or None."""
+    regex rows in file order as (rule, rule.regex.match, successor), their
+    ``fused`` alternation's match with (rule, successor) by row group (``won``),
+    the first epsilon, interp and escape row as (row, successor) or None, and
+    whether content may end here."""
 
-    __slots__ = ("regex", "epsilon", "interp", "escape")
+    __slots__ = ("regex", "fused", "won", "epsilon", "interp", "escape", "terminal")
 
     def __init__(self, table: "TransitionTable", context: tuple[str, ...]):
         def first(rows):
@@ -108,9 +117,26 @@ class ContextRows:
 
         self.regex = tuple((r, r.regex.match, r.successor.apply_to(context))
                            for r in table.regex_rules if r.pattern.matches(context))
+        self.won = [None, *itertools.chain.from_iterable(
+            [(r, s)] + [None] * r.regex.groups for r, _, s in self.regex)]
+        self.fused = re.compile("|".join(
+            _alternative(r.regex.pattern) for r, _, _ in self.regex) or "(?!)").match
         self.epsilon = first(table.epsilon_rules)
         self.interp = first(table.interp_rules)
         self.escape = first(table.escapes)
+        self.terminal = table.terminal.matches(context)
+
+    def first_match(self, text: str):
+        """The first regex row, in file order, that matches a non-empty
+        prefix of ``text``, as (rule, successor, match); all None if none."""
+        m = self.fused(text)
+        if m and m.end():
+            return (*self.won[m.lastindex], m)
+        for rule, match, successor in self.regex if m else ():  # a row matched empty
+            m = match(text)
+            if m and m.end():
+                return rule, successor, m
+        return None, None, None
 
 
 @dataclass
@@ -336,6 +362,11 @@ class _Parser:
             compiled = re.compile(expanded)
         except re.error as exc:
             self.err(idx, f"malformed regex {src!r}: {exc}")
+            return None
+        try:  # as two rows of a context's fused pattern, so group names clash
+            re.compile("|".join([_alternative(expanded)] * 2))
+        except re.error as exc:
+            self.err(idx, f"regex {src!r} cannot be one row of a fused pattern: {exc}")
             return None
         if compiled.match(""):
             self.err(idx, f"regex {src!r} may match an empty prefix")

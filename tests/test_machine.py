@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -16,11 +17,13 @@ from ctxesc.machine import (
     state_str,
     step_fixed,
     step_interp,
+    transition_op_count,
 )
 from ctxesc.marks import Mark
 from ctxesc.plan import execute_plan
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.tables import parse_table
+from support import random_template
 
 POS = Position("t", 1, 1)
 CTX = ("Attr", "None", "Url", "Double")
@@ -435,3 +438,79 @@ def test_copied_state_positions_later_diagnostics_alike(html):
     assert expected == ["t:2:1: warning: malformed numeric character reference copied verbatim"]
     for copied in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
         assert [str(d) for d in finish(html, copied, POS).diagnostics] == expected
+
+
+# -- the step memo ----------------------------------------------------------------
+
+def counted(step, *args, **kwargs):
+    """A step's result with the transition ops it counted."""
+    before = transition_op_count()
+    result = step(*args, **kwargs)
+    return result, transition_op_count() - before
+
+
+def reached_states(html):
+    """The state at every node while compiling random templates."""
+    states = []
+    for seed in range(50):
+        source, _ = random_template(random.Random(seed))
+        ann = propagate(program_of(source), html)
+        states += [*ann.in_states.values(), *ann.merged.values()]
+    return states
+
+
+def test_memo_hits_equal_memo_free_steps(html):
+    other = Position("u", 7, 9)
+    cached = {finish: 0, step_interp: 0}
+    for state in reached_states(html):
+        for step in cached:
+            memo = {}
+            first = counted(step, html, state, POS, memo=memo)
+            assert first == counted(step, html, state, POS), (step.__name__, state)
+            # a replay is exact at another site: it holds no position
+            assert counted(step, html, state, other, memo=memo) == counted(
+                step, html, state, other), (step.__name__, state)
+            cached[step] += len(memo)
+    assert min(cached.values()) > 200, cached
+
+
+def test_memo_never_keeps_a_step_that_reports_a_diagnostic(html):
+    memo = {}
+    first = step_fixed(html, html.zero_state(), '<a href="?&#', Position("t", 1, 1)).state
+    again = step_fixed(html, html.zero_state(), '<a href="?&#', Position("t", 5, 3)).state
+    assert first == again
+    assert [str(d) for d in finish(html, first, POS, memo=memo).diagnostics] == [
+        "t:1:11: warning: malformed numeric character reference copied verbatim"]
+    assert [str(d) for d in finish(html, again, POS, memo=memo).diagnostics] == [
+        "t:5:13: warning: malformed numeric character reference copied verbatim"]
+    assert memo == {}
+
+
+def test_loop_body_warnings_are_reported_once_per_iteration(html):
+    program = program_of('tag: html\n"<ul>\n:for item of items {\n'
+                         '"<a href="?&#;${item}">x</a>\n:}\n"</ul>\n')
+    _, _, diags = render_full(program, Bindings({"items": ["a", "b", "c"]}), html)
+    assert [str(d) for d in diags] == [
+        "<template>:4:12: warning: malformed numeric character reference copied verbatim"] * 3
+
+
+def test_memo_replays_do_not_share_a_diagnostics_list(html):
+    memo = {}
+    state = step_fixed(html, html.zero_state(), "<p>", POS).state
+    first = finish(html, state, POS, memo=memo)
+    assert first.diagnostics == [] and len(memo) == 1
+    first.diagnostics.append("added by a caller")
+    replay = finish(html, state, POS, memo=memo)
+    assert replay.diagnostics == [] and replay.diagnostics is not first.diagnostics
+    replay.diagnostics.append("added by a caller")
+    assert finish(html, state, POS, memo=memo).diagnostics == []
+
+
+def test_memo_tells_an_errored_state_from_a_clean_one(html):
+    memo = {}
+    clean = html.zero_state()
+    errored = MachineState(clean.context, error="boom")
+    for step in (finish, step_interp):
+        assert step(html, clean, POS, memo=memo).state.error is None
+        assert step(html, errored, POS, memo=memo).state.error == "boom"
+    assert step_interp(html, errored, POS, memo=memo).error

@@ -2,12 +2,20 @@
 and runtime directly, so tier-1 runs each script at a small count, and the
 benchmark's own tests, to keep them working."""
 
+import importlib.util
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from ctxesc import machine as machine_mod
+from ctxesc.compiler import compile_template
+from ctxesc.frontend import desugar, parse_template
+from ctxesc.machine import transition_op_count
+from ctxesc.runtime import Bindings, render_full
+from ctxesc.web import html_machine
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -25,15 +33,42 @@ def test_fuzz_script_passes(argv):
     assert "Traceback" not in result.stderr
 
 
-def test_count_work_counts_both_paths():
+def memo_free_table_ops(monkeypatch, batch):
+    """The transition ops of count_work's compile and dynamic passes over
+    ``batch``, with every step run afresh: the memo argument is dropped."""
+    for name in ("finish", "step_interp"):
+        step = getattr(machine_mod, name)
+        monkeypatch.setattr(machine_mod, name,
+                            lambda m, s, pos=None, memo=None, step=step: step(m, s, pos))
+    machine = html_machine()
+    ops = []
+    before = transition_op_count()
+    for source in dict.fromkeys(source for _, source, _ in batch):
+        compile_template(source)
+    ops.append(transition_op_count() - before)
+    before = transition_op_count()
+    for _, source, values in batch:
+        render_full(desugar(parse_template(source)[0]), Bindings(values), machine)
+    ops.append(transition_op_count() - before)
+    return ops
+
+
+def test_count_work_counts_both_paths(monkeypatch):
     result = subprocess.run([sys.executable, "scripts/count_work.py", "--pages", "1",
                              "--page-bytes", "512", "--line-bytes", "512",
                              "--corpus-values", "1"],
                             cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
-    rows = {line.split()[0]: line.split()[1:] for line in result.stdout.splitlines()[2:]}
+    rows = {line.split()[0]: [int(n.replace(",", "")) for n in line.split()[1:]]
+            for line in result.stdout.splitlines()[2:]}
     assert sorted(rows) == ["compile", "dynamic"]
-    assert all(int(n.replace(",", "")) > 0 for counts in rows.values() for n in counts)
+    assert all(len(counts) == 4 and min(counts) > 0 for counts in rows.values())
+    # memo replays count the ops they stand for
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    batch = gen.compile_batch(1, pages=1, page_bytes=512, line_bytes=512, corpus_values=1)
+    assert [rows["compile"][3], rows["dynamic"][3]] == memo_free_table_ops(monkeypatch, batch)
 
 
 def test_benchmark_tests_pass():

@@ -1,6 +1,11 @@
+import string
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctxesc.diagnostics import Severity
+from ctxesc.machine import build_machine, finish, step_fixed
+from ctxesc.marks import Mark
 from ctxesc.tables import (
     TRIGGER_INTERP,
     TRIGGER_REGEX,
@@ -95,6 +100,14 @@ RULES = MINIMAL + "[rules]\n"  # a row appended to RULES is line 7
     (MINIMAL + "[escapers]\n| C | | HtmlPcdataEscaper | | _ |\n", 7, "unknown state name 'C'"),
     (MINIMAL + "[escapers]\n| A | | HtmlPcdataEscaper | | A, A |\n", 7,
      "pattern 'A, A' has 2 slots; table declares 1 fields"),
+    # a verbose-mode comment would swallow the group that fusing wraps the row in
+    (RULES + "| A | `(?x)a # c` | | _ |\n", 7, "regex '(?x)a # c' cannot be one row of a "
+     "fused pattern: missing ), unterminated subpattern at position 1"),
+    (RULES + "| A | `(?P<n>x)` | | _ |\n", 7, "regex '(?P<n>x)' cannot be one row of a "
+     "fused pattern: redefinition of group name 'n' as group 4; was group 2 at position 16"),
+    # a conditional names its group by a number that fusing shifts
+    (RULES + "| A | `(x)?(?(1)y|z)` | | _ |\n", 7,
+     "backreferences are not supported: '(x)?(?(1)y|z)'"),
 ])
 def test_malformed_table_is_an_error_on_its_line(text, line, message):
     table, diags = parse_table(text)
@@ -302,6 +315,14 @@ def scan_regex(table, context, text):
     return None, None
 
 
+def fused_regex(table, context, text):
+    """The row that one call of the context's fused pattern picks, with the
+    file-order walk after an empty match, as the machine dispatches."""
+    rule, successor, m = table.rows(context).first_match(text)
+    assert successor == (rule and rule.successor.apply_to(context))
+    return (rule, m.group(0)) if m else (None, None)
+
+
 def memo_regex(table, context, text):
     """The first memoized regex row that matches, as the machine walks them."""
     for rule, match, successor in table.rows(context).regex:
@@ -321,8 +342,54 @@ def test_memoized_dispatch_equals_linear_scan(name):
             assert rows.epsilon == scan_first(table.epsilon_rules, ctx), ctx
             assert rows.interp == scan_first(table.interp_rules, ctx), ctx
             assert rows.escape == scan_first(table.escapes, ctx), ctx
+            assert rows.terminal == table.terminal.matches(ctx), ctx
             for text in DISPATCH_TEXTS:
-                assert memo_regex(table, ctx, text) == scan_regex(table, ctx, text), (ctx, text)
+                expected = scan_regex(table, ctx, text)
+                assert memo_regex(table, ctx, text) == expected, (ctx, text)
+                assert fused_regex(table, ctx, text) == expected, (ctx, text)
+
+
+SHIPPED = {name: load_table(name) for name in ("html.tt", "url.tt", "css.tt", "text.tt")}
+# the characters the shipped tables' regexes single out, letters and whitespace
+SIGNIFICANT = "<>/\"'&#;=:()\\`-!*" + string.ascii_letters + " \t\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(SHIPPED)), st.data(),
+       st.text(st.sampled_from(SIGNIFICANT), min_size=1, max_size=12))
+def test_fused_dispatch_equals_linear_scan_on_significant_text(name, data, text):
+    table = SHIPPED[name]
+    ctx = data.draw(st.sampled_from(sorted(table.all_contexts())))
+    assert fused_regex(table, ctx, text) == scan_regex(table, ctx, text)
+
+
+FUSION_TOY = MINIMAL + r"""
+[rules]
+| A | `(?i)<x` | `X` | _ |
+| A | `(?=a)` | | B |
+| A | `(a)(b)?` | | _ |
+| A | `(c)|(d)` | | _ |
+| A | `m(\w+);` | !MsgStart($1) | _ |
+"""
+
+
+def test_fused_dispatch_keeps_flags_empty_matches_and_group_numbers():
+    table = parse_ok(FUSION_TOY)
+    upper, empty, ab, cd, msg = table.rules
+    for text, row, matched in [("<X", upper, "<X"), ("<x", upper, "<x"), ("a", ab, "a"),
+                               ("abz", ab, "ab"), ("d", cd, "d"), ("mfoo;", msg, "mfoo;"),
+                               ("z", None, None), ("<y", None, None),
+                               ("D", None, None)]:
+        assert scan_regex(table, ("A",), text) == (row, matched), text
+        assert fused_regex(table, ("A",), text) == (row, matched), text
+    # the lookahead row matches empty and is skipped, as in the file-order walk
+    assert table.rows(("A",)).fused("ab").end() == 0
+    # $1 is the event row's own first group, not the fused pattern's
+    machine = build_machine(table)
+    r = step_fixed(machine, machine.zero_state(), "<Xab mfoo;d", None)
+    f = finish(machine, r.state, None)
+    assert r.emitted + f.emitted == "Xab d"
+    assert r.marks + f.marks == (Mark("MsgStart", 4, "foo"),)
 
 
 def test_wildcard_row_before_specific_row_wins():
