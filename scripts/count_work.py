@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Count the interpreter work of the compile and dynamic paths.
+"""Count the interpreter work of the compile, dynamic and plan render paths.
 
 Runs ``compile_template`` over each distinct template of the benchmark's
 ``compile_pages`` batch (``perfbench.gen.compile_batch``) and ``render_full``
 over each of its (template, bindings) pairs, as the benchmark's compile and
-dynamic paths do. Each path runs twice, and the second, warm pass is
-counted: Python calls and C calls with ``sys.setprofile``, bytecode
-instructions with ``sys.settrace``, and the pass's transition-table
-operations (``transition_op_count``), which a step memo must not change.
-Unlike wall time, these counts are the same on every run of the same code,
-so they can tell apart two commits whose timings a busy host cannot. The
-defaults are the benchmark's batch sizes:
+dynamic paths do, and ``execute_plan`` of the list template's plan over
+``gen.list_pages``, as its ``plan_pages`` render path does. Each path runs
+twice, and the second, warm pass is counted: Python calls and C calls with
+``sys.setprofile``, bytecode instructions with ``sys.settrace``, and the
+pass's transition-table operations (``transition_op_count``), which a step
+memo must not change and a plan render must leave at 0. Unlike wall time,
+these counts are the same on every run of the same code, so they can tell
+apart two commits whose timings a busy host cannot. The defaults are the
+benchmark's batch sizes:
 
     PYTHONPATH=src python scripts/count_work.py --seed 1
 """
@@ -26,7 +28,7 @@ import checkout  # noqa: E402
 checkout.bootstrap()
 
 import gen  # noqa: E402
-from ctxesc.compiler import compile_template  # noqa: E402
+from ctxesc.compiler import compile_template, execute_plan  # noqa: E402
 from ctxesc.frontend import desugar, parse_template  # noqa: E402
 from ctxesc.machine import transition_op_count  # noqa: E402
 from ctxesc.runtime import Bindings, render_full  # noqa: E402
@@ -78,6 +80,7 @@ def main():
     ap.add_argument("--page-bytes", type=int, default=4096)
     ap.add_argument("--line-bytes", type=int, default=34 * 1024)
     ap.add_argument("--corpus-values", type=int, default=5)
+    ap.add_argument("--list-pages", type=int, default=64)
     args = ap.parse_args()
 
     batch = gen.compile_batch(args.seed, pages=args.pages, page_bytes=args.page_bytes,
@@ -86,6 +89,8 @@ def main():
     sources = list(dict.fromkeys(source for _, source, _ in batch))
     programs = [(desugar(parse_template(source)[0]), Bindings(values))
                 for _, source, values in batch]
+    plan, _ = compile_template(gen.LIST_TEMPLATE)
+    pages = [Bindings(page) for page in gen.list_pages(args.seed, args.list_pages)]
 
     def compile_pass():
         for source in sources:
@@ -95,10 +100,16 @@ def main():
         for program, bindings in programs:
             render_full(program, bindings, machine)
 
-    print(f"seed {args.seed}: {len(sources)} templates, {len(batch)} renders")
+    def render_pass():
+        for bindings in pages:
+            execute_plan(plan, bindings)
+
+    print(f"seed {args.seed}: {len(sources)} templates, {len(batch)} renders, "
+          f"{len(pages)} list pages")
     print(f"{'path':<8} {'python calls':>13} {'C calls':>10} {'opcodes':>11} {'transition ops':>15}")
-    for name, run in (("compile", compile_pass), ("dynamic", dynamic_pass)):
-        run()  # warm the table memo and the machine cache
+    for name, run in (("compile", compile_pass), ("dynamic", dynamic_pass),
+                      ("render", render_pass)):
+        run()  # warm the table memo, the machine cache and the lowered plan
         before = transition_op_count()
         calls, c_calls = count_calls(run)
         ops = transition_op_count() - before

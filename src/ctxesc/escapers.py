@@ -5,7 +5,10 @@ plans, so renaming one is a wire-format change. Each transform owns its
 SafeContent rule: ``escape_pcdata`` passes ``SafeContent("html", ...)``
 through, ``escape_json_value`` rejects all SafeContent, and the others
 escape its text like any other string. ``chain`` is the one implementation
-of an escaper chain; ``apply_chain`` and compiled plans both call it.
+of an escaper chain; ``apply_chain`` and compiled plans both call it. It
+fuses adjacent shipped transforms by identity (see ``_FUSED``), so the names
+in tables and plans never change, and a registered replacement transform
+turns fusion off for the chains it is in.
 """
 
 from __future__ import annotations
@@ -28,8 +31,12 @@ _URL_SAFE = ":/?#[]@!$&'()*+,;=%-._~"
 _URL_SCHEME_END = re.compile(r"[:/?#]").search
 # the characters urllib.parse.quote leaves alone: its always-safe ASCII set
 # plus _URL_SAFE
-_URL_UNCHANGED = re.compile("[%s]*" % re.escape(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~" + _URL_SAFE)).fullmatch
+_URL_ALWAYS_SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~"
+_URL_UNCHANGED = re.compile("[%s]*" % re.escape(_URL_ALWAYS_SAFE + _URL_SAFE)).fullmatch
+# the characters neither the URL filter nor the attribute escaper changes:
+# _URL_UNCHANGED's set less the two attribute-significant characters it keeps
+_URL_ATTR_UNCHANGED = re.compile("[%s]*" % re.escape(
+    _URL_ALWAYS_SAFE + _URL_SAFE.replace("&", "").replace("'", ""))).fullmatch
 
 # urllib.parse.quote, bound once by the first value that needs percent-encoding
 # (an import per call costs more than the quoting); other renders never load it
@@ -46,9 +53,12 @@ _CSS_STRING_SEARCH = re.compile(r'[\\"\'<>&\n\r\f]').search
 
 def escape_pcdata(value) -> str:
     """Escape for an HTML text node; safe HTML passes through verbatim."""
-    if isinstance(value, SafeContent) and value.language == "html":
+    if type(value) is str:
+        text = value
+    elif isinstance(value, SafeContent) and value.language == "html":
         return value.text
-    text = stringify(value)
+    else:
+        text = stringify(value)
     if _PCDATA_SEARCH(text) is None:
         return text
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -78,12 +88,31 @@ def filter_url_prefix(value) -> str:
     """
     text = stringify(value)
     m = _URL_SCHEME_END(text)
-    if m and text[m.start()] == ":":
-        scheme = text[: m.start()].lower()
-        if scheme not in _ALLOWED_SCHEMES:
-            return URL_REPLACEMENT
+    if m and text[m.start()] == ":" and text[: m.start()].lower() not in _ALLOWED_SCHEMES:
+        return URL_REPLACEMENT
     if _URL_UNCHANGED(text):
         return text
+    return _percent_encode(text)
+
+
+def filter_url_attr(value) -> str:
+    """``filter_url_prefix`` then ``escape_html_attr``, in one pass.
+
+    The filter's output holds no ``"``, ``<`` or ``>`` (it percent-encodes
+    them), so only ``&`` and ``'`` are left for the attribute escaper.
+    """
+    text = value if type(value) is str else stringify(value)
+    m = _URL_SCHEME_END(text)
+    if m and text[m.start()] == ":" and text[: m.start()].lower() not in _ALLOWED_SCHEMES:
+        return URL_REPLACEMENT
+    if _URL_ATTR_UNCHANGED(text):
+        return text
+    if not _URL_UNCHANGED(text):
+        text = _percent_encode(text)
+    return text.replace("&", "&amp;").replace("'", "&#39;")
+
+
+def _percent_encode(text: str) -> str:
     global _quote
     if _quote is None:
         from urllib.parse import quote as _quote
@@ -92,6 +121,13 @@ def filter_url_prefix(value) -> str:
     except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
         raise EscapeError(f"cannot percent-encode URL value: {exc.reason} "
                           f"at index {exc.start}") from None
+
+
+# json.dumps with these keywords builds a new encoder on every call. Sharing
+# one is safe: encode keeps no state between calls (each call makes its own
+# circular-reference markers and C encoder).
+_json_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                                separators=(",", ":")).encode
 
 
 def escape_json_value(value) -> str:
@@ -103,7 +139,7 @@ def escape_json_value(value) -> str:
     if isinstance(value, SafeContent):
         raise EscapeError("safe content has no meaning inside a script body")
     try:
-        out = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        out = _json_encode(value)
     except (TypeError, ValueError) as exc:
         raise EscapeError(f"cannot serialize value as JSON: {exc}") from None
     return out.replace("<", "\\u003c").replace(">", "\\u003e").replace("&", "\\u0026")
@@ -150,12 +186,39 @@ def known_names() -> frozenset[str]:
     return frozenset(_REGISTRY)
 
 
+# Rewrites of adjacent transforms, keyed by identity so that a replacement
+# registered under a shipped name is never fused: the URL filter and the
+# attribute escaper run as one pass, and the attribute escaper after the CSS
+# string escaper goes, since CSS string output holds none of & < > " '.
+_FUSED = {
+    (filter_url_prefix, escape_html_attr): filter_url_attr,
+    (escape_css_string, escape_html_attr): escape_css_string,
+}
+
+# transforms that always return a str, so a chain of one needs no wrapper
+_RETURN_TEXT = frozenset({escape_pcdata, escape_html_attr, filter_url_prefix, filter_url_attr,
+                          escape_json_value, escape_css_string})
+
+
 def chain(names) -> Callable[[object], str]:
     """One function that applies the named escapers innermost-first, then
     stringifies. The first escaper sees the raw value (and may honor its
     SafeContent trademark); each later escaper re-escapes the text produced
-    so far. Names resolve in the registry when this is called."""
+    so far. Names resolve in the registry when this is called; the
+    transforms found are then fused by ``_FUSED``, which gives the same text
+    and the same exceptions as running them one by one."""
     fns = [get(name).transform for name in names]
+    i = 1
+    while i < len(fns):
+        fused = _FUSED.get((fns[i - 1], fns[i]))
+        if fused is None:
+            i += 1
+        else:
+            fns[i - 1:i + 1] = [fused]
+    if not fns:
+        return stringify
+    if len(fns) == 1 and fns[0] in _RETURN_TEXT:
+        return fns[0]
 
     def escape(value):
         for f in fns:

@@ -85,6 +85,14 @@ class Bindings(Record):
         return cls(bindings_from_json(text))
 
 
+def check_bindings(bindings) -> None:
+    """Reject a render's bindings argument that is not a Bindings (a plain
+    dict is the likely mistake) before any node reads it."""
+    if not isinstance(bindings, Bindings):
+        raise TypeError(f"bindings must be a ctxesc Bindings, not {type(bindings).__name__}; "
+                        "wrap a dict of values as Bindings(values)")
+
+
 def resolve_segs(segs, bindings: Bindings, frames: list[dict],
                  pos: Position, strict: bool = True):
     """Dotted path lookup on pre-split segments: loop frames shadow the root
@@ -352,6 +360,7 @@ def execute_plan(plan: CompiledPlan, bindings: Bindings):
 
     Returns (SafeContent, marks).
     """
+    check_bindings(bindings)
     render = plan.lowered
     if render is None:
         # escapers are bound at first render, not at load: the registry then

@@ -15,7 +15,7 @@ from .frontend import (
     Collected,
     LoopBlock,
 )
-from .plan import Bindings, Collector, resolve_segs
+from .plan import Bindings, Collector, check_bindings, resolve_segs
 from .values import EscapeError, SafeContent, truthy
 
 
@@ -87,6 +87,7 @@ def render_full(program: AppendProgram, bindings: Bindings,
     Returns (SafeContent, marks, diagnostics). Any error is fail-stop for
     the whole template: RenderError is raised and no partial output escapes.
     """
+    check_bindings(bindings)
     acc = Accumulator(machine)
 
     def run(nodes, frames):

@@ -6,16 +6,21 @@ import urllib.parse
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ctxesc import escapers
 from ctxesc.escapers import (
     URL_REPLACEMENT,
+    Escaper,
     apply_chain,
+    chain,
     escape_css_string,
     escape_html_attr,
     escape_json_value,
     escape_pcdata,
+    filter_url_attr,
     filter_url_prefix,
     get,
     known_names,
+    register,
 )
 from ctxesc.diagnostics import RenderError
 from ctxesc.plan import Bindings, CompiledPlan, PlanInterp, execute_plan
@@ -348,3 +353,120 @@ def test_chain_matches_the_original_chain_rule_on_safe_content(names):
         expected = _outcome(lambda v: _original_chain(names, v), value)
         assert _outcome(lambda v: apply_chain(names, v), value) == expected, repr(value)
         assert _outcome(render, value) == expected, repr(value)
+
+
+# -- chain fusion --------------------------------------------------------------------
+# chain() rewrites adjacent shipped transforms through escapers._FUSED. Each
+# rewrite, and each chain a compiled plan holds that a rewrite shortens, must
+# give the same text as running the named transforms one by one, or raise the
+# same exception with the same message.
+
+_NAME_OF = {get(name).transform: name for name in known_names()}
+FUSED_CHAINS = sorted({(_NAME_OF[first], _NAME_OF[second])
+                       for first, second in escapers._FUSED}
+                      # the chain of a style attribute's url(...) value
+                      | {("UrlPrefixFilteringEscaper", "CssStringEscaper",
+                          "HtmlAttributeEscaper")})
+
+
+def _unfused(names):
+    fns = [get(name).transform for name in names]
+
+    def escape(value):
+        for f in fns:
+            value = f(value)
+        return value if isinstance(value, str) else stringify(value)
+    return escape
+
+
+def _outcome_and_message(fn, value):
+    try:
+        return "ok", fn(value)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return "raises", type(exc), str(exc)
+
+
+def test_fusion_rewrites_to_the_expected_transforms():
+    assert chain(("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper")) is filter_url_attr
+    assert chain(("CssStringEscaper", "HtmlAttributeEscaper")) is escape_css_string
+    # a chain of one shipped transform is that transform, with no wrapper
+    for name in ("HtmlPcdataEscaper", "HtmlAttributeEscaper", "UrlPrefixFilteringEscaper",
+                 "JsonValueEscaper", "CssStringEscaper"):
+        assert chain((name,)) is get(name).transform
+    assert chain(()) is stringify
+
+
+@pytest.mark.parametrize("names", FUSED_CHAINS, ids="+".join)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=escaper_inputs)
+def test_fused_chain_equals_the_unfused_chain(names, value):
+    assert _outcome_and_message(chain(names), value) == \
+        _outcome_and_message(_unfused(names), value)
+
+
+@pytest.mark.parametrize("names", FUSED_CHAINS, ids="+".join)
+def test_fused_chain_equals_the_unfused_chain_on_the_adversarial_corpus(names):
+    values = adversarial_values(2000) + ["\ud800", "a\udfffb", "/a\ud800'&", "ü€😀",
+                                         "a&b'c", "&'", "javascript:x'&", 5, 2.5, True,
+                                         None, [1], {"a": 1}]
+    values += [SafeContent(lang, text) for lang in ("html", "css", "url", "text")
+               for text in ("", "I &lt;3 <b>you</b>", "a'b&c", "javascript:x")]
+    fused, unfused = chain(names), _unfused(names)
+    for value in values:
+        assert _outcome_and_message(fused, value) == _outcome_and_message(unfused, value), \
+            repr(value)
+
+
+@pytest.mark.parametrize("url", ["http\u017f:x", "ma\u0130lto:x", "ma\u0131lto:x"])
+def test_non_ascii_scheme_letters_are_blocked(url):
+    # each letter case-folds to ASCII (ſ to s, İ and ı to i), so a check that
+    # matched the scheme case-insensitively outside ASCII would let it pass
+    assert filter_url_prefix(url) == URL_REPLACEMENT
+    assert chain(("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper"))(url) == URL_REPLACEMENT
+
+
+def test_uppercase_allowed_scheme_passes_the_fused_chain():
+    assert chain(("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper"))("HTTPS://a") == "HTTPS://a"
+
+
+def test_a_registered_replacement_is_applied_and_not_fused():
+    original = get("HtmlAttributeEscaper")
+    names = ("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper")
+    try:
+        register(Escaper("HtmlAttributeEscaper", lambda value: f"[{value}]"))
+        assert chain(names)("/a b&c") == "[/a%20b&c]"
+    finally:
+        register(original)
+    assert get("HtmlAttributeEscaper") is original
+    assert chain(names) is filter_url_attr
+    assert chain(names)("/a b&c") == "/a%20b&amp;c"
+
+
+# -- the shared JSON encoder ------------------------------------------------------------
+
+_json_keys = st.one_of(_any_text, st.integers(), st.floats(), st.booleans(), st.none())
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), _any_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_json_keys, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=json_values)
+def test_json_escaper_equals_the_json_dumps_formula(value):
+    # NaN and infinities, keys of mixed types (which sort_keys cannot order)
+    # and nesting: the same text, or the same exception type and message
+    assert _outcome_and_message(escape_json_value, value) == \
+        _outcome_and_message(_old_json, value)
+
+
+def test_json_escaper_keeps_no_state_between_calls():
+    holder = {"k": None}
+    cycle = [holder]
+    holder["k"] = cycle
+    with pytest.raises(EscapeError, match="Circular reference"):
+        escape_json_value(cycle)
+    # a failed call leaves no circular-reference marker behind for the next
+    holder["k"] = 1
+    assert escape_json_value(cycle) == '[{"k":1}]'

@@ -52,6 +52,14 @@ def oracle_cases():
     return cases
 
 
+@pytest.mark.parametrize("bindings", [{"items": []}, None, [("items", [])]])
+def test_execute_plan_rejects_bindings_that_are_not_a_bindings(bindings):
+    plan, _ = compile_template(LIST_TEMPLATE)
+    with pytest.raises(TypeError, match=r"bindings must be a ctxesc Bindings, not "):
+        execute_plan(plan, bindings)
+    assert execute_plan(plan, Bindings({"items": []}))[0].text == "<ul>\n</ul>\n"
+
+
 def test_loaded_plans_render_like_the_dynamic_engine(html):
     with_marks = 0
     for source, values in oracle_cases():

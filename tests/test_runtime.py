@@ -154,6 +154,14 @@ def test_render_for_over_non_list_raises(html):
         render_text(LIST_TEMPLATE, {"items": "nope"}, html)
 
 
+def test_render_full_rejects_a_plain_dict_as_execute_plan_does(html):
+    with pytest.raises(TypeError, match=r"bindings must be a ctxesc Bindings") as dynamic:
+        render_full(program_of(LIST_TEMPLATE), {"items": []}, html)
+    with pytest.raises(TypeError) as static:
+        execute_plan(compile_template(LIST_TEMPLATE)[0], {"items": []})
+    assert str(dynamic.value) == str(static.value)
+
+
 def test_render_fail_stop_has_no_partial_output(html):
     src = 'tag: html\n"before\n"<!-- ${x} -->\n'
     with pytest.raises(RenderError, match="interpolation not allowed"):

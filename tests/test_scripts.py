@@ -56,13 +56,15 @@ def memo_free_table_ops(monkeypatch, batch):
 def test_count_work_counts_both_paths(monkeypatch):
     result = subprocess.run([sys.executable, "scripts/count_work.py", "--pages", "1",
                              "--page-bytes", "512", "--line-bytes", "512",
-                             "--corpus-values", "1"],
+                             "--corpus-values", "1", "--list-pages", "2"],
                             cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     rows = {line.split()[0]: [int(n.replace(",", "")) for n in line.split()[1:]]
             for line in result.stdout.splitlines()[2:]}
-    assert sorted(rows) == ["compile", "dynamic"]
-    assert all(len(counts) == 4 and min(counts) > 0 for counts in rows.values())
+    assert sorted(rows) == ["compile", "dynamic", "render"]
+    assert all(len(counts) == 4 and min(counts[:3]) > 0 for counts in rows.values())
+    # a plan render does no machine work at all
+    assert rows["render"][3] == 0
     # memo replays count the ops they stand for
     spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
