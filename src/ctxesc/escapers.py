@@ -31,12 +31,8 @@ _URL_SAFE = ":/?#[]@!$&'()*+,;=%-._~"
 _URL_SCHEME_END = re.compile(r"[:/?#]").search
 # the characters urllib.parse.quote leaves alone: its always-safe ASCII set
 # plus _URL_SAFE
-_URL_ALWAYS_SAFE = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~"
-_URL_UNCHANGED = re.compile("[%s]*" % re.escape(_URL_ALWAYS_SAFE + _URL_SAFE)).fullmatch
-# the characters neither the URL filter nor the attribute escaper changes:
-# _URL_UNCHANGED's set less the two attribute-significant characters it keeps
-_URL_ATTR_UNCHANGED = re.compile("[%s]*" % re.escape(
-    _URL_ALWAYS_SAFE + _URL_SAFE.replace("&", "").replace("'", ""))).fullmatch
+_URL_UNCHANGED = re.compile("[%s]*" % re.escape(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~" + _URL_SAFE)).fullmatch
 
 # urllib.parse.quote, bound once by the first value that needs percent-encoding
 # (an import per call costs more than the quoting); other renders never load it
@@ -56,7 +52,9 @@ def escape_pcdata(value) -> str:
     if type(value) is str:
         text = value
     elif isinstance(value, SafeContent) and value.language == "html":
-        return value.text
+        # SafeContent does not check that its text is a str, and a chain of
+        # this escaper alone is this function, with no stringify after it
+        return stringify(value.text)
     else:
         text = stringify(value)
     if _PCDATA_SEARCH(text) is None:
@@ -86,33 +84,14 @@ def filter_url_prefix(value) -> str:
     percent-encoded (UTF-8); a value with no UTF-8 form (a lone surrogate)
     raises EscapeError.
     """
-    text = stringify(value)
-    m = _URL_SCHEME_END(text)
-    if m and text[m.start()] == ":" and text[: m.start()].lower() not in _ALLOWED_SCHEMES:
-        return URL_REPLACEMENT
-    if _URL_UNCHANGED(text):
-        return text
-    return _percent_encode(text)
-
-
-def filter_url_attr(value) -> str:
-    """``filter_url_prefix`` then ``escape_html_attr``, in one pass.
-
-    The filter's output holds no ``"``, ``<`` or ``>`` (it percent-encodes
-    them), so only ``&`` and ``'`` are left for the attribute escaper.
-    """
     text = value if type(value) is str else stringify(value)
     m = _URL_SCHEME_END(text)
-    if m and text[m.start()] == ":" and text[: m.start()].lower() not in _ALLOWED_SCHEMES:
-        return URL_REPLACEMENT
-    if _URL_ATTR_UNCHANGED(text):
+    if m and text[m.start()] == ":":
+        scheme = text[: m.start()].lower()
+        if scheme not in _ALLOWED_SCHEMES:
+            return URL_REPLACEMENT
+    if _URL_UNCHANGED(text):
         return text
-    if not _URL_UNCHANGED(text):
-        text = _percent_encode(text)
-    return text.replace("&", "&amp;").replace("'", "&#39;")
-
-
-def _percent_encode(text: str) -> str:
     global _quote
     if _quote is None:
         from urllib.parse import quote as _quote
@@ -121,6 +100,19 @@ def _percent_encode(text: str) -> str:
     except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
         raise EscapeError(f"cannot percent-encode URL value: {exc.reason} "
                           f"at index {exc.start}") from None
+
+
+def filter_url_attr(value) -> str:
+    """``filter_url_prefix`` then ``escape_html_attr`` in one call.
+
+    The filter's output is already text and holds no ``"``, ``<`` or ``>``
+    (it percent-encodes them), so only ``&`` and ``'`` are left to escape;
+    two substring tests find them faster than a regex search of a long URL.
+    """
+    text = filter_url_prefix(value)
+    if "&" not in text and "'" not in text:
+        return text
+    return text.replace("&", "&amp;").replace("'", "&#39;")
 
 
 # json.dumps with these keywords builds a new encoder on every call. Sharing

@@ -355,6 +355,17 @@ def test_chain_matches_the_original_chain_rule_on_safe_content(names):
         assert _outcome(render, value) == expected, repr(value)
 
 
+@pytest.mark.parametrize("names", SHIPPED_CHAINS, ids="+".join)
+def test_chain_matches_the_original_chain_rule_on_safe_content_with_non_str_text(names):
+    # SafeContent does not check that its text is a str; the original rule
+    # stringified whatever the last escaper returned, so ("html", 5) through
+    # the pcdata escaper alone is "5" and ("html", None) an EscapeError
+    for value in [SafeContent(lang, text) for lang in ("html", "css", "url", "text")
+                  for text in (5, 2.5, True, None, [1])]:
+        assert _outcome_and_message(lambda v: apply_chain(names, v), value) == \
+            _outcome_and_message(lambda v: _original_chain(names, v), value), repr(value)
+
+
 # -- chain fusion --------------------------------------------------------------------
 # chain() rewrites adjacent shipped transforms through escapers._FUSED. Each
 # rewrite, and each chain a compiled plan holds that a rewrite shortens, must
@@ -410,7 +421,7 @@ def test_fused_chain_equals_the_unfused_chain_on_the_adversarial_corpus(names):
                                          "a&b'c", "&'", "javascript:x'&", 5, 2.5, True,
                                          None, [1], {"a": 1}]
     values += [SafeContent(lang, text) for lang in ("html", "css", "url", "text")
-               for text in ("", "I &lt;3 <b>you</b>", "a'b&c", "javascript:x")]
+               for text in ("", "I &lt;3 <b>you</b>", "a'b&c", "javascript:x", 5, None)]
     fused, unfused = chain(names), _unfused(names)
     for value in values:
         assert _outcome_and_message(fused, value) == _outcome_and_message(unfused, value), \

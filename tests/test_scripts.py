@@ -62,9 +62,10 @@ def test_count_work_counts_both_paths(monkeypatch):
     rows = {line.split()[0]: [int(n.replace(",", "")) for n in line.split()[1:]]
             for line in result.stdout.splitlines()[2:]}
     assert sorted(rows) == ["compile", "dynamic", "render"]
-    assert all(len(counts) == 4 and min(counts[:3]) > 0 for counts in rows.values())
+    assert all(len(counts) == 4 for counts in rows.values())
+    assert min(rows["compile"] + rows["dynamic"]) > 0
     # a plan render does no machine work at all
-    assert rows["render"][3] == 0
+    assert min(rows["render"][:3]) > 0 and rows["render"][3] == 0
     # memo replays count the ops they stand for
     spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
