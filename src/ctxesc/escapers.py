@@ -1,5 +1,12 @@
 """The escaper registry: pure transforms applied to untrusted values.
 
+A transform, and any replacement registered under an escaper name, must be
+pure: the same value always gives the same text or the same error, and
+nothing else happens. A plan render may call a chain over a whole loop
+column before it writes anything, escape a value that does not depend on
+the loop item once for all items, and call the chain again on every item
+after a column attempt that raised.
+
 Escaper names are the vocabulary shared by table escaper maps and compiled
 plans, so renaming one is a wire-format change. Each transform owns its
 SafeContent rule: ``escape_pcdata`` passes ``SafeContent("html", ...)``
@@ -52,9 +59,7 @@ def escape_pcdata(value) -> str:
     if type(value) is str:
         text = value
     elif isinstance(value, SafeContent) and value.language == "html":
-        # SafeContent does not check that its text is a str, and a chain of
-        # this escaper alone is this function, with no stringify after it
-        return stringify(value.text)
+        return stringify(value)
     else:
         text = stringify(value)
     if _PCDATA_SEARCH(text) is None:

@@ -8,7 +8,12 @@ this module imports nothing from the machine, the tables or the front end.
 
 execute_plan lowers a plan once, on its first render, into nested closures:
 every literal becomes an append, every escaper chain one composed function,
-and every path a lookup whose loop frame was resolved while lowering.
+and every path a lookup whose loop frame was resolved while lowering. A loop
+renders on one of two paths. In a plan without marks, a loop whose body holds
+only literals and interpolations renders a list of two or more items column
+by column, with C-level iteration, when every value a field path passes
+through is exactly a dict; otherwise, or when that attempt raises, it walks
+item by item.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable
+from itertools import repeat
 
 from .diagnostics import PlanError, Position, RenderError
 from .escapers import chain
@@ -350,6 +356,18 @@ def _plan_from_doc(doc) -> CompiledPlan:
 # ``scope`` is [root bindings, item of the loop at depth 1, at depth 2, ...]:
 # a loop frame binds only its own variable, so which frame a path's head
 # names is known while lowering.
+#
+# A loop step first tries its column render, if it has one: a plan without
+# marks gives one to each loop whose body holds no loop or branch. It renders
+# a list of two or more items at once (one item has no column to share a
+# pass): a column of lookups per field on the loop variable, each site's
+# chain mapped over its column, other sites escaped once, and one output list
+# made by repeating the body's literals once per item and writing each site's
+# column into its slots. It raises where the item walk might differ (an item
+# or field value that is not exactly a dict, a missing field, any escaper
+# error), and the step then walks the items from the first, which raises the
+# first error in item and then site order. Nothing of a failed attempt is
+# appended; escapers are pure, so calling one again gives the same text.
 
 _PLAN_POS = Position("<plan>", 0, 0)
 
@@ -371,7 +389,7 @@ def execute_plan(plan: CompiledPlan, bindings: Bindings):
 
 def _lower(plan: CompiledPlan) -> Callable:
     marked = _has_marks(plan.body)
-    steps, depth = _lower_body(plan.body, {}, 0, marked)
+    steps, depth, _ = _lower_body(plan.body, {}, 0, marked)
     language, pad = plan.language, (None,) * depth
 
     if marked:
@@ -403,30 +421,36 @@ def _has_marks(body) -> bool:
 
 def _lower_body(body, frames: dict, depth: int, marked: bool):
     """Steps for ``body``, whose loop variables ``frames`` maps to their
-    scope slots; also the deepest slot the body uses."""
-    steps, deepest = [], depth
+    scope slots; also the deepest slot the body uses, and the body's
+    literals and interpolations as (node, escape, lookup) parts."""
+    steps, deepest, parts = [], depth, []
     for node in body:
         if isinstance(node, Lit):
             steps.append(_lit_step(node, marked))
+            parts.append((node, None, None))
             continue
         if not isinstance(node, (PlanInterp, PlanFor, PlanIf)):
             raise PlanError(f"unexpected plan node {node!r}")
         pos = node.pos or _PLAN_POS
         if isinstance(node, PlanInterp):
-            steps.append(_interp_step(node, _lookup(node.path, frames, pos, True),
-                                      pos, marked))
+            escape, get = chain(node.escapers), _lookup(node.path, frames, pos, True)
+            steps.append(_interp_step(node.path, escape, get, pos, marked))
+            parts.append((node, escape, get))
         elif isinstance(node, PlanFor):
             slot = depth + 1
-            body_steps, used = _lower_body(node.body, {**frames, node.var: slot}, slot, marked)
-            steps.append(_for_step(node, _lookup(node.path, frames, pos, True),
-                                   body_steps, slot, pos))
+            body_steps, used, body_parts = _lower_body(
+                node.body, {**frames, node.var: slot}, slot, marked)
+            flat = not marked and len(body_parts) == len(node.body)
+            steps.append(_for_step(node, _lookup(node.path, frames, pos, True), body_steps,
+                                   _column_render(body_parts, node.var) if flat else None,
+                                   slot, pos))
             deepest = max(deepest, used)
         else:
-            then, used_then = _lower_body(node.then, frames, depth, marked)
-            els, used_els = _lower_body(node.els, frames, depth, marked)
+            then, used_then, _ = _lower_body(node.then, frames, depth, marked)
+            els, used_els, _ = _lower_body(node.els, frames, depth, marked)
             steps.append(_if_step(_lookup(node.path, frames, pos, False), then, els))
             deepest = max(deepest, used_then, used_els)
-    return tuple(steps), deepest
+    return tuple(steps), deepest, parts
 
 
 def _lookup(path: str, frames: dict, pos: Position, strict: bool) -> Callable:
@@ -465,9 +489,8 @@ def _lit_step(node: Lit, marked: bool) -> Callable:
     return step
 
 
-def _interp_step(node: PlanInterp, get: Callable, pos: Position, marked: bool) -> Callable:
-    escape, path = chain(node.escapers), node.path
-
+def _interp_step(path: str, escape: Callable, get: Callable, pos: Position,
+                 marked: bool) -> Callable:
     if not marked:
         def step(out, scope):
             try:
@@ -483,14 +506,71 @@ def _interp_step(node: PlanInterp, get: Callable, pos: Position, marked: bool) -
     return step
 
 
-def _for_step(node: PlanFor, get: Callable, body: tuple, slot: int,
-              pos: Position) -> Callable:
+_DICT_ONLY = {dict}
+
+
+def _column_render(parts, var: str) -> Callable:
+    """The (seq, scope) -> text column render of a loop body of literals
+    and interpolations, given as _lower_body's parts, over loop variable
+    ``var``. A field path's prefixes are looked up once each, so the sites
+    ``var.a.b`` and ``var.a.c`` share the column of ``var.a``."""
+    prefixes = {(): 0}  # field path on ``var`` -> index of its column in ``values``
+    lookups = []  # (index of the parent column, field, whether to check the parent)
+    row = []  # one item's output: its literals, and None at each site
+    once, per_item = [], []  # (row offset, lookup, escape), (row offset, column, escape)
+    for offset, (node, escape, get) in enumerate(parts):
+        if escape is None:
+            row.append(node.text)
+            continue
+        row.append(None)
+        head, *fields = node.path.split(".")
+        if head != var:
+            once.append((offset, get, escape))
+            continue
+        index = 0
+        for i, field in enumerate(fields):
+            key = tuple(fields[:i + 1])
+            if key not in prefixes:
+                prefixes[key] = len(prefixes)
+                lookups.append((index, field, all(p != index for p, _, _ in lookups)))
+            index = prefixes[key]
+        per_item.append((offset, index, escape))
+    width = len(row)
+
+    def render(seq, scope):
+        n = len(seq)
+        values = [seq]
+        for parent, field, check in lookups:
+            column = values[parent]
+            if check and set(map(type, column)) != _DICT_ONLY:
+                raise TypeError("a field path passes through a value that is not a dict")
+            values.append(list(map(dict.__getitem__, column, repeat(field, n))))
+        first = row.copy()
+        for offset, get, escape in once:
+            first[offset] = escape(get(scope))
+        out = first * n
+        for offset, index, escape in per_item:
+            out[offset::width] = list(map(escape, values[index]))
+        return "".join(out)
+    return render
+
+
+def _for_step(node: PlanFor, get: Callable, body: tuple, columns: Callable | None,
+              slot: int, pos: Position) -> Callable:
     path = node.path
 
     def step(out, scope):
         seq = get(scope)
         if not isinstance(seq, list):
             raise RenderError(f"loop over non-list value at path {path!r}", pos)
+        if columns is not None and type(seq) is list and len(seq) > 1:
+            try:
+                text = columns(seq, scope)
+            except Exception:  # noqa: BLE001 - the item walk raises the first error by item
+                pass
+            else:
+                out(text)
+                return
         for item in seq:
             scope[slot] = item
             for inner in body:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import machine as machine_mod
 from .diagnostics import Diagnostic, Position, RenderError, Severity, has_errors, warning
-from .escapers import apply_chain
+from .escapers import chain
 from .frontend import (
     AppendFixed,
     AppendProgram,
@@ -21,7 +21,8 @@ from .values import EscapeError, SafeContent, truthy
 
 class Accumulator:
     """Owns a machine state and a collector; the state is always the fold of
-    every append so far. Its step memo lives as long as it does."""
+    every append so far. Its step memo, and the escaper chains it has bound
+    by names, live as long as it does: one render."""
 
     def __init__(self, machine: machine_mod.Machine):
         self.machine = machine
@@ -29,6 +30,7 @@ class Accumulator:
         self.collector = Collector()
         self.diagnostics: list[Diagnostic] = []
         self.memo: dict = {}
+        self.chains: dict = {}
 
     @property
     def errored(self) -> bool:
@@ -54,8 +56,11 @@ class Accumulator:
         if r.error:
             return r.diagnostics
         self.collector.append_text(r.pre)
+        escape = self.chains.get(r.escapers)
+        if escape is None:
+            escape = self.chains[r.escapers] = chain(r.escapers)
         try:
-            self.collector.append_value(apply_chain(r.escapers, value))
+            self.collector.append_value(escape(value))
         except EscapeError as exc:
             diag = Diagnostic(Severity.ERROR, str(exc), pos)
             self.diagnostics.append(diag)

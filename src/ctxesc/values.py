@@ -28,7 +28,7 @@ class SafeContent(FrozenRecord):
 
 
 def stringify(value) -> str:
-    """Text form of a scalar value.
+    """Text form of a scalar value, or of a SafeContent's text.
 
     Numbers use their shortest round-trip decimal form; booleans are
     ``true``/``false``. Lists, records, and null have no unambiguous text
@@ -37,7 +37,9 @@ def stringify(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, SafeContent):
-        return value.text
+        # SafeContent does not check its text, so text that is not a str
+        # gets the text form, or the EscapeError, of the value it is
+        return stringify(value.text)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, float)):

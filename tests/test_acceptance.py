@@ -15,7 +15,7 @@ from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, TWO_ATTR_TEMPLATE, program
 from ctxesc import machine as machine_mod
 from ctxesc.compiler import compile_template, execute_plan, propagate
 from ctxesc.diagnostics import Severity, has_errors
-from ctxesc.escapers import escape_html_attr, escape_pcdata, filter_url_prefix
+from ctxesc.escapers import chain, escape_pcdata
 from ctxesc.frontend import walk
 from ctxesc.i18n import extract_messages, substitute_placeholders
 from ctxesc.machine import state_str
@@ -228,12 +228,15 @@ def test_c10_runtime_cost(html):
         assert machine_mod.transition_op_count() == before, \
             "plan execution touched the transition machinery"
 
+        # the URL chain as a plan calls it: fused by escapers.chain
+        escape_url = chain(("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper"))
+
         def naive(item_list):
             parts = ["<ul>\n"]
             append = parts.append
             for item in item_list:
                 append('  <li><a href="')
-                append(escape_html_attr(filter_url_prefix(item["url"])))
+                append(escape_url(item["url"]))
                 append('">')
                 append(escape_pcdata(item["label"]))
                 append("</a></li>\n")

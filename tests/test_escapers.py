@@ -357,13 +357,21 @@ def test_chain_matches_the_original_chain_rule_on_safe_content(names):
 
 @pytest.mark.parametrize("names", SHIPPED_CHAINS, ids="+".join)
 def test_chain_matches_the_original_chain_rule_on_safe_content_with_non_str_text(names):
-    # SafeContent does not check that its text is a str; the original rule
-    # stringified whatever the last escaper returned, so ("html", 5) through
-    # the pcdata escaper alone is "5" and ("html", None) an EscapeError
+    # SafeContent does not check that its text is a str; stringify gives such
+    # text the text form of its value, so every chain but the JSON one (which
+    # rejects all SafeContent) renders ("css", 5) as "5" and ("css", None) as
+    # an EscapeError, never a bare TypeError
+    render = _plan_chain(names)
     for value in [SafeContent(lang, text) for lang in ("html", "css", "url", "text")
                   for text in (5, 2.5, True, None, [1])]:
-        assert _outcome_and_message(lambda v: apply_chain(names, v), value) == \
-            _outcome_and_message(lambda v: _original_chain(names, v), value), repr(value)
+        outcome = _outcome_and_message(lambda v: apply_chain(names, v), value)
+        assert outcome == _outcome_and_message(lambda v: _original_chain(names, v), value), \
+            repr(value)
+        if names == ("JsonValueEscaper",) or not isinstance(value.text, (int, float)):
+            assert outcome[:2] == ("raises", EscapeError), repr(value)
+        else:
+            assert outcome == ("ok", stringify(value.text)), repr(value)
+        assert _outcome(render, value) == _outcome(lambda v: apply_chain(names, v), value)
 
 
 # -- chain fusion --------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, program_of
+from ctxesc import escapers
 from ctxesc.compiler import compile_template
 from ctxesc.diagnostics import PlanError, RenderError, has_errors
 from ctxesc.marks import LITERAL_MARK_KINDS, MARK_KINDS
@@ -154,6 +155,164 @@ def test_url_with_a_lone_surrogate_is_a_positioned_render_error(html):
     with pytest.raises(RenderError, match="cannot percent-encode") as dynamic:
         render_full(program_of(LIST_TEMPLATE, "list.tpl"), values, html)
     assert dynamic.value.position == compiled.value.position
+
+
+# -- flat loop bodies rendered column by column ---------------------------------------
+# In a plan without marks, a loop whose body holds only literals and
+# interpolations renders a list of two or more items column by column; any
+# item it cannot render exactly as the item walk would sends the whole loop
+# back to the walk.
+
+class _MissingIsText(dict):
+    def __missing__(self, key):
+        return "from __missing__"
+
+
+class _UpperItems(dict):
+    def __getitem__(self, key):
+        return str(dict.__getitem__(self, key)).upper()
+
+
+class _WalkedList(list):
+    """A list the column step leaves to the item walk: the walk's reference."""
+
+
+_scalars = st.one_of(
+    st.text(max_size=5), st.sampled_from(["javascript:x", "\ud800", "<b>&'\"", "/a b"]),
+    st.integers(), st.floats(), st.booleans(), st.none(), st.just([1]),
+    st.builds(SafeContent, st.sampled_from(["html", "css"]),
+              st.one_of(st.text(max_size=4), st.just(5), st.none())))
+
+
+def _mappings(values):
+    """Mostly plain dicts with fields a and b; some with any of a, b and c,
+    and a few dict subclasses."""
+    fields = st.dictionaries(st.sampled_from("abc"), values, max_size=3)
+    full = st.fixed_dictionaries({"a": values, "b": values})
+    kinds = [fields.map(_MissingIsText), fields.map(_UpperItems), fields, fields]
+    return st.integers(0, 9).flatmap(lambda k: kinds[k] if k < len(kinds) else full)
+
+
+_level2 = st.one_of(st.text(max_size=5), _scalars, _mappings(_scalars))
+_item_mappings = _mappings(st.one_of(st.text(max_size=5), _scalars, _mappings(_level2)))
+# one item in eight is a scalar
+_items = st.integers(0, 7).flatmap(lambda k: _scalars if k == 0 else _item_mappings)
+
+_FLAT_PATHS = ["it", "it.a", "it.b", "it.a.b", "it.a.b.c", "r", "o.a"]
+_flat_nodes = st.one_of(
+    st.sampled_from(["x", "<i>y</i>", ", "]),
+    st.tuples(st.sampled_from(['${%s}', '<b title="${%s}">t</b>', '<a href="${%s}">u</a>']),
+              st.sampled_from(_FLAT_PATHS)).map(lambda t: t[0] % t[1]))
+
+
+def flat_loop_template(body: str) -> str:
+    return ('tag: html\n"<ul>\n:for o of outer {\n:for it of items {\n'
+            f'"<li>{body}</li>\n:}}\n:}}\n"</ul>\n')
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(body=st.lists(_flat_nodes, max_size=5).map("".join),
+       items=st.lists(_items, max_size=6),
+       outer=st.lists(st.one_of(st.fixed_dictionaries({"a": _scalars}), _scalars),
+                      min_size=1, max_size=2),
+       root=_scalars)
+def test_flat_loop_bodies_render_like_the_item_walk_and_the_dynamic_engine(
+        html, body, items, outer, root):
+    source = flat_loop_template(body)
+    plan, diags = compile_template(source, "flat.tpl")
+    assert not has_errors(diags), [str(d) for d in diags]
+    values = {"items": items, "outer": outer, "r": root}
+    static = render_outcome(lambda: execute_plan(plan, Bindings(values)))
+    walked = render_outcome(lambda: execute_plan(
+        plan, Bindings({**values, "items": _WalkedList(items)})))
+    assert static == walked
+    dynamic = render_outcome(
+        lambda: render_full(program_of(source, "flat.tpl"), Bindings(values), html))
+    if static[0] == "error":
+        # the plan adds the interpolation's path to an escaper's message
+        assert dynamic[0] == "error" and static[2] == dynamic[2], (static, dynamic)
+        assert static[1] == dynamic[1] or static[1].startswith(f"{dynamic[1]} (path "), \
+            (static, dynamic)
+    else:
+        assert static == dynamic
+
+
+def test_a_flat_loop_reports_the_first_error_by_item_then_by_site(html):
+    source = flat_loop_template("${it.a}|${it.b}")
+    items = [{"a": str(i), "b": str(i)} for i in range(8)]
+    items[5]["a"] = [1]  # site 1 fails at item 5
+    items[3]["b"] = [2]  # site 2 fails at item 3
+    plan, _ = compile_template(source, "flat.tpl")
+    values = Bindings({"items": items, "outer": [1], "r": ""})
+    with pytest.raises(RenderError, match=r"cannot render a list as text \(path 'it.b'\)") as exc:
+        execute_plan(plan, values)
+    assert str(exc.value.position) == "flat.tpl:5:14"
+    with pytest.raises(RenderError, match="cannot render a list as text") as dynamic:
+        render_full(program_of(source, "flat.tpl"), values, html)
+    assert dynamic.value.position == exc.value.position
+
+
+@pytest.fixture
+def column_renders(monkeypatch):
+    """The lengths of the lists that loops lowered from now on render
+    column by column."""
+    lengths = []
+    lower = plan_mod._column_render
+
+    def spied(parts, var):
+        render = lower(parts, var)
+
+        def spy(seq, scope):
+            lengths.append(len(seq))
+            return render(seq, scope)
+        return spy
+
+    monkeypatch.setattr(plan_mod, "_column_render", spied)
+    return lengths
+
+
+def test_a_flat_loop_escapes_sites_off_the_loop_variable_once_per_loop(column_renders):
+    calls = []
+    saved = escapers.get("HtmlPcdataEscaper")
+    escapers.register(escapers.Escaper(saved.name, lambda v: calls.append(v) or str(v)))
+    try:
+        plan = CompiledPlan("html", [PlanFor("it", "items", [
+            PlanInterp("it", (saved.name,)), PlanInterp("r", (saved.name,))])])
+        text = execute_plan(plan, Bindings({"items": [1, 2, 3], "r": "R"}))[0].text
+    finally:
+        escapers.register(saved)
+    assert text == "1R2R3R"
+    assert column_renders == [3]
+    assert sorted(calls, key=str) == [1, 2, 3, "R"]
+
+
+@pytest.mark.parametrize("body", [[Lit("<li>"), Lit("x</li>")], [Lit("x")], []])
+@pytest.mark.parametrize("n", [0, 1, 1000])
+def test_a_literal_only_loop_body_renders_once_per_item(column_renders, body, n):
+    plan = CompiledPlan("html", [Lit("<ul>"), PlanFor("it", "items", body), Lit("</ul>")])
+    expected = "<ul>" + "".join(node.text for node in body) * n + "</ul>"
+    assert execute_plan(plan, Bindings({"items": [0] * n}))[0].text == expected
+    # a list of one item has no column to share a pass, so it is walked
+    assert column_renders == ([n] if n > 1 else [])
+
+
+def test_a_list_subclass_or_a_plan_with_marks_takes_the_item_walk(column_renders):
+    plan = CompiledPlan("html", [PlanFor("it", "items", [PlanInterp("it", ())])])
+    marked = CompiledPlan("html", [PlanFor("it", "items", [
+        Lit("x", (Mark("MsgStart", 0, "m"), Mark("MsgEnd", 1))), PlanInterp("it", ())])])
+    assert execute_plan(plan, Bindings({"items": _WalkedList([1, 2])}))[0].text == "12"
+    assert execute_plan(marked, Bindings({"items": [1, 2]}))[0].text == "x1x2"
+    assert column_renders == []
+    assert execute_plan(plan, Bindings({"items": [1, 2]}))[0].text == "12"
+    assert column_renders == [2]
+
+
+def test_safe_content_with_non_str_text_renders_or_is_a_render_error():
+    plan = CompiledPlan("html", [Lit("a"), PlanInterp("x", ())])
+    assert execute_plan(plan, Bindings({"x": SafeContent("html", 5)}))[0].text == "a5"
+    with pytest.raises(RenderError, match="cannot render a list as text") as exc:
+        execute_plan(plan, Bindings({"x": SafeContent("html", [1])}))
+    assert str(exc.value.position) == "<plan>:0:0"
 
 
 # -- plan JSON writer ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import LIST_TEMPLATE, program_of, render_text
+from ctxesc import escapers, runtime
 from ctxesc.diagnostics import Position, RenderError, Severity
 from ctxesc.compiler import compile_template
 from ctxesc.machine import finish, step_fixed, step_interp
@@ -208,3 +209,40 @@ def test_bindings_from_json_safe_content_escape_hatch(html):
     b = Bindings.from_json('{"love": {"$safe": "html", "content": "<b>x</b>"}, "n": 3}')
     assert b.values["love"] == SafeContent("html", "<b>x</b>")
     assert b.values["n"] == 3
+
+
+@pytest.mark.parametrize("text, expected", [(5, '<p title="5">t</p>\n'),
+                                            (None, "cannot render null as text")])
+def test_safe_content_with_non_str_text_renders_or_is_a_positioned_error(html, text, expected):
+    program = program_of('tag: html\n"<p title="${x}">t</p>\n', "s.tpl")
+    bindings = Bindings({"x": SafeContent("css", text)})
+    if text is None:
+        with pytest.raises(RenderError, match=expected) as exc:
+            render_full(program, bindings, html)
+        assert str(exc.value.position) == "s.tpl:2:12"
+    else:
+        assert render_full(program, bindings, html)[0].text == expected
+
+
+def test_a_render_binds_each_chain_once_and_the_next_render_sees_a_replacement(html, monkeypatch):
+    built = []
+
+    def counting_chain(names):
+        built.append(names)
+        return escapers.chain(names)
+
+    monkeypatch.setattr(runtime, "chain", counting_chain)
+    items = [{"url": f"/u{i}", "label": f"<{i}>"} for i in range(5)]
+    program = program_of(LIST_TEMPLATE)
+    first = render_full(program, Bindings({"items": items}), html)[0].text
+    assert sorted(built) == [("HtmlPcdataEscaper",),
+                             ("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper")]
+    assert "&lt;4&gt;" in first
+    original = escapers.get("HtmlPcdataEscaper")
+    try:
+        escapers.register(escapers.Escaper("HtmlPcdataEscaper", str.upper))
+        second = render_full(program, Bindings({"items": items}), html)[0].text
+    finally:
+        escapers.register(original)
+    assert "<4>" not in first and "<4>" in second
+    assert len(built) == 4
