@@ -512,45 +512,37 @@ _DICT_ONLY = {dict}
 def _column_render(parts, var: str) -> Callable:
     """The (seq, scope) -> text column render of a loop body of literals
     and interpolations, given as _lower_body's parts, over loop variable
-    ``var``. A field path's prefixes are looked up once each, so the sites
-    ``var.a.b`` and ``var.a.c`` share the column of ``var.a``."""
-    prefixes = {(): 0}  # field path on ``var`` -> index of its column in ``values``
-    lookups = []  # (index of the parent column, field, whether to check the parent)
+    ``var``."""
     row = []  # one item's output: its literals, and None at each site
-    once, per_item = [], []  # (row offset, lookup, escape), (row offset, column, escape)
+    once, per_item = [], []  # (row offset, lookup, escape), (row offset, fields, escape)
     for offset, (node, escape, get) in enumerate(parts):
         if escape is None:
             row.append(node.text)
             continue
         row.append(None)
         head, *fields = node.path.split(".")
-        if head != var:
+        if head == var:
+            per_item.append((offset, fields, escape))
+        else:
             once.append((offset, get, escape))
-            continue
-        index = 0
-        for i, field in enumerate(fields):
-            key = tuple(fields[:i + 1])
-            if key not in prefixes:
-                prefixes[key] = len(prefixes)
-                lookups.append((index, field, all(p != index for p, _, _ in lookups)))
-            index = prefixes[key]
-        per_item.append((offset, index, escape))
     width = len(row)
+    has_fields = any(fields for _, fields, _ in per_item)
 
     def render(seq, scope):
         n = len(seq)
-        values = [seq]
-        for parent, field, check in lookups:
-            column = values[parent]
-            if check and set(map(type, column)) != _DICT_ONLY:
-                raise TypeError("a field path passes through a value that is not a dict")
-            values.append(list(map(dict.__getitem__, column, repeat(field, n))))
+        if has_fields and set(map(type, seq)) != _DICT_ONLY:
+            raise TypeError("a loop item is not a dict")
         first = row.copy()
         for offset, get, escape in once:
             first[offset] = escape(get(scope))
         out = first * n
-        for offset, index, escape in per_item:
-            out[offset::width] = list(map(escape, values[index]))
+        for offset, fields, escape in per_item:
+            column = seq
+            for field in fields:
+                if column is not seq and set(map(type, column)) != _DICT_ONLY:
+                    raise TypeError("a field path passes through a value that is not a dict")
+                column = list(map(dict.__getitem__, column, repeat(field, n)))
+            out[offset::width] = list(map(escape, column))
         return "".join(out)
     return render
 
