@@ -27,25 +27,28 @@ from collections.abc import Callable
 from .records import FrozenRecord
 from .values import EscapeError, SafeContent, stringify
 
-# Each escaper first searches for a character it would change and returns
-# the text itself when there is none; most values need no escaping.
-_PCDATA_SEARCH = re.compile(r"[&<>]").search
+# The HTML and CSS escapers first look for a character they would change and
+# return the text itself when there is none; most values need no escaping.
 _ATTR_SEARCH = re.compile(r"[&<>\"']").search
 
 # RFC 3986 reserved and unreserved characters survive URL filtering; anything
-# else (spaces, quotes, angle brackets, non-ASCII) is percent-encoded.
-_URL_SAFE = ":/?#[]@!$&'()*+,;=%-._~"
-_URL_SCHEME_END = re.compile(r"[:/?#]").search
-# the characters urllib.parse.quote leaves alone: its always-safe ASCII set
-# plus _URL_SAFE
-_URL_UNCHANGED = re.compile("[%s]*" % re.escape(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~" + _URL_SAFE)).fullmatch
-
-# urllib.parse.quote, bound once by the first value that needs percent-encoding
-# (an import per call costs more than the quoting); other renders never load it
-_quote = None
-
+# else (spaces, quotes, angle brackets, non-ASCII) is percent-encoded. A URL
+# filter first tries one fullmatch that passes a value through as it is: an
+# allowed scheme (ASCII letters only: under Unicode case folding ſ matches s)
+# or no scheme at all, then only kept characters. Any other value gets the
+# scheme check, then is percent-encoded by translating its UTF-8 bytes, read
+# as latin-1, through a 256-entry table; the attribute form's table also
+# escapes the only two attribute-significant characters the filter keeps.
+_URL_KEPT = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+             ":/?#[]@!$&'()*+,;=%-._~")
 _ALLOWED_SCHEMES = frozenset({"http", "https", "mailto", "tel", "ftp"})
+_URL_SCHEME_END = re.compile(r"[:/?#]").search
+_URL_HEAD = "(?:(?ai:%s):|(?![^:/?#]*:))" % "|".join(sorted(_ALLOWED_SCHEMES))
+_URL_PASSES = re.compile("%s[%s]*" % (_URL_HEAD, re.escape(_URL_KEPT))).fullmatch
+_URL_ATTR_PASSES = re.compile("%s[%s]*" % (
+    _URL_HEAD, re.escape(_URL_KEPT.replace("&", "").replace("'", "")))).fullmatch
+_PCT = tuple(chr(b) if chr(b) in _URL_KEPT else "%%%02X" % b for b in range(256))
+_PCT_ATTR = tuple(map({"&": "&amp;", "'": "&#39;"}.get, _PCT, _PCT))
 
 # Substituting instead of deleting keeps a rejected URL from turning the
 # interpolation into an empty transition.
@@ -62,7 +65,7 @@ def escape_pcdata(value) -> str:
         return stringify(value)
     else:
         text = stringify(value)
-    if _PCDATA_SEARCH(text) is None:
+    if "&" not in text and "<" not in text and ">" not in text:
         return text
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -86,38 +89,33 @@ def filter_url_prefix(value) -> str:
 
     A blocked URL is replaced with a fixed inert URL rather than erased.
     Allowed URLs are returned with characters outside the URL-safe set
-    percent-encoded (UTF-8); a value with no UTF-8 form (a lone surrogate)
-    raises EscapeError.
+    percent-encoded (UTF-8, uppercase hex); a value with no UTF-8 form (a
+    lone surrogate) raises EscapeError.
     """
     text = value if type(value) is str else stringify(value)
-    m = _URL_SCHEME_END(text)
-    if m and text[m.start()] == ":":
-        scheme = text[: m.start()].lower()
-        if scheme not in _ALLOWED_SCHEMES:
-            return URL_REPLACEMENT
-    if _URL_UNCHANGED(text):
-        return text
-    global _quote
-    if _quote is None:
-        from urllib.parse import quote as _quote
-    try:
-        return _quote(text, safe=_URL_SAFE)
-    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
-        raise EscapeError(f"cannot percent-encode URL value: {exc.reason} "
-                          f"at index {exc.start}") from None
+    return text if _URL_PASSES(text) else _filter_url(text, _PCT)
 
 
 def filter_url_attr(value) -> str:
     """``filter_url_prefix`` then ``escape_html_attr`` in one call.
 
     The filter's output is already text and holds no ``"``, ``<`` or ``>``
-    (it percent-encodes them), so only ``&`` and ``'`` are left to escape;
-    two substring tests find them faster than a regex search of a long URL.
+    (it percent-encodes them), so only ``&`` and ``'`` are left to escape,
+    and the percent table escapes them in the same pass.
     """
-    text = filter_url_prefix(value)
-    if "&" not in text and "'" not in text:
-        return text
-    return text.replace("&", "&amp;").replace("'", "&#39;")
+    text = value if type(value) is str else stringify(value)
+    return text if _URL_ATTR_PASSES(text) else _filter_url(text, _PCT_ATTR)
+
+
+def _filter_url(text: str, table: tuple[str, ...]) -> str:
+    m = _URL_SCHEME_END(text)
+    if m and text[m.start()] == ":" and text[: m.start()].lower() not in _ALLOWED_SCHEMES:
+        return URL_REPLACEMENT
+    try:
+        return text.encode("utf-8").decode("latin-1").translate(table)
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        raise EscapeError(f"cannot percent-encode URL value: {exc.reason} "
+                          f"at index {exc.start}") from None
 
 
 # json.dumps with these keywords builds a new encoder on every call. Sharing

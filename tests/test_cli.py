@@ -119,14 +119,19 @@ def test_render_plan_loads_no_machine(workdir, capsys):
     env = dict(os.environ, PYTHONIOENCODING="utf-8")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
 
-    def imports(*flags):
+    encoded = workdir / "encoded.json"
+    encoded.write_text(json.dumps({"items": [{"url": "/a b/\u00fc", "label": "x"}]}),
+                       encoding="utf-8")
+
+    def imports(*flags, bindings=workdir / "b.json",
+                out='<ul>\n  <li><a href="https://e.com">a&lt;b</a></li>\n</ul>\n'):
         # -X importtime lists every module the interpreter imports on stderr
         result = subprocess.run(
             [sys.executable, *flags, "-X", "importtime", "-m", "ctxesc", "render", str(plan),
-             "--bindings", str(workdir / "b.json")],
+             "--bindings", str(bindings)],
             cwd=workdir, env=env, capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
-        assert result.stdout == '<ul>\n  <li><a href="https://e.com">a&lt;b</a></li>\n</ul>\n'
+        assert result.stdout == out
         return {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
                 if line.startswith("import time:")}
 
@@ -137,9 +142,12 @@ def test_render_plan_loads_no_machine(workdir, capsys):
     assert not heavy & imported, sorted(heavy & imported)
     # the render path's records are plain slotted classes, not dataclasses
     assert not {"dataclasses", "inspect"} & imported
-    # without site, whose hooks may load it anyway, a URL that needs no
-    # percent-encoding leaves urllib.parse unloaded
+    # without site, whose hooks may load it anyway, no URL loads
+    # urllib.parse: the URL filter percent-encodes with its own table
     assert "urllib.parse" not in imports("-S")
+    assert "urllib.parse" not in imports(
+        "-S", bindings=encoded,
+        out='<ul>\n  <li><a href="/a%20b/%C3%BC">x</a></li>\n</ul>\n')
     assert compiled.err == ""
 
 

@@ -218,6 +218,10 @@ def _old_url(value):
         raise EscapeError("cannot percent-encode URL value") from None
 
 
+def _old_url_attr(value):
+    return _old_attr(_old_url(value))
+
+
 def _old_json(value):
     if isinstance(value, SafeContent):
         raise EscapeError("safe content has no meaning inside a script body")
@@ -237,6 +241,7 @@ ORACLES = [
     (escape_pcdata, _old_pcdata),
     (escape_html_attr, _old_attr),
     (filter_url_prefix, _old_url),
+    (filter_url_attr, _old_url_attr),
     (escape_json_value, _old_json),
     (escape_css_string, _old_css),
 ]
@@ -279,6 +284,49 @@ def test_escaper_matches_its_original_formula(escaper, oracle, value):
 def test_escaper_matches_its_original_formula_on_the_adversarial_corpus(escaper, oracle):
     for value in adversarial_values(2000) + ["\ud800", "a\udfffb", "\x00\x7f\x9f", "ü€😀"]:
         assert _outcome(escaper, value) == _outcome(oracle, value), repr(value)
+
+
+# The URL filters pass a value through when one fullmatch finds an allowed or
+# no scheme and only kept characters. These URLs sit on both sides of that
+# check: a scheme-like head, a tail of kept characters, and sometimes one
+# character from outside the kept set at a random position.
+_URL_KEPT = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
+             ":/?#[]@!$&'()*+,;=%-._~")
+
+
+def _url_with(head, tail, odd, at):
+    at %= len(tail) + 1
+    return head + tail[:at] + odd + tail[at:]
+
+
+_url_near_kept = st.builds(
+    _url_with,
+    st.sampled_from(["", "http:", "HTTP:", "https:", "HtTpS:", "mailto:", "MAILTO:", "tel:",
+                     "Tel:", "ftp:", "FTP:", "x:", ":a", "a/b:", "/", "//", "?", "#", "%", "&",
+                     "'", "http\u017f:", "javascript:"]),
+    st.text(st.sampled_from(_URL_KEPT), max_size=24),
+    st.one_of(st.just(""), st.sampled_from(' "<>`\\^{|}\x00\x7f\xa0ü\u017f\u0130€😀\ud800'),
+              st.characters(exclude_categories=()).filter(lambda c: c not in _URL_KEPT)),
+    st.integers(0, 64),
+)
+URL_ORACLES = [(filter_url_prefix, _old_url), (filter_url_attr, _old_url_attr)]
+
+
+@pytest.mark.parametrize("escaper, oracle", URL_ORACLES,
+                         ids=[f.__name__ for f, _ in URL_ORACLES])
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(value=_url_near_kept)
+def test_url_filter_matches_its_original_formula_around_the_pass_through(escaper, oracle,
+                                                                         value):
+    assert _outcome(escaper, value) == _outcome(oracle, value)
+
+
+def test_url_with_a_lone_surrogate_names_the_reason_and_index():
+    for escaper in (filter_url_prefix, filter_url_attr):
+        with pytest.raises(EscapeError) as exc:
+            escaper("a\ud800b")
+        assert str(exc.value) == \
+            "cannot percent-encode URL value: surrogates not allowed at index 1"
 
 
 # -- chain-level oracle --------------------------------------------------------------
