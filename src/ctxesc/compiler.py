@@ -34,6 +34,7 @@ from .frontend import (
     desugar,
     parse_template,
 )
+from .marks import body_change, nest_messages
 from .plan import (  # noqa: F401 - re-exported: callers use compiler.<name>
     CompiledPlan,
     Lit,
@@ -79,13 +80,29 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
     """Push the zero context forward through the program, analyzing each
     loop body and branch once and joining the states where control flow
     meets, re-emitting machine diagnostics with the source position of the
-    offending append argument."""
+    offending append argument. A message mark that does not nest is an
+    error at its step, and a body that opens or closes a message at its block."""
     ann = AnnotatedProgram(machine=machine)
     table, sink, memo = machine.root_table, ann.diagnostics, {}
+    in_message = False
+
+    def nest(marks, pos):
+        nonlocal in_message
+        in_message, problem = nest_messages(in_message, marks)
+        if problem:
+            sink.append(error(problem, pos))
+
+    def end_body(started_in_message, where, pos):
+        nonlocal in_message
+        if in_message != started_in_message:
+            sink.append(error(body_change(where, in_message), pos))
+            in_message = started_in_message
 
     def flush_into(state, items, pos):
         r = machine_mod.finish(machine, state, pos, memo=memo)
         sink.extend(r.diagnostics)
+        if r.marks:
+            nest(r.marks, pos)
         _emit_lit(items, r.emitted, r.marks)
         return r.state
 
@@ -107,12 +124,16 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 ann.in_states[node] = state
                 r = machine_mod.step_fixed(machine, state, node.text, node.pos)
                 sink.extend(r.diagnostics)
+                if r.marks:
+                    nest(r.marks, node.pos)
                 _emit_lit(items, r.emitted, r.marks)
                 state = r.state
             elif isinstance(node, AppendUnsafe):
                 r = machine_mod.step_interp(machine, state, node.pos, memo=memo)
                 ann.in_states[node] = r.site
                 sink.extend(r.diagnostics)
+                if r.marks:
+                    nest(r.marks, node.pos)
                 _emit_lit(items, r.emitted + r.pre, r.marks)
                 if not r.error:
                     items.append(PlanInterp(node.path, tuple(r.escapers), pos=node.pos))
@@ -121,15 +142,20 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
             elif isinstance(node, LoopBlock):
                 # merge returns the header when the body ends where it began and
                 # fail-stops otherwise: one pass proves a fixed point or a conflict
+                started_in_message = in_message
                 out, body = analyze(node.body, state)
                 out = flush_into(out, body, node.pos)
+                end_body(started_in_message, "loop body", node.pos)
                 items.append(PlanFor(node.var, node.path, body, pos=node.pos))
                 state = join(node, state, out)
             elif isinstance(node, BranchBlock):
+                started_in_message = in_message
                 t_state, t_items = analyze(node.then, state)
                 t_state = flush_into(t_state, t_items, node.pos)
+                end_body(started_in_message, "branch", node.pos)
                 e_state, e_items = analyze(node.els, state)
                 e_state = flush_into(e_state, e_items, node.pos)
+                end_body(started_in_message, "branch", node.pos)
                 items.append(PlanIf(node.path, t_items, e_items, pos=node.pos))
                 state = join(node, t_state, e_state)
             elif isinstance(node, Collected):

@@ -37,8 +37,9 @@ _ATTR_SEARCH = re.compile(r"[&<>\"']").search
 # allowed scheme (ASCII letters only: under Unicode case folding ſ matches s)
 # or no scheme at all, then only kept characters. Any other value gets the
 # scheme check, then is percent-encoded by translating its UTF-8 bytes, read
-# as latin-1, through a 256-entry table; the attribute form's table also
-# escapes the only two attribute-significant characters the filter keeps.
+# as latin-1, through a 256-entry table; the attribute and CSS string forms'
+# tables also escape ``&`` and ``'``, the only characters significant there
+# that the filter keeps.
 _URL_KEPT = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
              ":/?#[]@!$&'()*+,;=%-._~")
 _ALLOWED_SCHEMES = frozenset({"http", "https", "mailto", "tel", "ftp"})
@@ -49,6 +50,7 @@ _URL_ATTR_PASSES = re.compile("%s[%s]*" % (
     _URL_HEAD, re.escape(_URL_KEPT.replace("&", "").replace("'", "")))).fullmatch
 _PCT = tuple(chr(b) if chr(b) in _URL_KEPT else "%%%02X" % b for b in range(256))
 _PCT_ATTR = tuple(map({"&": "&amp;", "'": "&#39;"}.get, _PCT, _PCT))
+_PCT_CSS = tuple(map({"&": "\\26 ", "'": "\\27 "}.get, _PCT, _PCT))
 
 # Substituting instead of deleting keeps a rejected URL from turning the
 # interpolation into an empty transition.
@@ -77,7 +79,7 @@ def escape_html_attr(value) -> str:
     preserve the integrity of the delimiting quotes, so even safe HTML text
     is re-escaped character by character.
     """
-    text = stringify(value)
+    text = value if type(value) is str else stringify(value)
     if _ATTR_SEARCH(text) is None:
         return text
     return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -107,6 +109,13 @@ def filter_url_attr(value) -> str:
     return text if _URL_ATTR_PASSES(text) else _filter_url(text, _PCT_ATTR)
 
 
+def filter_url_css(value) -> str:
+    """``filter_url_prefix`` then ``escape_css_string`` in one call, in the
+    way ``filter_url_attr`` fuses the attribute escaper."""
+    text = value if type(value) is str else stringify(value)
+    return text if _URL_ATTR_PASSES(text) else _filter_url(text, _PCT_CSS)
+
+
 def _filter_url(text: str, table: tuple[str, ...]) -> str:
     m = _URL_SCHEME_END(text)
     if m and text[m.start()] == ":" and text[: m.start()].lower() not in _ALLOWED_SCHEMES:
@@ -120,9 +129,11 @@ def _filter_url(text: str, table: tuple[str, ...]) -> str:
 
 # json.dumps with these keywords builds a new encoder on every call. Sharing
 # one is safe: encode keeps no state between calls (each call makes its own
-# circular-reference markers and C encoder).
+# circular-reference markers and C encoder). An exact str, int, bool or None
+# skips it, for what it would call or write.
 _json_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                                 separators=(",", ":")).encode
+_json_encode_str = json.encoder.encode_basestring
 
 
 def escape_json_value(value) -> str:
@@ -131,19 +142,34 @@ def escape_json_value(value) -> str:
     ``<``, ``>`` and ``&`` are escaped inside the serialized form so the
     output can never contain ``</script`` or an HTML comment opener.
     """
-    if isinstance(value, SafeContent):
+    cls = type(value)
+    if cls is str:
+        out = _json_encode_str(value)
+        if "<" not in out and ">" not in out and "&" not in out:
+            return out
+    elif cls is int:
+        try:
+            return int.__repr__(value)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise EscapeError(f"cannot serialize value as JSON: {exc}") from None
+    elif cls is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
+    elif isinstance(value, SafeContent):
         raise EscapeError("safe content has no meaning inside a script body")
-    try:
-        out = _json_encode(value)
-    except (TypeError, ValueError) as exc:
-        raise EscapeError(f"cannot serialize value as JSON: {exc}") from None
+    else:
+        try:
+            out = _json_encode(value)
+        except (TypeError, ValueError) as exc:
+            raise EscapeError(f"cannot serialize value as JSON: {exc}") from None
     return out.replace("<", "\\u003c").replace(">", "\\u003e").replace("&", "\\u0026")
 
 
 def escape_css_string(value) -> str:
     """Escape for the inside of a CSS string literal (hex escapes keep
     quotes, backslashes, and markup-significant characters inert)."""
-    text = stringify(value)
+    text = value if type(value) is str else stringify(value)
     if _CSS_STRING_SEARCH(text) is None:
         return text
     # the backslash first, so the escapes added after it stay as they are
@@ -183,16 +209,18 @@ def known_names() -> frozenset[str]:
 
 # Rewrites of adjacent transforms, keyed by identity so that a replacement
 # registered under a shipped name is never fused: the URL filter and the
-# attribute escaper run as one pass, and the attribute escaper after the CSS
-# string escaper goes, since CSS string output holds none of & < > " '.
+# attribute or CSS string escaper run as one pass, and the attribute escaper
+# after a CSS string escape goes, since that output holds none of & < > " '.
 _FUSED = {
     (filter_url_prefix, escape_html_attr): filter_url_attr,
+    (filter_url_prefix, escape_css_string): filter_url_css,
     (escape_css_string, escape_html_attr): escape_css_string,
+    (filter_url_css, escape_html_attr): filter_url_css,
 }
 
 # transforms that always return a str, so a chain of one needs no wrapper
 _RETURN_TEXT = frozenset({escape_pcdata, escape_html_attr, filter_url_prefix, filter_url_attr,
-                          escape_json_value, escape_css_string})
+                          filter_url_css, escape_json_value, escape_css_string})
 
 
 def chain(names) -> Callable[[object], str]:

@@ -8,12 +8,16 @@ this module imports nothing from the machine, the tables or the front end.
 
 execute_plan lowers a plan once, on its first render, into nested closures:
 every literal becomes an append, every escaper chain one composed function,
-and every path a lookup whose loop frame was resolved while lowering. A loop
-renders on one of two paths. In a plan without marks, a loop whose body holds
-only literals and interpolations renders a list of two or more items column
-by column, with C-level iteration, when every value a field path passes
-through is exactly a dict; otherwise, or when that attempt raises, it walks
-item by item.
+and every path a lookup whose loop frame was resolved while lowering.
+Messages nest (the compiler and the plan loader reject marks that do not),
+so whether a node sits inside a message is also known while lowering: only
+a literal with marks and a value inside a message record where their part
+lands, and a render places the marks once, at its end. A loop renders on
+one of two paths. A loop outside any message whose body holds only
+literals without marks and interpolations renders a list of two or more
+items column by column, with C-level iteration, when every value a field
+path passes through is exactly a dict; otherwise, or when that attempt
+raises, it walks item by item.
 """
 
 from __future__ import annotations
@@ -21,12 +25,12 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable
-from itertools import repeat
+from itertools import accumulate, repeat
 
 from .diagnostics import PlanError, Position, RenderError
 from .escapers import chain
 from .escapers import get as get_escaper
-from .marks import EXPR_END, EXPR_START, LITERAL_MARK_KINDS, MSG_END, MSG_START, Mark
+from .marks import EXPR_END, EXPR_START, LITERAL_MARK_KINDS, Mark, body_change, nest_messages
 from .records import Record
 from .values import EscapeError, SafeContent, bindings_from_json, truthy
 
@@ -38,45 +42,6 @@ _NAME_RE = re.compile(_NAME)
 PATH_RE = re.compile(rf"{_NAME}(?:\.{_NAME})*")
 
 # -- render state --------------------------------------------------------------
-
-class Collector:
-    """Output buffer plus the mark list that indexes into it. Messages open
-    and close only through marks the machine emitted, so ``append_text``
-    alone counts them."""
-
-    def __init__(self):
-        self._parts: list[str] = []
-        self.length = 0
-        self.marks: list[Mark] = []
-        self.open_messages = 0
-
-    def append_text(self, text: str, marks=()) -> None:
-        """Append text and the marks emitted with it, whose offsets count
-        from the start of ``text``."""
-        if marks:
-            for mark in marks:
-                self.marks.append(mark.shifted(self.length))
-                if mark.kind == MSG_START:
-                    self.open_messages += 1
-                elif mark.kind == MSG_END:
-                    self.open_messages = max(0, self.open_messages - 1)
-        if text:
-            self._parts.append(text)
-            self.length += len(text)
-
-    def append_value(self, text: str) -> None:
-        """Append an escaped value; inside an open message, between
-        ExprStart and ExprEnd marks."""
-        if self.open_messages:
-            self.marks.append(Mark(EXPR_START, self.length))
-            self.append_text(text)
-            self.marks.append(Mark(EXPR_END, self.length))
-        else:
-            self.append_text(text)
-
-    def text(self) -> str:
-        return "".join(self._parts)
-
 
 class Bindings(Record):
     """Named values available to interpolation paths."""
@@ -347,29 +312,55 @@ def _plan_from_doc(doc) -> CompiledPlan:
             raise PlanError(f"mark offset {row['offset']} lies outside its literal "
                             f"of length {len(node.text)}")
         node.marks = node.marks + (Mark(row["kind"], row["offset"], row.get("id")),)
+    _message_open_after(plan.body)
     return plan
+
+
+def _message_open_after(body, is_open: bool = False) -> bool:
+    """Whether a message is open after ``body``, given whether one is open
+    where it starts; PlanError where its message marks do not nest (see
+    ``marks.nest_messages``)."""
+    for node in body:
+        if isinstance(node, Lit):
+            is_open, problem = nest_messages(is_open, node.marks)
+            if problem:
+                raise PlanError(problem)
+        elif isinstance(node, PlanFor):
+            if _message_open_after(node.body, is_open) != is_open:
+                raise PlanError(body_change("loop body", not is_open))
+        elif isinstance(node, PlanIf):
+            for arm in (node.then, node.els):
+                if _message_open_after(arm, is_open) != is_open:
+                    raise PlanError(body_change("branch", not is_open))
+    return is_open
 
 
 # -- plan execution ----------------------------------------------------------
 # A lowered body is a tuple of steps, each called as step(out, scope). ``out``
-# is the output list's append, or the Collector when the plan has marks.
-# ``scope`` is [root bindings, item of the loop at depth 1, at depth 2, ...]:
-# a loop frame binds only its own variable, so which frame a path's head
-# names is known while lowering.
+# is the output list's append. ``scope`` is [root bindings, item of the loop
+# at depth 1, at depth 2, ...]: a loop frame binds only its own variable, so
+# which frame a path's head names is known while lowering. A plan with marks
+# adds one last slot, (output list, mark rows): a literal with marks appends
+# the row (index of its part, its marks), a value inside a message the row
+# (index of its part, _EXPR), and every other step only appends its part.
+# After the last step one running sum over the part lengths places the rows'
+# marks, in output order.
 #
-# A loop step first tries its column render, if it has one: a plan without
-# marks gives one to each loop whose body holds no loop or branch. It renders
-# a list of two or more items at once (one item has no column to share a
-# pass): a column of lookups per field on the loop variable, each site's
-# chain mapped over its column, other sites escaped once, and one output list
-# made by repeating the body's literals once per item and writing each site's
-# column into its slots. It raises where the item walk might differ (an item
-# or field value that is not exactly a dict, a missing field, any escaper
-# error), and the step then walks the items from the first, which raises the
-# first error in item and then site order. Nothing of a failed attempt is
-# appended; escapers are pure, so calling one again gives the same text.
+# A loop step first tries its column render, if it has one: lowering gives
+# one to each loop outside any message whose body holds only literals
+# without marks and interpolations. It renders a list of two or more items
+# at once (one item has no column to share a pass): a column of lookups per
+# field on the loop variable, each site's chain mapped over its column,
+# other sites escaped once, and one output list made by repeating the
+# body's literals once per item and writing each site's column into its
+# slots. It raises where the item walk might differ (an item or field value
+# that is not exactly a dict, a missing field, any escaper error), and the
+# step then walks the items from the first, which raises the first error in
+# item and then site order. Nothing of a failed attempt is appended;
+# escapers are pure, so calling one again gives the same text.
 
 _PLAN_POS = Position("<plan>", 0, 0)
+_EXPR = None  # a row's marks for a value inside a message: ExprStart and ExprEnd around it
 
 
 def execute_plan(plan: CompiledPlan, bindings: Bindings):
@@ -388,16 +379,18 @@ def execute_plan(plan: CompiledPlan, bindings: Bindings):
 
 
 def _lower(plan: CompiledPlan) -> Callable:
-    marked = _has_marks(plan.body)
-    steps, depth, _ = _lower_body(plan.body, {}, 0, marked)
+    _message_open_after(plan.body)
+    steps, depth, _ = _lower_body(plan.body, {}, 0, False)
     language, pad = plan.language, (None,) * depth
 
-    if marked:
+    if _has_marks(plan.body):
         def render(bindings):
-            out, scope = Collector(), [bindings.values, *pad]
+            parts, rows = [], []
+            scope = [bindings.values, *pad, (parts, rows)]
+            out = parts.append
             for step in steps:
                 step(out, scope)
-            return SafeContent(language, out.text()), tuple(out.marks)
+            return SafeContent(language, "".join(parts)), _place(parts, rows)
     else:
         def render(bindings):
             parts, scope = [], [bindings.values, *pad]
@@ -406,6 +399,23 @@ def _lower(plan: CompiledPlan) -> Callable:
                 step(out, scope)
             return SafeContent(language, "".join(parts)), ()
     return render
+
+
+def _place(parts: list, rows: list) -> tuple:
+    """The marks of a render's mark rows, offsets counted from the start of
+    its output."""
+    starts = list(accumulate(map(len, parts), initial=0))
+    marks = []
+    add = marks.append
+    for index, row_marks in rows:
+        at = starts[index]
+        if row_marks is _EXPR:
+            add(Mark(EXPR_START, at))
+            add(Mark(EXPR_END, starts[index + 1]))
+        else:
+            for mark in row_marks:
+                add(Mark(mark.kind, at + mark.offset, mark.ident))
+    return tuple(marks)
 
 
 def _has_marks(body) -> bool:
@@ -419,35 +429,41 @@ def _has_marks(body) -> bool:
     return False
 
 
-def _lower_body(body, frames: dict, depth: int, marked: bool):
+def _lower_body(body, frames: dict, depth: int, in_message: bool):
     """Steps for ``body``, whose loop variables ``frames`` maps to their
-    scope slots; also the deepest slot the body uses, and the body's
-    literals and interpolations as (node, escape, lookup) parts."""
+    scope slots and which starts inside a message when ``in_message``; also
+    the deepest slot the body uses, and the body's literals and
+    interpolations as (node, escape, lookup) parts."""
     steps, deepest, parts = [], depth, []
     for node in body:
         if isinstance(node, Lit):
-            steps.append(_lit_step(node, marked))
+            step = _lit_step(node.text)
+            steps.append(_marked(step, node.marks) if node.marks else step)
             parts.append((node, None, None))
+            in_message = nest_messages(in_message, node.marks)[0]
             continue
         if not isinstance(node, (PlanInterp, PlanFor, PlanIf)):
             raise PlanError(f"unexpected plan node {node!r}")
         pos = node.pos or _PLAN_POS
         if isinstance(node, PlanInterp):
             escape, get = chain(node.escapers), _lookup(node.path, frames, pos, True)
-            steps.append(_interp_step(node.path, escape, get, pos, marked))
+            step = _interp_step(node.path, escape, get, pos,
+                                "." not in node.path and node.path not in frames)
+            steps.append(_marked(step, _EXPR) if in_message else step)
             parts.append((node, escape, get))
         elif isinstance(node, PlanFor):
             slot = depth + 1
             body_steps, used, body_parts = _lower_body(
-                node.body, {**frames, node.var: slot}, slot, marked)
-            flat = not marked and len(body_parts) == len(node.body)
+                node.body, {**frames, node.var: slot}, slot, in_message)
+            flat = (not in_message and len(body_parts) == len(node.body)
+                    and not _has_marks(node.body))
             steps.append(_for_step(node, _lookup(node.path, frames, pos, True), body_steps,
                                    _column_render(body_parts, node.var) if flat else None,
                                    slot, pos))
             deepest = max(deepest, used)
         else:
-            then, used_then, _ = _lower_body(node.then, frames, depth, marked)
-            els, used_els, _ = _lower_body(node.els, frames, depth, marked)
+            then, used_then, _ = _lower_body(node.then, frames, depth, in_message)
+            els, used_els, _ = _lower_body(node.els, frames, depth, in_message)
             steps.append(_if_step(_lookup(node.path, frames, pos, False), then, els))
             deepest = max(deepest, used_then, used_els)
     return tuple(steps), deepest, parts
@@ -478,32 +494,40 @@ def _lookup(path: str, frames: dict, pos: Position, strict: bool) -> Callable:
     return get
 
 
-def _lit_step(node: Lit, marked: bool) -> Callable:
-    text, marks = node.text, node.marks
-    if not marked:
-        def step(out, scope):
-            out(text)
-    else:
-        def step(out, scope):
-            out.append_text(text, marks)
+def _lit_step(text: str) -> Callable:
+    def step(out, scope):
+        out(text)
     return step
 
 
 def _interp_step(path: str, escape: Callable, get: Callable, pos: Position,
-                 marked: bool) -> Callable:
-    if not marked:
+                 root: bool) -> Callable:
+    """The step of a site; a ``root`` site's path is one binding name, which
+    it looks up itself, as ``get`` would."""
+    if root:
+        def step(out, scope):
+            if path not in scope[0]:
+                raise RenderError(f"unbound path {path!r}", pos)
+            try:
+                out(escape(scope[0][path]))
+            except EscapeError as exc:
+                raise RenderError(f"{exc} (path {path!r})", pos) from None
+    else:
         def step(out, scope):
             try:
                 out(escape(get(scope)))
             except EscapeError as exc:
                 raise RenderError(f"{exc} (path {path!r})", pos) from None
-    else:
-        def step(out, scope):
-            try:
-                out.append_value(escape(get(scope)))
-            except EscapeError as exc:
-                raise RenderError(f"{exc} (path {path!r})", pos) from None
     return step
+
+
+def _marked(step: Callable, marks) -> Callable:
+    """``step``, which appends one part, after the mark row of that part."""
+    def marked(out, scope):
+        parts, rows = scope[-1]
+        rows.append((len(parts), marks))
+        step(out, scope)
+    return marked
 
 
 _DICT_ONLY = {dict}

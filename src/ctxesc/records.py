@@ -4,7 +4,9 @@ to every cold ``ctxesc render``. A subclass declares its slots and names
 its value fields in ``_fields``, in constructor order. Records of one type
 are equal when their field values are; copies and pickles go through the
 constructor. A ``FrozenRecord`` is hashable and read-only (its ``__init__``
-uses ``object.__setattr__``); a ``Record`` is neither."""
+sets fields through ``object.__setattr__``, or, where construction is on the
+render path, through the slot descriptors' ``__set__``); a ``Record`` is
+neither."""
 
 
 class Record:

@@ -15,8 +15,47 @@ from .frontend import (
     Collected,
     LoopBlock,
 )
-from .plan import Bindings, Collector, check_bindings, resolve_segs
+from .marks import EXPR_END, EXPR_START, Mark, body_change, nest_messages
+from .plan import Bindings, check_bindings, resolve_segs
 from .values import EscapeError, SafeContent, truthy
+
+
+class Collector:
+    """Output buffer plus the mark list that indexes into it, and whether a
+    message is open: messages open and close only through marks the machine
+    emitted, so ``append_text`` alone tracks them."""
+
+    def __init__(self):
+        self._parts: list[str] = []
+        self.length = 0
+        self.marks: list[Mark] = []
+        self.in_message = False
+
+    def append_text(self, text: str, marks=()) -> str | None:
+        """Append text and the marks emitted with it, whose offsets count
+        from the start of ``text``; returns what is wrong with the first
+        message mark that does not nest, or None."""
+        problem = None
+        if marks:
+            self.in_message, problem = nest_messages(self.in_message, marks)
+            self.marks.extend([mark.shifted(self.length) for mark in marks])
+        if text:
+            self._parts.append(text)
+            self.length += len(text)
+        return problem
+
+    def append_value(self, text: str) -> None:
+        """Append an escaped value; inside a message, between ExprStart and
+        ExprEnd marks."""
+        if self.in_message:
+            self.marks.append(Mark(EXPR_START, self.length))
+            self.append_text(text)
+            self.marks.append(Mark(EXPR_END, self.length))
+        else:
+            self.append_text(text)
+
+    def text(self) -> str:
+        return "".join(self._parts)
 
 
 class Accumulator:
@@ -36,25 +75,35 @@ class Accumulator:
     def errored(self) -> bool:
         return self.state.error is not None
 
-    def _absorb(self, result) -> list[Diagnostic]:
-        self.collector.append_text(result.emitted, result.marks)
+    def fail(self, message: str, pos: Position) -> list[Diagnostic]:
+        """Stop the render with an error at ``pos``."""
+        diag = Diagnostic(Severity.ERROR, message, pos)
+        self.diagnostics.append(diag)
+        self.state = machine_mod.MachineState(context=self.state.context, error=message)
+        return [diag]
+
+    def _absorb(self, result, pos: Position) -> list[Diagnostic]:
+        problem = self.collector.append_text(result.emitted, result.marks)
         self.diagnostics.extend(result.diagnostics)
         self.state = result.state
+        if problem and not self.errored:
+            return result.diagnostics + self.fail(problem, pos)
         return result.diagnostics
 
     def append_fixed(self, text: str, pos: Position) -> list[Diagnostic]:
-        return self._absorb(machine_mod.step_fixed(self.machine, self.state, text, pos))
+        return self._absorb(machine_mod.step_fixed(self.machine, self.state, text, pos), pos)
 
     def flush_boundary(self, pos: Position) -> list[Diagnostic]:
         """Force held-back text through; used at control-flow edges where
         fixed text on different paths must not be joined for matching."""
-        return self._absorb(machine_mod.finish(self.machine, self.state, pos, memo=self.memo))
+        return self._absorb(machine_mod.finish(self.machine, self.state, pos, memo=self.memo),
+                            pos)
 
     def append_unsafe(self, value, pos: Position) -> list[Diagnostic]:
         r = machine_mod.step_interp(self.machine, self.state, pos, memo=self.memo)
-        self._absorb(r)
-        if r.error:
-            return r.diagnostics
+        diags = self._absorb(r, pos)
+        if self.errored:
+            return diags
         self.collector.append_text(r.pre)
         escape = self.chains.get(r.escapers)
         if escape is None:
@@ -62,11 +111,7 @@ class Accumulator:
         try:
             self.collector.append_value(escape(value))
         except EscapeError as exc:
-            diag = Diagnostic(Severity.ERROR, str(exc), pos)
-            self.diagnostics.append(diag)
-            self.state = machine_mod.MachineState(
-                context=self.state.context, error=str(exc))
-            return [diag]
+            return self.fail(str(exc), pos)
         self.collector.append_text(r.post)
         return r.diagnostics
 
@@ -76,7 +121,7 @@ class Accumulator:
         if pos is None:
             pos = Position("<template>", 0, 1)
         if not self.errored:
-            self._absorb(machine_mod.finish(self.machine, self.state, pos, memo=self.memo))
+            self._absorb(machine_mod.finish(self.machine, self.state, pos, memo=self.memo), pos)
         if self.errored:
             return None, self.diagnostics
         ok, message = machine_mod.is_valid_end(self.machine, self.state)
@@ -111,18 +156,25 @@ def render_full(program: AppendProgram, bindings: Bindings,
                     raise RenderError(
                         f"loop over non-list value at path {node.path!r}", node.pos)
                 for item in seq:
-                    run(node.body, frames + [{node.var: item}])
-                    acc.flush_boundary(node.pos)
+                    run_body(node.body, frames + [{node.var: item}], node.pos, "loop body")
             elif isinstance(node, BranchBlock):
                 acc.flush_boundary(node.pos)
                 value = resolve_segs(node.path.split("."), bindings, frames, node.pos,
                                      strict=False)
-                run(node.then if truthy(value) else node.els, frames)
-                acc.flush_boundary(node.pos)
+                run_body(node.then if truthy(value) else node.els, frames, node.pos, "branch")
             elif isinstance(node, Collected):
                 pass  # handled below so diagnostics keep their position
             else:  # pragma: no cover
                 raise TypeError(f"unexpected program node {node!r}")
+
+    def run_body(nodes, frames, pos, where):
+        """Run a loop body or branch arm and flush; the render fails when
+        the body opens or closes a message."""
+        in_message = acc.collector.in_message
+        run(nodes, frames)
+        acc.flush_boundary(pos)
+        if not acc.errored and acc.collector.in_message != in_message:
+            acc.fail(body_change(where, not in_message), pos)
 
     run(program.body, [])
     end_pos = program.body[-1].pos if program.body else None

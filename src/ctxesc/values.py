@@ -23,8 +23,12 @@ class SafeContent(FrozenRecord):
     __slots__ = _fields = ("language", "text")
 
     def __init__(self, language: str, text: str):
-        object.__setattr__(self, "language", language)
-        object.__setattr__(self, "text", text)
+        _set_language(self, language)
+        _set_text(self, text)
+
+
+# every render builds one; see marks.Mark
+_set_language, _set_text = SafeContent.language.__set__, SafeContent.text.__set__
 
 
 def stringify(value) -> str:

@@ -261,7 +261,7 @@ def test_extract_nested_messages_exit_one(workdir, capsys):
         'tag: html\n"<p><message i18n="@@a">x<message i18n="@@b">y</message>'
         '</message></p>\n', encoding="utf-8")
     assert main(["extract", str(nested), "--bindings", str(workdir / "b.json")]) == 1
-    assert "nested" in capsys.readouterr().err
+    assert "message 'b' starts inside another message" in capsys.readouterr().err
 
 
 def test_diagnostics_are_machine_parseable(workdir, capsys):

@@ -29,6 +29,7 @@ from ctxesc.compiler import (
 from ctxesc.diagnostics import PlanError, RenderError, Severity, has_errors
 from ctxesc.frontend import AppendFixed, AppendUnsafe, LoopBlock, walk
 from ctxesc.machine import state_str
+from ctxesc.marks import Mark
 from ctxesc.runtime import Bindings, render_full
 from support import STRUCTURE_CORPUS, adversarial_values, random_template
 
@@ -112,6 +113,73 @@ def test_loop_body_context_change_is_a_conflict(html):
     assert len(errors) == 1
     assert "context conflict" in errors[0].message
     assert "BeforeValue" in errors[0].message
+
+
+# -- message marks must nest -------------------------------------------------------
+
+NOT_NESTED = [
+    # (source, bindings, error, where): both engines report the same error there
+    ('tag: html\n"</message><p>${x}</p>\n', {"x": "a"},
+     "message end without a message start", "t.tpl:2:15"),
+    ('tag: html\n"<ul>\n:for it of items {\n"<li><message i18n="@@a">${it}\n:}\n"</ul>\n',
+     {"items": [1, 2]}, "loop body leaves a message open", "t.tpl:3:1"),
+    ('tag: html\n"<p><message i18n="@@a">\n:for it of items {\n"${it}</message>\n:}\n"</p>\n',
+     {"items": [1]}, "loop body closes a message opened before it", "t.tpl:3:1"),
+    ('tag: html\n"<p>\n:if c {\n"<message i18n="@@a">x\n:}\n"</p>\n',
+     {"c": 1}, "branch leaves a message open", "t.tpl:3:1"),
+    ('tag: html\n"<p><message i18n="@@a">x<message i18n="@@b">y</message></message></p>\n',
+     {}, "message 'b' starts inside another message", "t.tpl:3:1"),
+]
+
+
+@pytest.mark.parametrize("source, values, message, where", NOT_NESTED)
+def test_message_marks_that_do_not_nest_are_errors_in_both_engines(html, source, values,
+                                                                   message, where):
+    _, _, diags = analyze_template(source, "t.tpl")
+    errors = [(d.message, str(d.position)) for d in diags if d.severity is Severity.ERROR]
+    assert errors == [(message, where)]
+    assert compile_template(source, "t.tpl")[0] is None
+    with pytest.raises(RenderError) as exc:
+        render_full(program_of(source, "t.tpl"), Bindings(values), html)
+    assert (exc.value.message, str(exc.value.position)) == (message, where)
+
+
+def _start(at, ident="a"):
+    return {"at": at, "offset": 0, "kind": "MsgStart", "id": ident}
+
+
+def _end(at):
+    return {"at": at, "offset": 0, "kind": "MsgEnd"}
+
+
+@pytest.mark.parametrize("body, rows, message", [
+    ([{"lit": "</p>"}], [_end([0])], "message end without a message start"),
+    ([{"for": {"var": "it", "path": "items", "body": [{"lit": "<li>"}]}}],
+     [_start([0, "body", 0])], "loop body leaves a message open"),
+    ([{"lit": "<p>"}, {"for": {"var": "it", "path": "items", "body": [{"lit": "x"}]}}],
+     [_start([0]), _end([1, "body", 0])], "loop body closes a message opened before it"),
+    ([{"if": {"path": "c", "then": [], "else": [{"lit": "x"}]}}],
+     [_start([0, "else", 0])], "branch leaves a message open"),
+    ([{"lit": "<p>"}, {"lit": "<p>"}], [_start([0]), _start([1], "b")],
+     "message 'b' starts inside another message"),
+])
+def test_plans_whose_message_marks_do_not_nest_do_not_load(body, rows, message):
+    doc = {"language": "html", "body": body, "marks": rows}
+    with pytest.raises(PlanError, match=f"^{message}$"):
+        plan_from_json(json.dumps(doc))
+    # a message left open at the end loads, as the engines allow it
+    doc = {"language": "html", "body": [{"lit": "<p>"}], "marks": [_start([0])]}
+    assert plan_from_json(json.dumps(doc)).body[0].marks == (Mark("MsgStart", 0, "a"),)
+
+
+def test_a_message_left_open_at_the_end_compiles(html):
+    source = 'tag: html\n"<p><message i18n="@@a">${x}\n'
+    plan, diags = compile_template(source)
+    assert not has_errors(diags)
+    values = Bindings({"x": "v"})
+    static = execute_plan(plan_from_json(plan.to_json()), values)
+    assert static == render_full(program_of(source), values, html)[:2]
+    assert [m.kind for m in static[1]] == ["MsgStart", "ExprStart", "ExprEnd"]
 
 
 def test_list_template_plan_matches_golden(html):

@@ -17,6 +17,7 @@ from ctxesc.escapers import (
     escape_json_value,
     escape_pcdata,
     filter_url_attr,
+    filter_url_css,
     filter_url_prefix,
     get,
     known_names,
@@ -222,6 +223,10 @@ def _old_url_attr(value):
     return _old_attr(_old_url(value))
 
 
+def _old_url_css(value):
+    return _old_css(_old_url(value))
+
+
 def _old_json(value):
     if isinstance(value, SafeContent):
         raise EscapeError("safe content has no meaning inside a script body")
@@ -242,6 +247,7 @@ ORACLES = [
     (escape_html_attr, _old_attr),
     (filter_url_prefix, _old_url),
     (filter_url_attr, _old_url_attr),
+    (filter_url_css, _old_url_css),
     (escape_json_value, _old_json),
     (escape_css_string, _old_css),
 ]
@@ -428,9 +434,10 @@ def test_chain_matches_the_original_chain_rule_on_safe_content_with_non_str_text
 # give the same text as running the named transforms one by one, or raise the
 # same exception with the same message.
 
-_NAME_OF = {get(name).transform: name for name in known_names()}
-FUSED_CHAINS = sorted({(_NAME_OF[first], _NAME_OF[second])
-                       for first, second in escapers._FUSED}
+# every pair of registered names whose transforms a rewrite fuses; a rewrite
+# of a fused-only transform shows in the longer chain that leads to it
+FUSED_CHAINS = sorted({(first, second) for first in known_names() for second in known_names()
+                       if (get(first).transform, get(second).transform) in escapers._FUSED}
                       # the chain of a style attribute's url(...) value
                       | {("UrlPrefixFilteringEscaper", "CssStringEscaper",
                           "HtmlAttributeEscaper")})
@@ -456,6 +463,10 @@ def _outcome_and_message(fn, value):
 def test_fusion_rewrites_to_the_expected_transforms():
     assert chain(("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper")) is filter_url_attr
     assert chain(("CssStringEscaper", "HtmlAttributeEscaper")) is escape_css_string
+    assert chain(("UrlPrefixFilteringEscaper", "CssStringEscaper")) is filter_url_css
+    assert chain(("UrlPrefixFilteringEscaper", "CssStringEscaper",
+                  "HtmlAttributeEscaper")) is filter_url_css
+    assert len(FUSED_CHAINS) == len(escapers._FUSED)
     # a chain of one shipped transform is that transform, with no wrapper
     for name in ("HtmlPcdataEscaper", "HtmlAttributeEscaper", "UrlPrefixFilteringEscaper",
                  "JsonValueEscaper", "CssStringEscaper"):
@@ -537,3 +548,29 @@ def test_json_escaper_keeps_no_state_between_calls():
     # a failed call leaves no circular-reference marker behind for the next
     holder["k"] = 1
     assert escape_json_value(cycle) == '[{"k":1}]'
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+# the scalars escape_json_value encodes without the shared encoder, next to
+# their subclasses and the values that only the encoder takes
+json_scalars = st.one_of(
+    _any_text, _any_text.map(_Str), st.integers(), st.integers().map(_Int),
+    st.sampled_from([10 ** 4300, -(10 ** 4299) * 3, 10 ** 4299, float("nan"), float("inf"),
+                     float("-inf"), True, False, None, _Int(5), _Str("</script>")]),
+    st.floats(), st.booleans(), st.none(),
+    st.builds(SafeContent, st.sampled_from(["html", "js"]), _any_text))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(value=st.one_of(json_scalars, st.lists(json_scalars, max_size=3),
+                       st.dictionaries(_any_text, json_scalars, max_size=3)))
+def test_json_escaper_scalar_paths_equal_the_json_dumps_formula(value):
+    assert _outcome_and_message(escape_json_value, value) == \
+        _outcome_and_message(_old_json, value)

@@ -158,7 +158,7 @@ def test_url_with_a_lone_surrogate_is_a_positioned_render_error(html):
 
 
 # -- flat loop bodies rendered column by column ---------------------------------------
-# In a plan without marks, a loop whose body holds only literals and
+# A loop outside any message whose body holds only literals without marks and
 # interpolations renders a list of two or more items column by column; any
 # item it cannot render exactly as the item walk would sends the whole loop
 # back to the walk.
@@ -307,6 +307,66 @@ def test_a_list_subclass_or_a_plan_with_marks_takes_the_item_walk(column_renders
     assert column_renders == [2]
 
 
+def both_engines(html, source, values):
+    """(text, marks) of a compiled plan's render, checked against render_full."""
+    plan, diags = compile_template(source)
+    assert not has_errors(diags), [str(d) for d in diags]
+    rendered = execute_plan(plan, Bindings(values))
+    assert rendered == render_full(program_of(source), Bindings(values), html)[:2]
+    return rendered[0].text, rendered[1]
+
+
+LOOP_IN_A_MESSAGE = """tag: html
+"<p><message i18n="@@m">
+:for it of items {
+"${it},
+:}
+"</message></p><ul>
+:for it of items {
+"<li>${it}</li>
+:}
+"</ul>
+"""
+
+
+def test_a_loop_inside_a_message_walks_its_items_and_a_mark_free_loop_takes_columns(
+        html, column_renders):
+    text, marks = both_engines(html, LOOP_IN_A_MESSAGE, {"items": ["a", "b<", "c"]})
+    assert text == ("<p>\na,\nb&lt;,\nc,\n</p><ul>\n"
+                    "<li>a</li>\n<li>b&lt;</li>\n<li>c</li>\n</ul>\n")
+    assert [m.kind for m in marks] == ["MsgStart"] + ["ExprStart", "ExprEnd"] * 3 + ["MsgEnd"]
+    spans = [text[a.offset:b.offset] for a, b in zip(marks[1::2], marks[2::2])]
+    assert spans == ["a", "b&lt;", "c"]
+    assert column_renders == [3]  # the second loop only
+
+
+def test_an_empty_value_inside_a_message_has_an_empty_span(html):
+    text, marks = both_engines(html, MESSAGE_TEMPLATE, {"s": "", "n": 5})
+    assert [m.kind for m in marks] == ["MsgStart"] + ["ExprStart", "ExprEnd"] * 2 + ["MsgEnd"]
+    assert marks[1].offset == marks[2].offset == text.index("'") + 1
+
+
+@pytest.mark.parametrize("c", [True, False])
+def test_marks_in_both_arms_of_a_branch(html, c):
+    source = ('tag: html\n:if c {\n"<p><message i18n="@@a">yes ${x}</message></p>\n'
+              ':} else {\n"<p><message i18n="@@b">no ${x}</message></p>\n:}\n')
+    text, marks = both_engines(html, source, {"c": c, "x": "<"})
+    assert text == ("<p>yes &lt;</p>\n" if c else "<p>no &lt;</p>\n")
+    assert [(m.kind, m.ident) for m in marks] == [
+        ("MsgStart", "a" if c else "b"), ("ExprStart", None), ("ExprEnd", None),
+        ("MsgEnd", None)]
+
+
+def test_a_marked_literal_with_empty_text(html):
+    source = 'tag: html\n"<message i18n="@@m">${x}</message>\n'
+    plan, _ = compile_template(source)
+    assert plan.body[0] == Lit("", (Mark("MsgStart", 0, "m"),))
+    text, marks = both_engines(html, source, {"x": "v"})
+    assert text == "v\n"
+    assert marks == (Mark("MsgStart", 0, "m"), Mark("ExprStart", 0), Mark("ExprEnd", 1),
+                     Mark("MsgEnd", 1))
+
+
 def test_safe_content_with_non_str_text_renders_or_is_a_render_error():
     plan = CompiledPlan("html", [Lit("a"), PlanInterp("x", ())])
     assert execute_plan(plan, Bindings({"x": SafeContent("html", 5)}))[0].text == "a5"
@@ -424,9 +484,12 @@ def test_values_no_compiled_plan_holds_are_rejected(doc):
 
 
 def test_every_mark_kind_and_a_dotted_path_load():
-    for kind in LITERAL_MARK_KINDS:
-        plan = plan_from_json(json.dumps(_lit_doc(kind=kind)))
-        assert plan.body[0].marks == (Mark(kind, 0),)
+    # MsgStart, then MsgEnd: a message end needs its start
+    doc = {"language": "html", "body": [{"lit": "a"}],
+           "marks": [{"at": [0], "offset": i, "kind": kind}
+                     for i, kind in enumerate(LITERAL_MARK_KINDS)]}
+    plan = plan_from_json(json.dumps(doc))
+    assert plan.body[0].marks == tuple(Mark(kind, i) for i, kind in enumerate(LITERAL_MARK_KINDS))
     plan = plan_from_json(json.dumps({"language": "html", "body": [
         {"for": {"var": "_i2", "path": "page.items", "body": [_interp("_i2.x_1")]}}]}))
     assert plan.body[0].body[0].path == "_i2.x_1"
