@@ -92,12 +92,6 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
         if problem:
             sink.append(error(problem, pos))
 
-    def end_body(started_in_message, where, pos):
-        nonlocal in_message
-        if in_message != started_in_message:
-            sink.append(error(body_change(where, in_message), pos))
-            in_message = started_in_message
-
     def flush_into(state, items, pos):
         r = machine_mod.finish(machine, state, pos, memo=memo)
         sink.extend(r.diagnostics)
@@ -142,20 +136,12 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
             elif isinstance(node, LoopBlock):
                 # merge returns the header when the body ends where it began and
                 # fail-stops otherwise: one pass proves a fixed point or a conflict
-                started_in_message = in_message
-                out, body = analyze(node.body, state)
-                out = flush_into(out, body, node.pos)
-                end_body(started_in_message, "loop body", node.pos)
+                out, body = analyze_body(node.body, state, "loop body", node.pos)
                 items.append(PlanFor(node.var, node.path, body, pos=node.pos))
                 state = join(node, state, out)
             elif isinstance(node, BranchBlock):
-                started_in_message = in_message
-                t_state, t_items = analyze(node.then, state)
-                t_state = flush_into(t_state, t_items, node.pos)
-                end_body(started_in_message, "branch", node.pos)
-                e_state, e_items = analyze(node.els, state)
-                e_state = flush_into(e_state, e_items, node.pos)
-                end_body(started_in_message, "branch", node.pos)
+                t_state, t_items = analyze_body(node.then, state, "branch", node.pos)
+                e_state, e_items = analyze_body(node.els, state, "branch", node.pos)
                 items.append(PlanIf(node.path, t_items, e_items, pos=node.pos))
                 state = join(node, t_state, e_state)
             elif isinstance(node, Collected):
@@ -164,6 +150,17 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                     sink.append(warning(message, node.pos))
             else:  # pragma: no cover
                 raise TypeError(f"unexpected program node {node!r}")
+        return state, items
+
+    def analyze_body(nodes, state, where, pos):
+        # a block's body, flushed at its end, must leave messages as it found them
+        nonlocal in_message
+        started_in_message = in_message
+        state, items = analyze(nodes, state)
+        state = flush_into(state, items, pos)
+        if in_message != started_in_message:
+            sink.append(error(body_change(where, in_message), pos))
+            in_message = started_in_message
         return state, items
 
     _, ann.items = analyze(program.body, machine.zero_state())

@@ -380,10 +380,10 @@ def execute_plan(plan: CompiledPlan, bindings: Bindings):
 
 def _lower(plan: CompiledPlan) -> Callable:
     _message_open_after(plan.body)
-    steps, depth, _ = _lower_body(plan.body, {}, 0, False)
+    steps, depth, _, marked = _lower_body(plan.body, {}, 0, False)
     language, pad = plan.language, (None,) * depth
 
-    if _has_marks(plan.body):
+    if marked:
         def render(bindings):
             parts, rows = [], []
             scope = [bindings.values, *pad, (parts, rows)]
@@ -418,29 +418,20 @@ def _place(parts: list, rows: list) -> tuple:
     return tuple(marks)
 
 
-def _has_marks(body) -> bool:
-    for node in body:
-        if isinstance(node, Lit) and node.marks:
-            return True
-        if isinstance(node, PlanFor) and _has_marks(node.body):
-            return True
-        if isinstance(node, PlanIf) and (_has_marks(node.then) or _has_marks(node.els)):
-            return True
-    return False
-
-
 def _lower_body(body, frames: dict, depth: int, in_message: bool):
     """Steps for ``body``, whose loop variables ``frames`` maps to their
     scope slots and which starts inside a message when ``in_message``; also
-    the deepest slot the body uses, and the body's literals and
-    interpolations as (node, escape, lookup) parts."""
-    steps, deepest, parts = [], depth, []
+    the deepest slot the body uses, the body's literals and interpolations
+    as (node, escape, lookup) parts, and whether any literal of it, at any
+    depth, has marks."""
+    steps, deepest, parts, marked = [], depth, [], False
     for node in body:
         if isinstance(node, Lit):
             step = _lit_step(node.text)
             steps.append(_marked(step, node.marks) if node.marks else step)
             parts.append((node, None, None))
             in_message = nest_messages(in_message, node.marks)[0]
+            marked = marked or bool(node.marks)
             continue
         if not isinstance(node, (PlanInterp, PlanFor, PlanIf)):
             raise PlanError(f"unexpected plan node {node!r}")
@@ -453,20 +444,20 @@ def _lower_body(body, frames: dict, depth: int, in_message: bool):
             parts.append((node, escape, get))
         elif isinstance(node, PlanFor):
             slot = depth + 1
-            body_steps, used, body_parts = _lower_body(
+            body_steps, used, body_parts, body_marked = _lower_body(
                 node.body, {**frames, node.var: slot}, slot, in_message)
-            flat = (not in_message and len(body_parts) == len(node.body)
-                    and not _has_marks(node.body))
+            flat = not (in_message or body_marked) and len(body_parts) == len(node.body)
             steps.append(_for_step(node, _lookup(node.path, frames, pos, True), body_steps,
                                    _column_render(body_parts, node.var) if flat else None,
                                    slot, pos))
-            deepest = max(deepest, used)
+            deepest, marked = max(deepest, used), marked or body_marked
         else:
-            then, used_then, _ = _lower_body(node.then, frames, depth, in_message)
-            els, used_els, _ = _lower_body(node.els, frames, depth, in_message)
+            then, used_then, _, then_marked = _lower_body(node.then, frames, depth, in_message)
+            els, used_els, _, els_marked = _lower_body(node.els, frames, depth, in_message)
             steps.append(_if_step(_lookup(node.path, frames, pos, False), then, els))
             deepest = max(deepest, used_then, used_els)
-    return tuple(steps), deepest, parts
+            marked = marked or then_marked or els_marked
+    return tuple(steps), deepest, parts, marked
 
 
 def _lookup(path: str, frames: dict, pos: Position, strict: bool) -> Callable:

@@ -211,6 +211,7 @@ def _split_row(line: str) -> list[str] | None:
 
 
 _EVENT_RE = re.compile(r"!([A-Za-z]+)(?:\(([^()]*)\))?")
+_NAME_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 class _Parser:
@@ -311,6 +312,9 @@ class _Parser:
             self.macros[mname.strip()] = body.strip()
         elif word == "uses":
             self.uses.extend(rest.split())
+            for name in rest.split():
+                if not _NAME_RE.fullmatch(name):  # it names a table file
+                    self.err(idx, f"'uses' name {name!r} is not an identifier")
         elif word == "endmsg":
             state, _, msg = rest.partition(":")
             self.endmsgs[state.strip()] = msg.strip()

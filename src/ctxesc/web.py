@@ -1,5 +1,5 @@
-"""Shipped machines for the web stack: HTML with URL and CSS subsidiaries,
-plus a no-op plain-text machine."""
+"""Machines built from the transition tables: a tag names its root table,
+``<tag>.tt``, and each table's ``uses`` line names its subsidiaries."""
 
 from __future__ import annotations
 
@@ -12,45 +12,49 @@ from .machine import Machine, build_machine
 from .tables import parse_table, validate_table
 
 
-def _read_table_text(name: str, tables_dir: str | None) -> tuple[str, str]:
-    if tables_dir is not None:
-        path = Path(tables_dir) / name
-        return path.read_text(encoding="utf-8"), str(path)
-    data = resources.files("ctxesc").joinpath("data").joinpath(name)
-    return data.read_text(encoding="utf-8"), name
+def _tables(tables_dir: str | None):
+    return resources.files("ctxesc") / "data" if tables_dir is None else Path(tables_dir)
 
 
 def load_table(name: str, tables_dir: str | None = None):
-    text, filename = _read_table_text(name, tables_dir)
-    table, diags = parse_table(text, filename=filename)
-    if table is None:
+    path = _tables(tables_dir) / name
+    table, diags = parse_table(path.read_text(encoding="utf-8"),
+                               filename=name if tables_dir is None else str(path))
+    if table is not None:
+        diags = [d for d in validate_table(table) if d.severity is Severity.ERROR]
+    if diags:
         raise TableError("; ".join(str(d) for d in diags))
-    problems = [d for d in validate_table(table) if d.severity is Severity.ERROR]
-    if problems:
-        raise TableError("; ".join(str(d) for d in problems))
     return table
 
 
 @functools.lru_cache(maxsize=None)
-def html_machine(tables_dir: str | None = None) -> Machine:
-    """The HTML machine with its URL and CSS subsidiary automata."""
-    root = load_table("html.tt", tables_dir)
-    subs = {
-        "Url": load_table("url.tt", tables_dir),
-        "Css": load_table("css.tt", tables_dir),
-    }
+def machine_for_tag(tag: str, tables_dir: str | None = None) -> Machine:
+    """The machine of root table ``<tag>.tt`` with, once each, the tables that
+    ``uses`` lines name, transitively, as subsidiaries (``uses Url``: ``url.tt``)."""
+    known = sorted(p.name[:-3] for p in _tables(tables_dir).iterdir() if p.name.endswith(".tt"))
+    if tag not in known:
+        raise KeyError(f"no machine registered for tag {tag!r} (known: {', '.join(known)})")
+    subs = {}
+
+    def load_uses(table, path):
+        for name in table.uses:
+            stem = name.lower()
+            if stem in path:
+                cycle = " -> ".join((*path, stem))
+                raise TableError(f"{table.filename}: 'uses {name}' makes a cycle: {cycle}")
+            if stem not in known:
+                raise TableError(f"{table.filename}: 'uses {name}' names no table {stem}.tt")
+            if name not in subs:
+                subs[name] = load_table(f"{stem}.tt", tables_dir)
+                load_uses(subs[name], (*path, stem))
+
+    root = load_table(f"{tag}.tt", tables_dir)
+    load_uses(root, (tag,))
     return build_machine(root, subs)
 
 
-@functools.lru_cache(maxsize=None)
-def plain_text_machine(tables_dir: str | None = None) -> Machine:
-    """Identity machine: copies fixed text and stringifies values verbatim."""
-    return build_machine(load_table("text.tt", tables_dir))
+def html_machine(tables_dir: str | None = None) -> Machine:  # kept for its callers
+    return machine_for_tag("html", tables_dir)
 
 
-def machine_for_tag(tag: str, tables_dir: str | None = None) -> Machine:
-    if tag == "html":
-        return html_machine(tables_dir)
-    if tag == "text":
-        return plain_text_machine(tables_dir)
-    raise KeyError(f"no machine registered for tag {tag!r} (known: html, text)")
+html_machine.cache_clear = machine_for_tag.cache_clear

@@ -2,7 +2,7 @@ import pytest
 
 from ctxesc.frontend import desugar, parse_template
 from ctxesc.runtime import Bindings, render_full
-from ctxesc.web import html_machine, plain_text_machine
+from ctxesc.web import html_machine, machine_for_tag
 
 LIST_TEMPLATE = """tag: html
 "<ul>
@@ -28,7 +28,7 @@ def html():
 
 @pytest.fixture(scope="session")
 def plain():
-    return plain_text_machine()
+    return machine_for_tag("text")
 
 
 def program_of(source, filename="<template>"):

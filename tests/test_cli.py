@@ -351,6 +351,24 @@ def test_tables_override_directory(workdir, capsys, tmp_path):
     assert "custom close-tag message" in capsys.readouterr().err
 
 
+def test_a_table_file_in_the_tables_dir_is_a_tag(workdir, capsys, tmp_path):
+    from importlib import resources
+
+    tdir = tmp_path / "tables"
+    tdir.mkdir()
+    text = resources.files("ctxesc").joinpath("data").joinpath("text.tt").read_text()
+    (tdir / "foo.tt").write_text(text.replace("machine text", "machine foo"), encoding="utf-8")
+    tpl, plan = workdir / "foo.tpl", workdir / "foo.json"
+    tpl.write_text('tag: foo\n"<b>${x}\n', encoding="utf-8")
+    assert main(["compile", "--tables", str(tdir), str(tpl), "--out", str(plan)]) == 0
+    assert json.loads(plan.read_text(encoding="utf-8"))["language"] == "foo"
+    assert main(["check", str(tpl)]) == 2
+    assert "'foo' (known: css, html, text, url)" in capsys.readouterr().err
+    assert main(["check", "--tables", str(tdir), str(workdir / "list.tpl")]) == 2
+    assert "1:1: error: no machine registered for tag 'html' (known: foo)" in (
+        capsys.readouterr().err)
+
+
 # -- deep inputs: a positioned error or a usage error, never a traceback -------
 
 def test_nesting_at_the_bound_runs_every_command(workdir, capsys):

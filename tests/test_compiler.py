@@ -445,8 +445,7 @@ def test_random_template_op_counts_and_plans_are_pinned(html):
 def fresh_html_machine():
     """The HTML machine on newly loaded tables, bypassing web's cache, so
     every rule-selection memo starts cold."""
-    subs = {"Url": web.load_table("url.tt"), "Css": web.load_table("css.tt")}
-    return machine_mod.build_machine(web.load_table("html.tt"), subs)
+    return web.machine_for_tag.__wrapped__("html")
 
 
 def compile_corpus(machine, order):

@@ -3,7 +3,8 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctxesc.diagnostics import Severity
+from ctxesc import web
+from ctxesc.diagnostics import Severity, TableError
 from ctxesc.machine import build_machine, finish, step_fixed
 from ctxesc.marks import Mark
 from ctxesc.tables import (
@@ -12,7 +13,7 @@ from ctxesc.tables import (
     parse_table,
     validate_table,
 )
-from ctxesc.web import load_table
+from ctxesc.web import load_table, machine_for_tag
 
 MINIMAL = """\
 machine toy
@@ -272,6 +273,60 @@ def test_undeclared_subsidiary_machine_detected():
 """)
     diags = validate_table(table)
     assert any("not declared in 'uses'" in d.message for d in diags)
+
+
+@pytest.mark.parametrize("name", ["../x", "url.tt", "a/b", "9lives", "Url-2"])
+def test_uses_name_must_be_an_identifier(name):
+    table, diags = parse_table(MINIMAL + f"uses Url {name}\n", filename="toy.tt")
+    assert table is None
+    assert [str(d) for d in diags] == [
+        f"toy.tt:6:1: error: 'uses' name {name!r} is not an identifier"]
+
+
+@pytest.fixture
+def tables_dir(tmp_path):
+    from importlib import resources
+
+    for name in ("html.tt", "url.tt", "css.tt", "text.tt"):
+        text = resources.files("ctxesc").joinpath("data").joinpath(name).read_text()
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+def edit_table(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def test_uses_name_without_a_table_file_is_a_table_error(tables_dir):
+    edit_table(tables_dir / "css.tt", "uses Url", "uses Url Js")
+    with pytest.raises(TableError) as exc:
+        machine_for_tag("html", str(tables_dir))
+    assert str(exc.value) == f"{tables_dir / 'css.tt'}: 'uses Js' names no table js.tt"
+    assert machine_for_tag("url", str(tables_dir)).language == "url"
+
+
+@pytest.mark.parametrize("table, name, tag, chain", [
+    ("css.tt", "Css", "html", "html -> css -> css"),
+    ("css.tt", "Css", "css", "css -> css"),
+    ("css.tt", "Html", "html", "html -> css -> html"),
+    ("html.tt", "Html", "html", "html -> html"),
+], ids=["self", "self-as-root", "root", "root-self"])
+def test_uses_cycle_is_a_table_error(tables_dir, table, name, tag, chain):
+    edit_table(tables_dir / table, "uses Url", f"uses Url {name}")
+    with pytest.raises(TableError) as exc:
+        machine_for_tag(tag, str(tables_dir))
+    assert str(exc.value) == f"{tables_dir / table}: 'uses {name}' makes a cycle: {chain}"
+
+
+def test_shared_subsidiary_is_loaded_once(tables_dir, monkeypatch):
+    loaded = []
+    real = web.load_table
+    monkeypatch.setattr(web, "load_table", lambda name, d=None: loaded.append(name) or real(name, d))
+    machine = machine_for_tag("html", str(tables_dir))
+    assert sorted(loaded) == ["css.tt", "html.tt", "url.tt"]
+    assert machine.subs["Css"].uses == ("Url",)
 
 
 def test_shipped_html_table_validates_clean():

@@ -5,8 +5,8 @@ from ctxesc.compiler import compile_template, execute_plan
 from ctxesc.diagnostics import Position, RenderError
 from ctxesc.machine import finish, step_fixed, step_interp, transition_op_count
 from ctxesc.runtime import Bindings, render_full
-from ctxesc.web import machine_for_tag
-from support import codec_decode, codec_encode
+from ctxesc.web import html_machine, machine_for_tag
+from support import adversarial_values, codec_decode, codec_encode
 
 POS = Position("t", 1, 1)
 
@@ -93,10 +93,81 @@ def test_identity_codec():
 
 
 def test_machine_for_tag():
-    assert machine_for_tag("html").language == "html"
-    assert machine_for_tag("text").language == "text"
-    with pytest.raises(KeyError):
+    for tag in ("css", "html", "text", "url"):
+        assert machine_for_tag(tag).language == tag
+    assert set(machine_for_tag("css").subs) == {"Url"}
+    assert machine_for_tag("url").subs == {} and machine_for_tag("text").subs == {}
+    assert set(machine_for_tag("html").subs) == {"Url", "Css"}
+    with pytest.raises(KeyError) as exc:
         machine_for_tag("nope")
+    assert exc.value.args[0] == (
+        "no machine registered for tag 'nope' (known: css, html, text, url)")
+
+
+def test_html_machine_cache_clear_builds_a_cold_machine():
+    warm = html_machine()
+    compile_template('tag: html\n"<a href="${x}" style="b: url(${y})">\n')
+    assert warm.root_table._rows and warm.subs["Url"]._rows and warm.subs["Css"]._rows
+    html_machine.cache_clear()
+    cold = html_machine()
+    assert cold is not warm and cold is html_machine() is machine_for_tag("html", None)
+    for table in (cold.root_table, *cold.subs.values()):
+        assert table._rows == {}, table.name
+
+
+# -- css and url as root languages ---------------------------------------------
+
+CSS_URL_TEMPLATES = [
+    'tag: css\n"p { background: url(${x}) }\n',
+    'tag: css\n"p { content: "${x}" }\n',
+    "tag: css\n\"p { content: '${x}'; background: url('${y}') }\n",
+    'tag: css\n"a { background: url( "${x}") } b { content: "${y}" }\n',
+    ('tag: css\n:if c {\n"p { content: "${x}" }\n'
+     ':} else {\n"q { background: url(${y}) }\n:}\n'),
+    'tag: css\n:for it of items {\n"li { content: "${it.k}" }\n:}\n',
+    'tag: url\n"${x}\n',
+    'tag: url\n"/search?q=${x}&lang=${y}\n',
+    'tag: url\n"https://example.com/${x}#${y}\n',
+    'tag: url\n:if c {\n"${x}\n:} else {\n"/a/${y}\n:}\n',
+]
+
+
+@pytest.mark.parametrize("source", CSS_URL_TEMPLATES)
+def test_css_and_url_roots_render_static_equal_dynamic(source):
+    plan, diags = compile_template(source)
+    assert plan is not None and diags == [], [str(d) for d in diags]
+    assert plan.language == source[5:8]
+    machine, program = machine_for_tag(plan.language), program_of(source)
+    for value in adversarial_values(100):
+        for c in (True, False):
+            bindings = {"x": value, "y": value[::-1], "c": c,
+                        "items": [{"k": value}, {"k": "plain"}]}
+            static_value, static_marks = execute_plan(plan, Bindings(bindings))
+            dyn_value, dyn_marks, _ = render_full(program, Bindings(bindings), machine)
+            assert static_value == dyn_value, (source, value)
+            assert static_marks == dyn_marks == ()
+
+
+@pytest.mark.parametrize("quote", ['"', "'", ""], ids=["double", "single", "unquoted"])
+def test_css_root_blocks_javascript_url(quote):
+    source = f'tag: css\n"p {{ background: url({quote}${{x}}{quote}) }}\n'
+    plan, diags = compile_template(source)
+    assert diags == []
+    text = execute_plan(plan, Bindings({"x": "javascript:alert(1)"}))[0].text
+    q = quote or '"'
+    assert text == f"p {{ background: url({q}about:invalid#blocked{q}) }}\n"
+
+
+def test_css_root_declarations_interpolation_is_the_same_error_in_both_engines():
+    source = 'tag: css\n"p { color: ${x} }\n'
+    plan, diags = compile_template(source)
+    assert plan is None
+    assert [str(d) for d in diags] == [
+        "<template>:2:13: error: interpolation not allowed in this context: (Decls, _)"]
+    with pytest.raises(RenderError) as exc:
+        render_full(program_of(source), Bindings({"x": "red"}), machine_for_tag("css"))
+    assert (str(exc.value.position), exc.value.message) == (
+        "<template>:2:13", "interpolation not allowed in this context: (Decls, _)")
 
 
 def test_plain_text_machine_is_identity(plain):
