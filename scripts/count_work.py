@@ -32,7 +32,7 @@ from ctxesc.compiler import compile_template, execute_plan  # noqa: E402
 from ctxesc.frontend import desugar, parse_template  # noqa: E402
 from ctxesc.machine import transition_op_count  # noqa: E402
 from ctxesc.runtime import Bindings, render_full  # noqa: E402
-from ctxesc.web import html_machine  # noqa: E402
+from ctxesc.web import machine_for_tag  # noqa: E402
 
 
 def count_calls(run):
@@ -85,7 +85,7 @@ def main():
 
     batch = gen.compile_batch(args.seed, pages=args.pages, page_bytes=args.page_bytes,
                               line_bytes=args.line_bytes, corpus_values=args.corpus_values)
-    machine = html_machine()
+    machine = machine_for_tag("html")
     sources = list(dict.fromkeys(source for _, source, _ in batch))
     programs = [(desugar(parse_template(source)[0]), Bindings(values))
                 for _, source, values in batch]

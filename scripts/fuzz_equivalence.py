@@ -17,7 +17,7 @@ from ctxesc.compiler import compile_template, execute_plan  # noqa: E402
 from ctxesc.diagnostics import has_errors  # noqa: E402
 from ctxesc.frontend import desugar, parse_template  # noqa: E402
 from ctxesc.runtime import Bindings, render_full  # noqa: E402
-from ctxesc.web import html_machine  # noqa: E402
+from ctxesc.web import machine_for_tag  # noqa: E402
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     args = ap.parse_args()
 
     rng = random.Random(args.seed)
-    machine = html_machine()
+    machine = machine_for_tag("html")
     start = time.perf_counter()
     for i in range(args.count):
         source, bindings = random_template(rng)

@@ -144,12 +144,10 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 e_state, e_items = analyze_body(node.els, state, "branch", node.pos)
                 items.append(PlanIf(node.path, t_items, e_items, pos=node.pos))
                 state = join(node, t_state, e_state)
-            elif isinstance(node, Collected):
+            else:  # Collected
                 ann.end_ok, message = machine_mod.is_valid_end(machine, state)
                 if not ann.end_ok and state.error is None:
                     sink.append(warning(message, node.pos))
-            else:  # pragma: no cover
-                raise TypeError(f"unexpected program node {node!r}")
         return state, items
 
     def analyze_body(nodes, state, where, pos):

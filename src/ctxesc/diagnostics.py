@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from .records import FrozenRecord
+from .records import FrozenRecord, slot_setters
 
 
 class Severity(enum.Enum):
@@ -16,9 +16,9 @@ class Position(FrozenRecord):
     __slots__ = _fields = ("file", "line", "col")
 
     def __init__(self, file: str, line: int, col: int):
-        object.__setattr__(self, "file", file)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
+        _set_file(self, file)
+        _set_line(self, line)
+        _set_col(self, col)
 
     def advance(self, text: str) -> "Position":
         """Position after consuming ``text`` starting here."""
@@ -29,6 +29,9 @@ class Position(FrozenRecord):
 
     def __str__(self) -> str:
         return f"{self.file}:{self.line}:{self.col}"
+
+
+_set_file, _set_line, _set_col = slot_setters(Position)  # the parser and machine build many
 
 
 class Diagnostic(FrozenRecord):

@@ -87,6 +87,8 @@ def _content_nodes(text: str, pos: Position, diags: list[Diagnostic]) -> list:
     """Split one content line into AppendFixed and AppendUnsafe nodes.
     ``$${`` is the escape for a literal ``${``; the line's trailing newline
     is folded into the final literal."""
+    if "$" not in text:
+        return [AppendFixed(text + "\n", pos)]
     nodes: list = []
     buf: list[str] = []
     buf_start = 0
@@ -168,12 +170,13 @@ def parse_template(source: str, filename: str = "<template>"):
         if not stripped:
             continue
         indent = len(raw) - len(stripped)
-        margin_pos = Position(filename, lineno, indent + 1)
         margin, rest = stripped[0], stripped[1:]
         if margin == '"':
             content_pos = Position(filename, lineno, indent + 2)
             current_body().extend(_content_nodes(rest, content_pos, diags))
-        elif margin == ":":
+            continue
+        margin_pos = Position(filename, lineno, indent + 1)
+        if margin == ":":
             stmt = rest.strip()
             if m := _FOR_RE.fullmatch(stmt):
                 var, path = m.group(1), m.group(2)

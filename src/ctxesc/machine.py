@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 
 from .diagnostics import Diagnostic, Position, Severity, TableError
 from .marks import Mark
-from .records import FrozenRecord
+from .records import FrozenRecord, Record, slot_setters
 from .tables import Rule, TransitionTable, context_str
 
 _op_count = 0
@@ -87,9 +86,6 @@ BUILTIN_CODECS = {
 }
 
 
-_set = object.__setattr__
-
-
 class Frame(FrozenRecord):
     """One active subsidiary machine: its name, the codec bridging it to the
     enclosing machine, its context, and its own held-back text."""
@@ -97,10 +93,10 @@ class Frame(FrozenRecord):
     __slots__ = _fields = ("machine", "codec", "context", "pending")
 
     def __init__(self, machine: str, codec: str, context: tuple[str, ...], pending: str):
-        _set(self, "machine", machine)
-        _set(self, "codec", codec)
-        _set(self, "context", context)
-        _set(self, "pending", pending)
+        _set_machine(self, machine)
+        _set_codec(self, codec)
+        _set_fr_context(self, context)
+        _set_fr_pending(self, pending)
 
 
 class MachineState(FrozenRecord):
@@ -113,40 +109,43 @@ class MachineState(FrozenRecord):
 
     def __init__(self, context: tuple[str, ...], pending: str = "", frames: tuple = (),
                  error: str | None = None, pending_pos: Position | None = None, pending_at=()):
-        _set(self, "context", context)
-        _set(self, "pending", pending)
-        _set(self, "frames", frames)
-        _set(self, "error", error)
-        _set(self, "pending_pos", pending_pos)
-        _set(self, "pending_at", pending_at)
+        _set_context(self, context)
+        _set_pending(self, pending)
+        _set_frames(self, frames)
+        _set_error(self, error)
+        _set_pos(self, pending_pos)
+        _set_at(self, pending_at)
 
     def __reduce__(self):
-        return self.__class__, (*self._values(), self.pending_pos, self.pending_at)
+        return self.__class__, (*self._values(self), self.pending_pos, self.pending_at)
 
 
-@dataclass
-class StepResult:
-    state: MachineState
-    emitted: str
-    marks: tuple[Mark, ...]
-    diagnostics: list[Diagnostic]
+_set_machine, _set_codec, _set_fr_context, _set_fr_pending = slot_setters(Frame)
+_set_context, _set_pending, _set_frames, _set_error, _set_pos, _set_at = slot_setters(MachineState)
 
 
-@dataclass
-class InterpResult:
+class StepResult(Record):
+    __slots__ = _fields = ("state", "emitted", "marks", "diagnostics")
+
+    def __init__(self, state: MachineState, emitted: str, marks: tuple[Mark, ...],
+                 diagnostics: list[Diagnostic]):
+        self.state, self.emitted, self.marks, self.diagnostics = state, emitted, marks, diagnostics
+
+
+class InterpResult(Record):
     """Everything the caller needs to splice one untrusted value: the flush
     output that precedes it, the escaper chain (innermost first), inserted
     delimiter text, and the successor state."""
 
-    state: MachineState
-    site: MachineState
-    emitted: str
-    marks: tuple[Mark, ...]
-    escapers: tuple[str, ...]
-    pre: str
-    post: str
-    diagnostics: list[Diagnostic]
-    error: bool
+    __slots__ = _fields = ("state", "site", "emitted", "marks", "escapers", "pre", "post",
+                           "error", "diagnostics")
+
+    def __init__(self, state: MachineState, site: MachineState, emitted: str,
+                 marks: tuple[Mark, ...], escapers: tuple[str, ...], pre: str, post: str,
+                 error: bool, diagnostics: list[Diagnostic]):
+        self.state, self.site, self.emitted, self.marks = state, site, emitted, marks
+        self.escapers, self.pre, self.post = escapers, pre, post
+        self.error, self.diagnostics = error, diagnostics
 
 
 class Machine:
@@ -346,8 +345,8 @@ class _Run:
                 out.append(text)
                 self.out_len += len(text)
                 if rule is not None and successor != lvl.context:
-                    lvl.context, lvl.rows = successor, table.rows(successor)
-                    rows = lvl.rows
+                    rows = table.row_memo.get(successor) or table.rows(successor)
+                    lvl.context, lvl.rows = successor, rows
                     if rows.epsilon:
                         break
             else:
@@ -433,8 +432,8 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
 
 
 def _memoizable(step):
-    """Add ``memo`` to ``step(machine, state, pos)``, keyed by a plain tuple. A
-    replay counts its first run's ops and gets a diagnostics list of its own."""
+    """Add ``memo`` to ``step(machine, state, pos)``, keyed by a plain tuple. A replay
+    counts its first run's ops and gets a fresh diagnostics list (each result's last field)."""
 
     @functools.wraps(step)
     def stepped(machine, state, pos=None, memo=None):
@@ -445,7 +444,7 @@ def _memoizable(step):
         if key in memo:
             result, ops = memo[key]
             _op_count += ops
-            return type(result)(**{**vars(result), "diagnostics": []})
+            return result.__class__(*result._values(result)[:-1], [])
         before = _op_count
         result = step(machine, state, pos)
         if not result.diagnostics and result.state.error is None and not result.state.pending:
@@ -478,7 +477,7 @@ def step_interp(machine: Machine, state: MachineState,
     emitted = "".join(run.out)
     emitted_marks = tuple(run.marks)
     if run.error is not None:
-        return InterpResult(site, site, emitted, emitted_marks, (), "", "", run.diags, True)
+        return InterpResult(site, site, emitted, emitted_marks, (), "", "", True, run.diags)
 
     chain: list[str] = []
     map_pres: list[tuple[int, str]] = []
@@ -492,7 +491,8 @@ def step_interp(machine: Machine, state: MachineState,
                 msg = (f"no escaper mapping for enclosing {lvl.table.name} context "
                        f"({context_str(lvl.context)})")
             run._diag(Severity.ERROR, msg)
-            return InterpResult(run.freeze(), site, emitted, emitted_marks, (), "", "", run.diags, True)
+            return InterpResult(run.freeze(), site, emitted, emitted_marks, (), "", "", True,
+                                run.diags)
         row, successor = lvl.rows.escape
         _op_count += 1
         chain.extend(row.escapers)
@@ -506,7 +506,7 @@ def step_interp(machine: Machine, state: MachineState,
     pre = "".join([run._encode_text(li, t) for li, t in reversed(map_pres)])
     post = "".join([run._encode_text(li, t) for li, t in map_posts])
     return InterpResult(run.freeze(), site, emitted, emitted_marks, tuple(chain),
-                        pre, post, run.diags, error=False)
+                        pre, post, False, run.diags)
 
 
 def merge(a: MachineState, b: MachineState,

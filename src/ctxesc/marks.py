@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .records import FrozenRecord
+from .records import FrozenRecord, slot_setters
 
 MSG_START = "MsgStart"
 MSG_END = "MsgEnd"
@@ -27,9 +27,7 @@ class Mark(FrozenRecord):
         return Mark(self.kind, self.offset + base, self.ident)
 
 
-# a render builds a Mark per output mark, and the slot descriptors set its
-# fields in about two thirds of the time object.__setattr__ takes
-_set_kind, _set_offset, _set_ident = Mark.kind.__set__, Mark.offset.__set__, Mark.ident.__set__
+_set_kind, _set_offset, _set_ident = slot_setters(Mark)  # a render builds one per output mark
 
 
 def nest_messages(is_open: bool, marks) -> tuple[bool, str | None]:

@@ -104,7 +104,7 @@ class _Site(Record):
     __slots__ = ("pos",)
 
     def __reduce__(self):
-        return self.__class__, self._values(), (None, {"pos": self.pos})
+        return self.__class__, self._values(self), (None, {"pos": self.pos})
 
 
 class Lit(Record):
@@ -152,74 +152,61 @@ class CompiledPlan(Record):
 
 # -- plan serialization -------------------------------------------------------
 
-def _node_to_obj(node, path, mark_rows):
-    if isinstance(node, Lit):
-        for mark in node.marks:
-            row = {"at": list(path), "offset": mark.offset, "kind": mark.kind}
-            if mark.ident is not None:
-                row["id"] = mark.ident
-            mark_rows.append(row)
-        return {"lit": node.text}
-    if isinstance(node, PlanInterp):
-        return {"interp": {"path": node.path, "escapers": list(node.escapers)}}
-    if isinstance(node, PlanFor):
-        return {"for": {"var": node.var, "path": node.path,
-                        "body": _body_to_obj(node.body, path + ["body"], mark_rows)}}
-    if isinstance(node, PlanIf):
-        return {"if": {"path": node.path,
-                       "then": _body_to_obj(node.then, path + ["then"], mark_rows),
-                       "else": _body_to_obj(node.els, path + ["else"], mark_rows)}}
-    raise TypeError(f"unexpected plan node {node!r}")  # pragma: no cover
+# A plan document is the text json.dumps(doc, ensure_ascii=False, indent=2)
+# writes for a dict tree {"language", "body", "marks"}, written here straight
+# from the nodes: with an indent, json.dumps encodes in pure Python.
+
+_AT = "\n        "  # the indent of a mark row's "at" steps
 
 
-def _body_to_obj(body, path, mark_rows):
-    return [_node_to_obj(node, path + [i], mark_rows) for i, node in enumerate(body)]
+def _list_json(items, nl: str) -> str:
+    """A list of encoded items whose "[" is on a line starting with ``nl``."""
+    if not items:
+        return "[]"
+    return f"[{nl}  " + f",{nl}  ".join(items) + f"{nl}]"
 
 
-def _write_json(obj, indent: str, out: list) -> None:
-    """Append to ``out`` the text ``json.dumps(obj, ensure_ascii=False,
-    indent=2)`` writes for ``obj`` when nested where ``indent`` (a newline
-    and the spaces of its level) starts a line. With an indent, json.dumps
-    encodes in pure Python; this writer handles only what plan documents
-    hold (str, int, list, dict), and does it in a fraction of the time."""
-    if isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif type(obj) is int:
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, (list, dict)):
-        if not obj:
-            out.append("[]" if isinstance(obj, list) else "{}")
-            return
-        inner = indent + "  "
-        if isinstance(obj, list):
-            out.append("[")
-            for item in obj:
-                out.append(inner)
-                _write_json(item, inner, out)
-                out.append(",")
-            out[-1] = indent + "]"
+def _body_json(body, nl: str, at: str, rows: list) -> str:
+    """``body`` as plan JSON at indent ``nl``; each literal with marks adds
+    (its "at" steps, joined, and its marks) to ``rows``, in document order.
+    ``at`` is the body's own steps, each followed by a separator."""
+    n1, n2, n3 = nl + "  ", nl + "    ", nl + "      "
+    items = []
+    for i, node in enumerate(body):
+        if isinstance(node, Lit):
+            if node.marks:
+                rows.append((f"{at}{i}", node.marks))
+            items.append(f'{{{n2}"lit": {_encode_str(node.text)}{n1}}}')
+        elif isinstance(node, PlanInterp):
+            escapers = _list_json([_encode_str(name) for name in node.escapers], n3)
+            items.append(f'{{{n2}"interp": {{{n3}"path": {_encode_str(node.path)},'
+                         f'{n3}"escapers": {escapers}{n2}}}{n1}}}')
+        elif isinstance(node, PlanFor):
+            inner = _body_json(node.body, n3, f'{at}{i},{_AT}"body",{_AT}', rows)
+            items.append(f'{{{n2}"for": {{{n3}"var": {_encode_str(node.var)},'
+                         f'{n3}"path": {_encode_str(node.path)},{n3}"body": {inner}{n2}}}{n1}}}')
+        elif isinstance(node, PlanIf):
+            then = _body_json(node.then, n3, f'{at}{i},{_AT}"then",{_AT}', rows)
+            els = _body_json(node.els, n3, f'{at}{i},{_AT}"else",{_AT}', rows)
+            items.append(f'{{{n2}"if": {{{n3}"path": {_encode_str(node.path)},'
+                         f'{n3}"then": {then},{n3}"else": {els}{n2}}}{n1}}}')
         else:
-            out.append("{")
-            for key, value in obj.items():
-                out.append(inner + _encode_str(key) + ": ")
-                _write_json(value, inner, out)
-                out.append(",")
-            out[-1] = indent + "}"
-    else:
-        raise TypeError(f"unexpected value in a plan document: {obj!r}")
+            raise TypeError(f"unexpected plan node {node!r}")
+    return _list_json(items, nl)
 
 
 def plan_to_json(plan: CompiledPlan) -> str:
-    mark_rows: list[dict] = []
-    doc = {
-        "language": plan.language,
-        "body": _body_to_obj(plan.body, [], mark_rows),
-        "marks": mark_rows,
-    }
-    out: list[str] = []
-    _write_json(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
+    rows: list = []
+    body = _body_json(plan.body, "\n  ", "", rows)
+    marks = []
+    for at, row_marks in rows:
+        for mark in row_marks:
+            ident = "" if mark.ident is None else f',\n      "id": {_encode_str(mark.ident)}'
+            marks.append(f'{{\n      "at": [{_AT}{at}\n      ],\n      "offset": {mark.offset},'
+                         f'\n      "kind": {_encode_str(mark.kind)}{ident}\n    }}')
+    marks = _list_json(marks, "\n  ")
+    return (f'{{\n  "language": {_encode_str(plan.language)},\n  "body": {body},'
+            f'\n  "marks": {marks}\n}}\n')
 
 
 def _str_field(payload: dict, key: str, kind: str, grammar: re.Pattern) -> str:

@@ -12,7 +12,6 @@ from .frontend import (
     AppendProgram,
     AppendUnsafe,
     BranchBlock,
-    Collected,
     LoopBlock,
 )
 from .marks import EXPR_END, EXPR_START, Mark, body_change, nest_messages
@@ -99,7 +98,8 @@ class Accumulator:
         return self._absorb(machine_mod.finish(self.machine, self.state, pos, memo=self.memo),
                             pos)
 
-    def append_unsafe(self, value, pos: Position) -> list[Diagnostic]:
+    def append_unsafe(self, value, pos: Position, path: str) -> list[Diagnostic]:
+        """Escape and append ``value``; an escaper error names ``path``, as in a plan."""
         r = machine_mod.step_interp(self.machine, self.state, pos, memo=self.memo)
         diags = self._absorb(r, pos)
         if self.errored:
@@ -111,7 +111,7 @@ class Accumulator:
         try:
             self.collector.append_value(escape(value))
         except EscapeError as exc:
-            return self.fail(str(exc), pos)
+            return self.fail(f"{exc} (path {path!r})", pos)
         self.collector.append_text(r.post)
         return r.diagnostics
 
@@ -140,7 +140,7 @@ def render_full(program: AppendProgram, bindings: Bindings,
     check_bindings(bindings)
     acc = Accumulator(machine)
 
-    def run(nodes, frames):
+    def run(nodes, frames):  # Collected runs below, so its diagnostics keep their position
         for node in nodes:
             if acc.errored:
                 break
@@ -148,7 +148,7 @@ def render_full(program: AppendProgram, bindings: Bindings,
                 acc.append_fixed(node.text, node.pos)
             elif isinstance(node, AppendUnsafe):
                 value = resolve_segs(node.path.split("."), bindings, frames, node.pos)
-                acc.append_unsafe(value, node.pos)
+                acc.append_unsafe(value, node.pos, node.path)
             elif isinstance(node, LoopBlock):
                 acc.flush_boundary(node.pos)
                 seq = resolve_segs(node.path.split("."), bindings, frames, node.pos)
@@ -162,10 +162,6 @@ def render_full(program: AppendProgram, bindings: Bindings,
                 value = resolve_segs(node.path.split("."), bindings, frames, node.pos,
                                      strict=False)
                 run_body(node.then if truthy(value) else node.els, frames, node.pos, "branch")
-            elif isinstance(node, Collected):
-                pass  # handled below so diagnostics keep their position
-            else:  # pragma: no cover
-                raise TypeError(f"unexpected program node {node!r}")
 
     def run_body(nodes, frames, pos, where):
         """Run a loop body or branch arm and flush; the render fails when

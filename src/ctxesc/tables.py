@@ -142,8 +142,8 @@ class ContextRows:
 @dataclass
 class TransitionTable:
     """A parsed table, with one memo of resolved rows per context
-    (``rows``). An entry depends only on the table and the context, so
-    threads that race to fill one compute equal rows."""
+    (``rows``, which fills ``row_memo``). An entry depends only on the table
+    and the context, so threads that race to fill one compute equal rows."""
 
     name: str
     filename: str
@@ -159,7 +159,7 @@ class TransitionTable:
     regex_rules: tuple[Rule, ...] = field(init=False)
     epsilon_rules: tuple[Rule, ...] = field(init=False)
     interp_rules: tuple[Rule, ...] = field(init=False)
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    row_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.regex_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_REGEX)
@@ -167,9 +167,9 @@ class TransitionTable:
         self.interp_rules = tuple(r for r in self.rules if r.trigger == TRIGGER_INTERP)
 
     def rows(self, context: tuple[str, ...]) -> ContextRows:
-        hit = self._rows.get(context)
+        hit = self.row_memo.get(context)
         if hit is None:
-            hit = self._rows[context] = ContextRows(self, context)
+            hit = self.row_memo[context] = ContextRows(self, context)
         return hit
 
     def end_message(self, context) -> str:

@@ -27,10 +27,15 @@ def load_table(name: str, tables_dir: str | None = None):
     return table
 
 
-@functools.lru_cache(maxsize=None)
 def machine_for_tag(tag: str, tables_dir: str | None = None) -> Machine:
     """The machine of root table ``<tag>.tt`` with, once each, the tables that
-    ``uses`` lines name, transitively, as subsidiaries (``uses Url``: ``url.tt``)."""
+    ``uses`` lines name, transitively, as subsidiaries (``uses Url``: ``url.tt``).
+    One machine per (tag, tables_dir), however the arguments are passed."""
+    return _machine(tag, tables_dir)
+
+
+@functools.lru_cache(maxsize=None)
+def _machine(tag: str, tables_dir: str | None) -> Machine:
     known = sorted(p.name[:-3] for p in _tables(tables_dir).iterdir() if p.name.endswith(".tt"))
     if tag not in known:
         raise KeyError(f"no machine registered for tag {tag!r} (known: {', '.join(known)})")
@@ -57,4 +62,4 @@ def html_machine(tables_dir: str | None = None) -> Machine:  # kept for its call
     return machine_for_tag("html", tables_dir)
 
 
-html_machine.cache_clear = machine_for_tag.cache_clear
+html_machine.cache_clear = _machine.cache_clear

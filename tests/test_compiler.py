@@ -445,7 +445,7 @@ def test_random_template_op_counts_and_plans_are_pinned(html):
 def fresh_html_machine():
     """The HTML machine on newly loaded tables, bypassing web's cache, so
     every rule-selection memo starts cold."""
-    return web.machine_for_tag.__wrapped__("html")
+    return web._machine.__wrapped__("html", None)
 
 
 def compile_corpus(machine, order):

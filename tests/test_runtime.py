@@ -44,7 +44,7 @@ def test_collected_warns_on_bad_end_context(html):
 def test_append_unsafe_quotes_empty_unquoted_value(html):
     acc = Accumulator(html)
     acc.append_fixed("<a href=", POS)
-    acc.append_unsafe("", POS)
+    acc.append_unsafe("", POS, "x")
     acc.append_fixed(">", POS)
     value, _ = acc.collected(POS)
     assert value.text == '<a href="">'
@@ -53,14 +53,14 @@ def test_append_unsafe_quotes_empty_unquoted_value(html):
 def test_append_unsafe_passthrough_in_pcdata(html):
     acc = Accumulator(html)
     safe = SafeContent("html", "<b>hi</b>")
-    acc.append_unsafe(safe, POS)
+    acc.append_unsafe(safe, POS, "x")
     value, _ = acc.collected(POS)
     assert value.text == "<b>hi</b>"
 
 
 def test_append_unsafe_structured_value_fails_stop(html):
     acc = Accumulator(html)
-    diags = acc.append_unsafe([1, 2], POS)
+    diags = acc.append_unsafe([1, 2], POS, "x")
     assert acc.errored
     assert any(d.severity is Severity.ERROR for d in diags)
     value, _ = acc.collected(POS)
@@ -73,7 +73,7 @@ def test_accumulator_state_equals_fold_of_steps(html):
     state = html.zero_state()
     for part in parts:
         if part is None:
-            acc.append_unsafe("v", POS)
+            acc.append_unsafe("v", POS, "x")
             r = step_interp(html, state, POS)
             state = r.state
         else:

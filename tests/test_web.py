@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import program_of
+from ctxesc import web
 from ctxesc.compiler import compile_template, execute_plan
 from ctxesc.diagnostics import Position, RenderError
 from ctxesc.machine import finish, step_fixed, step_interp, transition_op_count
@@ -107,12 +108,20 @@ def test_machine_for_tag():
 def test_html_machine_cache_clear_builds_a_cold_machine():
     warm = html_machine()
     compile_template('tag: html\n"<a href="${x}" style="b: url(${y})">\n')
-    assert warm.root_table._rows and warm.subs["Url"]._rows and warm.subs["Css"]._rows
+    assert warm.root_table.row_memo and warm.subs["Url"].row_memo and warm.subs["Css"].row_memo
     html_machine.cache_clear()
     cold = html_machine()
     assert cold is not warm and cold is html_machine() is machine_for_tag("html", None)
     for table in (cold.root_table, *cold.subs.values()):
-        assert table._rows == {}, table.name
+        assert table.row_memo == {}, table.name
+
+
+def test_one_machine_per_tag_and_tables_dir():
+    html_machine.cache_clear()
+    machine = machine_for_tag("html")
+    assert machine is machine_for_tag("html", None) is machine_for_tag(tag="html") is html_machine()
+    assert machine_for_tag("text") is machine_for_tag("text", tables_dir=None)
+    assert web._machine.cache_info().currsize == 2
 
 
 # -- css and url as root languages ---------------------------------------------
