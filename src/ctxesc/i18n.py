@@ -3,8 +3,11 @@
 Rendered output carries marks delimiting translatable messages and the
 interpolations inside them. Extraction replaces each interpolation span with
 a numbered placeholder; applying a translation substitutes the original,
-already-escaped span bytes back into the translated pattern, so translation
-can never weaken escaping.
+already-escaped span bytes back into the translated pattern. What it
+enforces is that the pattern uses each placeholder exactly once. It does not
+run the context machine over the translated fixed text, so a pattern that
+moves a span into another context (an unquoted attribute, say) gets bytes
+escaped for the span's original context.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import re
 
 from .diagnostics import CompositionError
-from .marks import EXPR_END, EXPR_START, MSG_END, MSG_START
+from .marks import EXPR_END, EXPR_START, MSG_END, MSG_START, nest_messages
 
 _PLACEHOLDER_RE = re.compile(r"\{(\d+)\}")
 
@@ -27,45 +30,31 @@ class TranslationError(CompositionError):
 
 
 def _message_spans(marks):
-    """Yield (ident, msg_start, msg_end, [(expr_start, expr_end), ...]),
-    validating nesting as we go."""
+    """Yield (ident, msg_start, msg_end, [(expr_start, expr_end), ...]) for
+    marks whose messages nest as ``nest_messages`` requires (as a render's
+    do) and whose interpolation spans pair up inside a message."""
     # sorted() is stable, so marks at equal offsets keep emission order
     ordered = sorted(marks, key=lambda m: m.offset)
-    open_msg = None
-    exprs: list = []
-    open_expr = None
+    in_message, problem = nest_messages(False, ordered)
+    if problem:
+        raise ExtractionError(problem)
+    start = open_expr = None
     for mark in ordered:
         if mark.kind == MSG_START:
-            if open_msg is not None:
-                raise ExtractionError(
-                    f"nested message {mark.ident!r} inside {open_msg[0]!r}")
-            open_msg = (mark.ident, mark.offset)
-            exprs = []
+            ident, start, exprs = mark.ident, mark.offset, []
+        elif start is None or (mark.kind == EXPR_END) == (open_expr is None):
+            raise ExtractionError(
+                f"overlapping or unpaired interpolation spans at offset {mark.offset}")
         elif mark.kind == MSG_END:
-            if open_msg is None:
-                raise ExtractionError("message end without a message start")
-            if open_expr is not None:
-                raise ExtractionError(
-                    f"interpolation span not closed in message {open_msg[0]!r}")
-            yield open_msg[0], open_msg[1], mark.offset, exprs
-            open_msg = None
+            yield ident, start, mark.offset, exprs
+            start = None
         elif mark.kind == EXPR_START:
-            if open_msg is None:
-                continue  # interpolation outside any message: not translatable
-            if open_expr is not None:
-                raise ExtractionError(
-                    f"overlapping interpolation spans in message {open_msg[0]!r}")
             open_expr = mark.offset
-        elif mark.kind == EXPR_END:
-            if open_msg is None:
-                continue
-            if open_expr is None:
-                raise ExtractionError(
-                    f"interpolation end without a start in message {open_msg[0]!r}")
+        else:
             exprs.append((open_expr, mark.offset))
             open_expr = None
-    if open_msg is not None:
-        raise ExtractionError(f"message {open_msg[0]!r} is never closed")
+    if in_message:
+        raise ExtractionError(f"message {ident!r} is never closed")
 
 
 def extract_messages(text: str, marks) -> dict[str, str]:

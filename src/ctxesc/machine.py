@@ -511,7 +511,8 @@ def step_interp(machine: Machine, state: MachineState,
 
 def merge(a: MachineState, b: MachineState,
           table: TransitionTable | None = None) -> MachineState:
-    """Conservative join of two states at a control-flow merge point.
+    """Conservative join of two flushed states (``finish`` results, which
+    hold back no text) at a control-flow merge point.
 
     Equal states merge to themselves; an errored input is absorbing; any
     disagreement fail-stops with a message naming the conflicting fields.
@@ -529,8 +530,6 @@ def merge(a: MachineState, b: MachineState,
             if x != y:
                 fname = names[k] if names else f"field {k}"
                 conflicts.append(f"{fname}: {x} vs {y}")
-    if a.pending != b.pending:
-        conflicts.append(f"pending text: {a.pending!r} vs {b.pending!r}")
     if len(a.frames) != len(b.frames):
         conflicts.append(f"subsidiary stack depth: {len(a.frames)} vs {len(b.frames)}")
     else:
@@ -544,11 +543,10 @@ def merge(a: MachineState, b: MachineState,
 
 
 def is_valid_end(machine: Machine, state: MachineState) -> tuple[bool, str | None]:
-    """Whether composed content may validly end in this state."""
+    """Whether composed content may validly end in this flushed state (a
+    ``finish`` result, which holds back no text)."""
     if state.error is not None:
         return False, state.error
-    if state.pending or any(fr.pending for fr in state.frames):
-        return False, "unprocessed trailing text (state was not flushed)"
     table = machine.root_table
     if not table.rows(state.context).terminal:
         return False, table.end_message(state.context)

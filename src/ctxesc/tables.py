@@ -186,13 +186,10 @@ def context_str(context: tuple[str, ...]) -> str:
     return ", ".join(WILDCARD if v == "None" else v for v in context)
 
 
-def _split_row(line: str) -> list[str] | None:
-    """Split a ``|``-delimited row, ignoring pipes inside backticks."""
-    stripped = line.strip()
-    if not stripped.startswith("|"):
-        return None
+def _split_row(line: str) -> list[str]:
+    """Split a stripped ``|``-delimited row, ignoring pipes inside backticks."""
     cells, cur, ticked = [], [], False
-    for ch in stripped:
+    for ch in line:
         if ch == "`":
             ticked = not ticked
             cur.append(ch)
@@ -247,7 +244,7 @@ class _Parser:
                 section = "escapers"
                 continue
             if line.startswith("|"):
-                cells = _split_row(raw)
+                cells = _split_row(line)
                 if section == "rules":
                     self._parse_rule(idx, cells)
                 elif section == "escapers":

@@ -61,8 +61,6 @@ def truthy(value) -> bool:
     (None) are false; everything else, including SafeContent, is true."""
     if value is None or value is False:
         return False
-    if isinstance(value, SafeContent):
-        return True
     if isinstance(value, (str, list)):
         return len(value) > 0
     if isinstance(value, bool):

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import functools
+import os
 from importlib import resources
 from pathlib import Path
 
@@ -27,11 +28,12 @@ def load_table(name: str, tables_dir: str | None = None):
     return table
 
 
-def machine_for_tag(tag: str, tables_dir: str | None = None) -> Machine:
+def machine_for_tag(tag: str, tables_dir: str | os.PathLike | None = None) -> Machine:
     """The machine of root table ``<tag>.tt`` with, once each, the tables that
     ``uses`` lines name, transitively, as subsidiaries (``uses Url``: ``url.tt``).
-    One machine per (tag, tables_dir), however the arguments are passed."""
-    return _machine(tag, tables_dir)
+    One machine per (tag, tables_dir), however the arguments are passed, and
+    one per directory whether it is named by a ``str`` or a path object."""
+    return _machine(tag, None if tables_dir is None else os.fspath(tables_dir))
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ import pytest
 from conftest import LIST_TEMPLATE, MESSAGE_TEMPLATE, TWO_ATTR_TEMPLATE, program_of
 from ctxesc import machine as machine_mod
 from ctxesc.compiler import compile_template, execute_plan, propagate
-from ctxesc.diagnostics import Severity, has_errors
+from ctxesc.diagnostics import RenderError, Severity, has_errors
 from ctxesc.escapers import chain, escape_pcdata
 from ctxesc.frontend import walk
 from ctxesc.i18n import extract_messages, substitute_placeholders
@@ -132,6 +132,56 @@ def test_c05_oracle_equivalence(html):
             checked += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"equivalence fuzz took {elapsed:.1f}s"
+
+
+def perturb_bindings(rng, bindings):
+    """A copy of ``random_template`` bindings with one defect, and its kind:
+    a binding dropped, a value made a record, a list or null, a loop path
+    made a non-list, or a loop item a field path reads made a non-record."""
+    out = dict(bindings)
+    name = rng.choice(sorted(out))
+    loops = sorted(k for k in out if k.startswith("l"))
+    kind = rng.choice(["drop", "value", "loop", "item"])
+    if kind == "drop":
+        del out[name]
+    elif kind == "value" or not loops:
+        kind, out[name] = "value", rng.choice([{"k": "v"}, [1, "a"], None])
+    elif kind == "loop" or not any(out[k] for k in loops):
+        kind, out[rng.choice(loops)] = "loop", rng.choice(["s", 3, {"a": 1}, None, True])
+    else:
+        loop = rng.choice([k for k in loops if out[k]])
+        items = out[loop] = list(out[loop])
+        items[rng.randrange(len(items))] = rng.choice(["s", 5, [1], None])
+    return out, kind
+
+
+def render_outcome(render):
+    """("ok", text, marks) of a render, or ("error", str, position) of its RenderError."""
+    try:
+        value, marks = render()
+    except RenderError as exc:
+        return "error", str(exc), exc.position
+    return "ok", value.text, marks
+
+
+def test_c05_engines_agree_on_defective_bindings(html):
+    rng = random.Random(0xBADB1D)
+    seen = set()
+    checked = 0
+    while checked < 1000:
+        source, bindings = random_template(rng)
+        if not bindings:  # a template that reads no path has no bindings to break
+            continue
+        perturbed, kind = perturb_bindings(rng, bindings)
+        plan, _ = compile_template(source)
+        program = program_of(source)
+        dynamic = render_outcome(lambda: render_full(program, Bindings(perturbed), html)[:2])
+        static = render_outcome(lambda: execute_plan(plan, Bindings(perturbed)))
+        assert static == dynamic, (source, perturbed)
+        seen.add((kind, dynamic[0]))
+        checked += 1
+    assert {kind for kind, _ in seen} == {"drop", "value", "loop", "item"}
+    assert {outcome for _, outcome in seen} == {"ok", "error"}
 
 
 def test_c06_structure_preservation(html):

@@ -86,6 +86,13 @@ def test_compile_writes_plan(workdir, capsys):
     assert {"lit": "<ul>\n"} in doc["body"]
 
 
+def test_compile_without_out_writes_the_plan_to_stdout(workdir, capsys):
+    out = workdir / "plan.json"
+    assert main(["compile", str(workdir / "list.tpl"), "--out", str(out)]) == 0
+    assert main(["compile", str(workdir / "list.tpl")]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 def test_compile_conflict_writes_nothing(workdir, capsys):
     out = workdir / "plan.json"
     assert main(["compile", str(workdir / "conflict.tpl"), "--out", str(out)]) == 1
@@ -262,6 +269,18 @@ def test_extract_nested_messages_exit_one(workdir, capsys):
         '</message></p>\n', encoding="utf-8")
     assert main(["extract", str(nested), "--bindings", str(workdir / "b.json")]) == 1
     assert "message 'b' starts inside another message" in capsys.readouterr().err
+
+
+def test_extract_one_message_id_with_two_texts_exit_one(workdir, capsys):
+    # check and compile accept the template; only extract finds the clash
+    twice = workdir / "twice.tpl"
+    twice.write_text('tag: html\n"<message i18n="@@m">a</message><message i18n="@@m">b</message>\n',
+                     encoding="utf-8")
+    assert main(["check", str(twice)]) == 0
+    assert main(["extract", str(twice), "--bindings", str(workdir / "b.json")]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "ctxesc: error: message id 'm' extracted twice with different text\n"
 
 
 def test_diagnostics_are_machine_parseable(workdir, capsys):

@@ -110,6 +110,23 @@ def test_else_must_follow_if():
     assert "without a matching 'if'" in diags[0].message
 
 
+def test_empty_template_is_one_positioned_error():
+    ir, diags = parse_template("", "e.tpl")
+    assert ir is None
+    assert [str(d) for d in diags] == [
+        "e.tpl:1:1: error: empty template: expected 'tag: <name>' on line 1"]
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("for x of a..b {", "invalid loop path: 'a..b'"),
+    ("if 1c {", "invalid condition path: '1c'"),
+], ids=["loop", "condition"])
+def test_invalid_statement_path_is_a_positioned_error(statement, message):
+    ir, diags = parse_template(f'tag: t\n  :{statement}\n"x\n', "p.tpl")
+    assert ir is None
+    assert [str(d) for d in diags] == [f"p.tpl:2:3: error: {message}"]
+
+
 def test_missing_tag_line():
     ir, diags = parse_template('"content\n')
     assert ir is None

@@ -51,8 +51,35 @@ def test_unclosed_message_rejected():
 
 def test_nested_messages_rejected(html):
     marks = (Mark("MsgStart", 0, "outer"), Mark("MsgStart", 1, "inner"))
-    with pytest.raises(ExtractionError, match="nested"):
+    with pytest.raises(ExtractionError, match="message 'inner' starts inside another message"):
         extract_messages("abc", marks)
+
+
+def test_message_end_without_a_start_rejected():
+    with pytest.raises(ExtractionError, match="^message end without a message start$"):
+        extract_messages("abc", (Mark("MsgEnd", 1),))
+
+
+@pytest.mark.parametrize("marks", [
+    # a span still open at the message end
+    (Mark("MsgStart", 0, "m"), Mark("ExprStart", 1), Mark("MsgEnd", 2)),
+    # a span end with no start
+    (Mark("MsgStart", 0, "m"), Mark("ExprEnd", 1), Mark("MsgEnd", 2)),
+    # a span outside any message
+    (Mark("ExprStart", 1), Mark("ExprEnd", 2)),
+], ids=["open-at-end", "end-without-start", "outside-a-message"])
+def test_unpaired_interpolation_spans_rejected(marks):
+    with pytest.raises(ExtractionError, match="^overlapping or unpaired interpolation spans "
+                                              "at offset [12]$"):
+        extract_messages("abcdef", marks)
+
+
+def test_one_message_id_with_two_texts_is_an_extraction_error(html):
+    text, marks, _ = render_text('tag: html\n"<message i18n="@@m">a</message>'
+                                 '<message i18n="@@m">b</message>\n', {}, html)
+    with pytest.raises(ExtractionError,
+                       match="^message id 'm' extracted twice with different text$"):
+        extract_messages(text, marks)
 
 
 def test_apply_translation_reorders_interpolations(html):

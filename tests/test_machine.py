@@ -194,6 +194,20 @@ def test_merge_subsidiary_stack_depth_conflict(html):
     assert "stack depth" in merged.error or "attr" in merged.error
 
 
+def test_merge_subsidiary_conflict_at_equal_stack_depth(html):
+    a, _, _ = run_fixed(html, '<a href="')
+    b, _, _ = run_fixed(html, '<a href="x')
+    assert a.context == b.context and len(a.frames) == len(b.frames) == 1
+    assert merge(a, b, html.root_table).error == (
+        "context conflict at join: subsidiary Url: (Start) vs Url: (MaybeScheme)")
+
+
+def test_state_str_prints_errors_and_frames(html):
+    state, _, _ = run_fixed(html, '<a href="x')
+    assert state_str(state) == "(Attr, _, Url, Double) / Url(MaybeScheme)"
+    assert state_str(MachineState(CTX, error="boom")) == "<error: boom>"
+
+
 def test_is_valid_end(html):
     ok, msg = is_valid_end(html, html.zero_state())
     assert ok and msg is None
@@ -351,6 +365,25 @@ def test_runaway_epsilon_reported_as_internal_error():
     assert any("table bug" in d.message for d in diags)
 
 
+def test_end_message_defaults_to_naming_the_context():
+    machine = toy_machine("[rules]\n| A | `x` | | B |\n")
+    state, _, _ = run_fixed(machine, "x")
+    assert is_valid_end(machine, state) == (False, "content may not end in context (B)")
+
+
+def test_out_of_range_numeric_reference_in_an_attribute_is_copied_with_a_warning(html):
+    state, emitted, diags = run_fixed(html, '<a href="&#0;x">')
+    assert emitted == '<a href="&amp;#0;x">'
+    assert [str(d) for d in diags] == [
+        "t:1:10: warning: malformed numeric character reference copied verbatim"]
+
+
+def test_a_step_without_a_position_reports_at_the_input_start(html):
+    state, _, _ = run_fixed(html, "<!-- ")
+    r = step_interp(html, state)
+    assert [str(d.position) for d in r.diagnostics] == ["<input>:1:1"]
+
+
 def test_bounded_lookahead_is_declared_per_table(html):
     assert html.root_table.lookahead == 64
 
@@ -384,6 +417,45 @@ def test_link_rejects_marks_from_a_subsidiary():
         _linked("| A | `x` | | B; start(Sub, identityCodec) |\n",
                 "| A | `y` | | B |\n| B | `m` | !MsgStart(m1) | A |\n")
     assert str(info.value) == "sub.tt:7: subsidiary machines may not emit marks"
+
+
+START_SUB = "| A | `<` | | B; start(Sub, identityCodec) |\n"
+
+
+def test_subsidiary_started_while_another_is_active_is_a_table_bug():
+    machine = _linked(START_SUB + "| B | `<` | | A; start(Sub, identityCodec) |\n",
+                      "| A | `y` | | B |\n")
+    state, _, diags = run_fixed(machine, "<<")
+    assert state.error == "subsidiary started while another is active (table bug)"
+    assert [str(d) for d in diags] == [
+        "t:1:2: error: subsidiary started while another is active (table bug)"]
+
+
+def test_an_error_in_a_subsidiary_stops_the_enclosing_row():
+    machine = _linked(START_SUB + "| B | `>` | `!` | A; end |\n",
+                      "| A | `y` | | _ | E: no y here |\n")
+    state, emitted, diags = run_fixed(machine, "<y>")
+    assert state.error == "no y here"
+    assert emitted == "<"  # the enclosing row that would end the subsidiary never fires
+    # reported where the enclosing row matched, as nested diagnostics are
+    assert [str(d) for d in diags] == ["t:1:3: error: no y here"]
+
+
+def test_interpolation_in_a_subsidiary_needs_an_escaper_at_every_level():
+    machine = _linked("[escapers]\n| A | | HtmlPcdataEscaper | | _ |\n[rules]\n" + START_SUB,
+                      "[escapers]\n| A | | HtmlPcdataEscaper | | _ |\n")
+    assert step_interp(machine, machine.zero_state(), POS).escapers == ("HtmlPcdataEscaper",)
+    state, _, _ = run_fixed(machine, "<")
+    r = step_interp(machine, state, POS)
+    assert r.error
+    assert r.state.error == "no escaper mapping for enclosing toy context (B)"
+
+
+def test_content_may_not_end_inside_a_subsidiary():
+    machine = _linked(START_SUB, "| A | `y` | | B |\n")
+    state, _, _ = run_fixed(machine, "<y")
+    assert state_str(state) == "(B) / Sub(B)"
+    assert is_valid_end(machine, state) == (False, "content ends inside nested Sub content")
 
 
 # -- state records ---------------------------------------------------------------

@@ -466,7 +466,27 @@ def test_plan_json_refuses_a_node_outside_the_plan_family():
         plan_to_json(CompiledPlan("html", [PlanFor("v", "xs", [Lit("a"), "b"])]))
 
 
+def test_plan_render_refuses_a_node_outside_the_plan_family():
+    with pytest.raises(PlanError, match="^unexpected plan node 'b'$"):
+        execute_plan(CompiledPlan("html", [PlanFor("v", "xs", [Lit("a"), "b"])]), Bindings({}))
+
+
+@pytest.mark.parametrize("x", [{}, {"z": 1}, "s", None], ids=["empty", "other-field", "str", "null"])
+def test_a_condition_over_a_missing_field_is_false_in_both_engines(html, x):
+    source = 'tag: html\n:if x.y {\n"yes\n:} else {\n"no\n:}\n'
+    plan, _ = compile_template(source)
+    dynamic, _, _ = render_full(program_of(source), Bindings({"x": x}), html)
+    static, _ = execute_plan(plan, Bindings({"x": x}))
+    assert static.text == dynamic.text == "no\n"
+
+
 # -- untrusted plan documents --------------------------------------------------------
+
+def test_plan_text_that_is_not_json_is_a_plan_error():
+    with pytest.raises(PlanError, match="^plan is not valid JSON: Expecting value: "
+                                        "line 1 column 1 \\(char 0\\)$"):
+        plan_from_json("not json")
+
 
 @pytest.mark.parametrize("offset", [-50, -1, 10**6])
 def test_mark_offsets_outside_their_literal_are_rejected(html, offset):

@@ -211,6 +211,26 @@ def test_bindings_from_json_safe_content_escape_hatch(html):
     assert b.values["n"] == 3
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+def test_bindings_document_that_is_not_an_object_is_a_value_error(text):
+    with pytest.raises(ValueError, match="^bindings document must be a JSON object$"):
+        Bindings.from_json(text)
+
+
+@pytest.mark.parametrize("value, expected", [
+    (None, False), (False, False), ("", False), (0, False), (0.0, False), ([], False),
+    (True, True), ("0", True), (-1, True), ([0], True),
+    # a record and safe content are true, even empty
+    ({}, True), (SafeContent("html", ""), True),
+])
+def test_condition_truth_in_both_engines(html, value, expected):
+    source = 'tag: html\n:if c {\n"yes\n:} else {\n"no\n:}\n'
+    bindings = Bindings({"c": value})
+    dynamic = render_full(program_of(source), bindings, html)[0].text
+    static = execute_plan(compile_template(source)[0], bindings)[0].text
+    assert static == dynamic == ("yes\n" if expected else "no\n")
+
+
 @pytest.mark.parametrize("text, expected", [(5, '<p title="5">t</p>\n'),
                                             (None, "cannot render null as text")])
 def test_safe_content_with_non_str_text_renders_or_is_a_positioned_error(html, text, expected):

@@ -5,6 +5,7 @@ benchmark's own tests, to keep them working."""
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -31,6 +32,27 @@ def test_fuzz_script_passes(argv):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_line_coverage_lists_the_lines_a_test_file_never_runs():
+    result = subprocess.run([sys.executable, "scripts/line_coverage.py", "tests/test_package.py"],
+                            cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1, result.stdout + result.stderr
+    # importing the package runs none of the machine's steps
+    rows = {line.split(":")[0]: line for line in result.stdout.splitlines()
+            if re.fullmatch(r"\w+: \d+ never run.*", line)}
+    assert re.fullmatch(r"machine: \d+ never run: lines [\d, -]+", rows["machine"])
+    assert re.search(r"^never-run lines: [1-9]\d* \(5 allowed\)$", result.stdout, re.M)
+
+
+def test_line_coverage_allow_list_names_lines_that_exist():
+    spec = importlib.util.spec_from_file_location("ledger", ROOT / "scripts" / "line_coverage.py")
+    ledger = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ledger)
+    sources = ledger.module_sources()
+    for (module, text), reason in ledger.ALLOWED.items():
+        assert text in [line.strip() for line in sources[module]], (module, text)
+        assert reason and "\n" not in reason
 
 
 def memo_free_table_ops(monkeypatch, batch):

@@ -190,6 +190,18 @@ def test_pipes_inside_regex_do_not_split_columns():
     assert table.rules[0].regex.match("y")
 
 
+def test_cells_without_backticks_are_taken_as_written():
+    table = parse_ok(MINIMAL + """
+[escapers]
+| A | '' | HtmlAttributeEscaper | ' | _ |
+[rules]
+| A | a+ | | B |
+""")
+    assert table.rules[0].regex_src == "a+" and table.rules[0].regex.match("aa")
+    (escape,) = table.escapes
+    assert (escape.pre, escape.post) == ("''", "'")
+
+
 def test_diagnostic_column():
     table = parse_ok(MINIMAL + """
 [rules]

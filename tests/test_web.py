@@ -1,9 +1,11 @@
+import pathlib
+
 import pytest
 
 from conftest import program_of
 from ctxesc import web
 from ctxesc.compiler import compile_template, execute_plan
-from ctxesc.diagnostics import Position, RenderError
+from ctxesc.diagnostics import Position, RenderError, TableError
 from ctxesc.machine import finish, step_fixed, step_interp, transition_op_count
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.web import html_machine, machine_for_tag
@@ -122,6 +124,27 @@ def test_one_machine_per_tag_and_tables_dir():
     assert machine is machine_for_tag("html", None) is machine_for_tag(tag="html") is html_machine()
     assert machine_for_tag("text") is machine_for_tag("text", tables_dir=None)
     assert web._machine.cache_info().currsize == 2
+
+
+def test_one_machine_per_tables_dir_however_it_is_named():
+    html_machine.cache_clear()
+    data = pathlib.Path(web.__file__).parent / "data"
+    machine = machine_for_tag("html", str(data))
+    assert machine is machine_for_tag("html", data) is html_machine(data)
+    # the package data without a directory names its table files without one
+    assert machine_for_tag("html") is not machine
+    assert web._machine.cache_info().currsize == 2
+
+
+def test_a_table_that_fails_validation_is_a_table_error(tmp_path):
+    # parses, but starts a subsidiary that no 'uses' line declares
+    (tmp_path / "bad.tt").write_text(
+        "machine bad\nfields state\nvalues state: A B\nstart A\n[rules]\n"
+        "| A | `x` | | B; start(Sub, identityCodec) |\n", encoding="utf-8")
+    with pytest.raises(TableError) as exc:
+        web.load_table("bad.tt", tmp_path)
+    assert str(exc.value) == (f"{tmp_path / 'bad.tt'}:6:1: error: "
+                              "subsidiary machine 'Sub' is not declared in 'uses'")
 
 
 # -- css and url as root languages ---------------------------------------------
