@@ -11,7 +11,9 @@ twice, and the second, warm pass is counted: Python calls and C calls with
 pass's transition-table operations (``transition_op_count``), which a step
 memo must not change and a plan render must leave at 0. Unlike wall time,
 these counts are the same on every run of the same code, so they can tell
-apart two commits whose timings a busy host cannot. The defaults are the
+apart two commits whose timings a busy host cannot. A second table counts the
+compile and dynamic paths again per template kind of the batch (``corpus``,
+``list``, ``page``, ``line``), to show where work moved. The defaults are the
 benchmark's batch sizes:
 
     PYTHONPATH=src python scripts/count_work.py --seed 1
@@ -72,6 +74,33 @@ def count_opcodes(run):
     return count
 
 
+def count(run):
+    """One path's row: the counts of a warm pass of ``run``."""
+    run()  # warm the table memo, the machine cache and the lowered plan
+    before = transition_op_count()
+    calls, c_calls = count_calls(run)
+    ops = transition_op_count() - before
+    return f"{calls:>13,} {c_calls:>10,} {count_opcodes(run):>11,} {ops:>15,}"
+
+
+def machine_passes(batch, machine):
+    """The compile pass over the batch's distinct templates and the dynamic
+    pass over its renders."""
+    sources = list(dict.fromkeys(source for _, source, _ in batch))
+    programs = [(desugar(parse_template(source)[0]), Bindings(values))
+                for _, source, values in batch]
+
+    def compile_pass():
+        for source in sources:
+            compile_template(source)
+
+    def dynamic_pass():
+        for program, bindings in programs:
+            render_full(program, bindings, machine)
+
+    return (("compile", compile_pass), ("dynamic", dynamic_pass))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -86,34 +115,24 @@ def main():
     batch = gen.compile_batch(args.seed, pages=args.pages, page_bytes=args.page_bytes,
                               line_bytes=args.line_bytes, corpus_values=args.corpus_values)
     machine = machine_for_tag("html")
-    sources = list(dict.fromkeys(source for _, source, _ in batch))
-    programs = [(desugar(parse_template(source)[0]), Bindings(values))
-                for _, source, values in batch]
     plan, _ = compile_template(gen.LIST_TEMPLATE)
     pages = [Bindings(page) for page in gen.list_pages(args.seed, args.list_pages)]
-
-    def compile_pass():
-        for source in sources:
-            compile_template(source)
-
-    def dynamic_pass():
-        for program, bindings in programs:
-            render_full(program, bindings, machine)
 
     def render_pass():
         for bindings in pages:
             execute_plan(plan, bindings)
 
-    print(f"seed {args.seed}: {len(sources)} templates, {len(batch)} renders, "
-          f"{len(pages)} list pages")
-    print(f"{'path':<8} {'python calls':>13} {'C calls':>10} {'opcodes':>11} {'transition ops':>15}")
-    for name, run in (("compile", compile_pass), ("dynamic", dynamic_pass),
-                      ("render", render_pass)):
-        run()  # warm the table memo, the machine cache and the lowered plan
-        before = transition_op_count()
-        calls, c_calls = count_calls(run)
-        ops = transition_op_count() - before
-        print(f"{name:<8} {calls:>13,} {c_calls:>10,} {count_opcodes(run):>11,} {ops:>15,}")
+    header = f"{'python calls':>13} {'C calls':>10} {'opcodes':>11} {'transition ops':>15}"
+    print(f"seed {args.seed}: {len(set(s for _, s, _ in batch))} templates, "
+          f"{len(batch)} renders, {len(pages)} list pages")
+    print(f"{'path':<8} {header}")
+    for name, run in machine_passes(batch, machine) + (("render", render_pass),):
+        print(f"{name:<8} {count(run)}")
+    print()
+    print(f"{'kind':<7} {'path':<8} {header}")
+    for kind in dict.fromkeys(kind for kind, _, _ in batch):
+        for name, run in machine_passes([t for t in batch if t[0] == kind], machine):
+            print(f"{kind:<7} {name:<8} {count(run)}")
 
 
 if __name__ == "__main__":

@@ -220,19 +220,14 @@ def parse_template(source: str, filename: str = "<template>"):
 
 def desugar(ir: TemplateIR) -> AppendProgram:
     """Close the parsed program: a new body of the parsed nodes plus the
-    Collected exit, one line past the last node. ``ir.body`` is not
+    Collected exit, one line past the last node. Nodes are in line order, so
+    the last one ends the last block that ends the body. ``ir.body`` is not
     changed."""
-    last_line = max((n.pos.line for n in walk(ir.body)), default=1)
+    last_line, nodes = 1, ir.body
+    while nodes:
+        node = nodes[-1]
+        last_line = node.pos.line
+        nodes = (node.body if isinstance(node, LoopBlock) else
+                 node.els or node.then if isinstance(node, BranchBlock) else ())
     collected = Collected(Position(ir.filename, last_line + 1, 1))
     return AppendProgram(ir.tag, [*ir.body, collected])
-
-
-def walk(nodes):
-    """All program nodes in source order, recursing into blocks."""
-    for node in nodes:
-        yield node
-        if isinstance(node, LoopBlock):
-            yield from walk(node.body)
-        elif isinstance(node, BranchBlock):
-            yield from walk(node.then)
-            yield from walk(node.els)

@@ -8,15 +8,19 @@ matching is independent of how fixed text is chunked.
 
 One loop, ``_Run.drain``, steps a thawed state: it fires the innermost
 machine's epsilon rows and consumes that machine's text, at any nesting
-depth. Rows that only emit their matched text and move the context are
-applied in the loop; ``_Run._fire`` applies every other row, whatever its
+depth. *Plain* rows, which only emit their matched text and move the
+context, are applied in the loop, which takes the successor's rows from the
+row's resolved entry; ``_Run._fire`` applies every other row, whatever its
 trigger. Text an enclosing machine holds back moves inward through
 ``_consume_at``, one decoded unit at a time, until one of that machine's own
-rows matches. At an interpolation site the machine flushes held-back text,
-fires epsilon and interp rows (epsilon first), then reads escaper-map rows
-from the innermost machine outward. ``finish`` and ``step_interp`` take a
-``memo`` that one compile or render owns: a step whose result holds no
-position (no diagnostics, error or held-back root text) is replayed after.
+rows matches. ``step_fixed`` feeds long text in windows, and returns at once
+while every level holds back less than its table's lookahead and the
+innermost context has no epsilon row: then nothing can move. At an
+interpolation site the machine flushes held-back text, fires epsilon and
+interp rows (epsilon first), then reads escaper-map rows from the innermost
+machine outward. ``finish`` and ``step_interp`` take a ``memo`` that one
+compile or render owns: a step whose result holds no position (no
+diagnostics, error or held-back root text) is replayed after.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .records import FrozenRecord, Record, slot_setters
 from .tables import Rule, TransitionTable, context_str
 
 _op_count = 0
+_WINDOW = 1024  # step_fixed feeds longer text a window at a time, as separate chunks
 
 
 def transition_op_count() -> int:
@@ -182,19 +187,15 @@ def build_machine(root: TransitionTable,
 
 
 class _Level:
-    """One machine of the running stack; ``rows`` are always the table's
-    resolved rows for ``context``."""
+    """One machine of the running stack; ``rows`` are its table's resolved
+    rows for its context, which ``rows.context`` holds."""
 
-    __slots__ = ("table", "machine_name", "codec_name", "codec", "context", "rows", "pending")
+    __slots__ = ("table", "machine_name", "codec_name", "codec", "rows", "pending")
 
-    def __init__(self, table, machine_name, codec_name, codec, context, pending):
-        self.table = table
-        self.machine_name = machine_name
-        self.codec_name = codec_name
-        self.codec = codec
-        self.context = context
-        self.rows = table.rows(context)
-        self.pending = pending
+    def __init__(self, machine_name, codec_name, rows, pending):
+        self.table, self.rows, self.pending = rows.table, rows, pending
+        self.machine_name, self.codec_name = machine_name, codec_name
+        self.codec = BUILTIN_CODECS.get(codec_name)
 
 
 class _Run:
@@ -212,11 +213,10 @@ class _Run:
     def __init__(self, machine: Machine, state: MachineState, pos: Position | None):
         self.machine = machine
         root = machine.root_table
-        self._levels = [_Level(root, root.name, None, None, state.context, state.pending)]
+        self._levels = [_Level(root.name, None, root.rows(state.context), state.pending)]
         for fr in state.frames:
-            self._levels.append(_Level(
-                machine.subs[fr.machine], fr.machine, fr.codec,
-                BUILTIN_CODECS[fr.codec], fr.context, fr.pending))
+            rows = machine.subs[fr.machine].rows(fr.context)
+            self._levels.append(_Level(fr.machine, fr.codec, rows, fr.pending))
         self.error: str | None = state.error
         self.out: list[str] = []
         self.out_len = 0
@@ -225,12 +225,13 @@ class _Run:
         self._pos = ((state.pending_pos if state.pending else pos) or pos
                      or Position("<input>", 1, 1))
         self._text = state.pending
+        self.unfed = 0
         self._off = 0
         self._anchors = state.pending_at if state.pending else ()
 
     @property
     def pos(self) -> Position:
-        end = len(self._text) - len(self._levels[0].pending)
+        end = len(self._text) - len(self._levels[0].pending) - self.unfed
         if end > self._off:
             start, pos, anchors = self._off, self._pos, self._anchors
             while anchors and anchors[0][0] <= end:
@@ -250,10 +251,10 @@ class _Run:
         if severity is Severity.ERROR and self.error is None:
             self.error = message
 
-    def _fire(self, i: int, rule: Rule, successor, m, text: str) -> None:
-        """Apply one ``[rules]`` row at level ``i``, whatever its trigger.
-        ``m`` and ``text`` are a regex row's match and matched text (None
-        and "" otherwise); the caller consumes the matched text."""
+    def _fire(self, i: int, rule: Rule, rows, string: str = "", end: int = 0) -> None:
+        """Apply one ``[rules]`` row at level ``i``, whatever its trigger, and
+        move that level to ``rows``, the successor's. A regex row matched
+        ``string[:end]``; the caller consumes it."""
         action = rule.action
         if action is not None and action.kind == "end":
             self._pop_below(i)
@@ -262,12 +263,11 @@ class _Run:
             self._diag(severity, rule.message)
             return
         if rule.events:  # only root rows have events: build_machine checks
-            m = m and rule.regex.match(m.string)  # number groups as the rule's regex does
+            m = rule.regex and rule.regex.match(string)  # the rule's own group numbers
             for ev in rule.events:
                 ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
                 self.marks.append(Mark(ev.kind, self.out_len, ident))
-        if rule.substitution is not None:
-            text = rule.substitution
+        text = string[:end] if rule.substitution is None else rule.substitution
         if text:
             if i:
                 text = self._encode_text(i, text)
@@ -275,15 +275,13 @@ class _Run:
             self.out_len += len(text)
         if severity is Severity.WARNING:
             self._diag(severity, rule.message)
-        lvl = self._levels[i]
-        lvl.context, lvl.rows = successor, lvl.table.rows(successor)
+        self._levels[i].rows = rows
         if action is not None and action.kind == "start":
             if i != len(self._levels) - 1:
                 self._diag(Severity.ERROR, "subsidiary started while another is active (table bug)")
                 return
             table = self.machine.subs[action.machine]
-            self._levels.append(_Level(table, action.machine, action.codec,
-                                       BUILTIN_CODECS[action.codec], table.start, ""))
+            self._levels.append(_Level(action.machine, action.codec, table.rows(table.start), ""))
 
     # -- stepping ----------------------------------------------------------
 
@@ -292,7 +290,8 @@ class _Run:
         fires the innermost machine's epsilon row (with ``at_interp``, all text
         flushed, else its interp row), moves an enclosing level's text inward
         (``_consume_at``), or consumes the innermost machine's own text here,
-        until a row needs ``_fire`` or the new context has an epsilon row."""
+        until a row that is not plain needs ``_fire`` or the new context has
+        an epsilon row. The consume loop counts its ops locally."""
         global _op_count
         levels = self._levels
         streak = 0
@@ -304,12 +303,12 @@ class _Run:
             if row is not None:
                 rule, successor = row
                 _op_count += 1
-                if (successor == lvl.context and rule.action is None
+                if (successor is rows and rule.action is None
                         and rule.severity is not Severity.ERROR):
                     self._diag(Severity.ERROR, f"{rule.trigger} rule at {lvl.table.filename}:"
                                f"{rule.line} does not change the context (table bug)")
                 else:
-                    self._fire(i, rule, successor, None, "")
+                    self._fire(i, rule, successor)
                 streak += 1
                 if streak > len(levels[-1].table.rules) + 4:
                     self._diag(Severity.ERROR, "epsilon and interp rules never reached "
@@ -323,36 +322,38 @@ class _Run:
                     j += 1
                 if j < i:
                     continue
-            table, pending, out = lvl.table, lvl.pending, self.out
-            hold = 0 if flushing else table.lookahead
+            pending, out, ops = lvl.pending, self.out, 0
+            hold = 0 if flushing else lvl.table.lookahead
+            fused, won = rows.fused, rows.won
             while pending and len(pending) >= hold:
-                m = rows.fused(pending)
-                if m and m.end():
-                    rule, successor = rows.won[m.lastindex]
-                else:  # a row matched empty, or none did
-                    rule, successor, m = rows.first_match(pending) if m else (None, None, None)
-                text = m.group(0) if m else pending[0]  # no row: the default copies one
-                _op_count += 1
-                if rule is not None and (rule.action or rule.events or rule.severity
-                                         or rule.substitution is not None):
+                m = fused(pending)
+                end = m.end()
+                if end:
+                    rule, successor, plain = won[m.lastindex] or rows.lane(m.lastindex)
+                else:
+                    (rule, successor, plain), end = rows.first_match(pending)
+                ops += 1
+                if not plain:
                     lvl.pending = pending
-                    self._fire(i, rule, successor, m, text)
-                    pending = pending[len(text):]
+                    self._fire(i, rule, successor, pending, end)
+                    pending = pending[end:]
                     break
-                pending = pending[len(text):]
+                text, pending = pending[:end], pending[end:]
                 if i:
                     text = self._encode_text(i, text)
                 out.append(text)
                 self.out_len += len(text)
-                if rule is not None and successor != lvl.context:
-                    rows = table.row_memo.get(successor) or table.rows(successor)
-                    lvl.context, lvl.rows = successor, rows
+                if successor is not rows:
+                    lvl.rows = rows = successor
+                    fused, won = rows.fused, rows.won
                     if rows.epsilon:
                         break
             else:
                 lvl.pending = pending
+                _op_count += ops
                 return
             lvl.pending = pending
+            _op_count += ops
 
     def _pop_below(self, i: int) -> None:
         while len(self._levels) - 1 > i:
@@ -360,7 +361,7 @@ class _Run:
             if not lvl.rows.terminal:
                 self._diag(Severity.WARNING,
                            f"nested {lvl.table.name} content ended prematurely: "
-                           f"{lvl.table.end_message(lvl.context)}")
+                           f"{lvl.table.end_message(lvl.rows.context)}")
 
     def _consume_at(self, i: int, flushing: bool) -> bool:
         """Move enclosing level ``i``'s text inward unit by unit until one of
@@ -375,16 +376,15 @@ class _Run:
             return False
         inner = self._levels[i + 1]
         while True:
-            rule, successor, m = lvl.rows.first_match(pending)
-            if m is not None:
+            (rule, successor, _), end = lvl.rows.first_match(pending)
+            if rule is not None:
                 _op_count += 1
                 lvl.pending = pending
                 self.drain(flushing=True, min_level=i + 1)
                 if self.error is not None:
                     return True
-                text = m.group(0)
-                self._fire(i, rule, successor, m, text)
-                lvl.pending = pending[len(text):]
+                self._fire(i, rule, successor, pending, end)
+                lvl.pending = pending[end:]
                 return True
             n, out, warn = inner.codec.decode_unit(pending)
             if warn:
@@ -400,22 +400,23 @@ class _Run:
         levels = self._levels
         root = levels[0]
         if self.error is not None:
-            return MachineState(tuple(root.context), "", (), self.error)
-        frames = () if len(levels) == 1 else tuple([Frame(
-            lvl.machine_name, lvl.codec_name, lvl.context, lvl.pending) for lvl in levels[1:]])
+            return MachineState(root.rows.context, "", (), self.error)
+        frames = tuple([Frame(lvl.machine_name, lvl.codec_name, lvl.rows.context, lvl.pending)
+                        for lvl in levels[1:]]) if len(levels) > 1 else ()
         if not root.pending:
-            return MachineState(tuple(root.context), "", frames)
+            return MachineState(root.rows.context, "", frames)
         pos = self.pos  # folds, so _off is where the pending text starts
-        return MachineState(tuple(root.context), root.pending, frames, None, pos, tuple(
+        return MachineState(root.rows.context, root.pending, frames, None, pos, tuple(
             (off - self._off, at) for off, at in self._anchors))
 
 
 def step_fixed(machine: Machine, state: MachineState, chunk: str,
                pos: Position | None = None) -> StepResult:
     """Consume a fixed chunk. An errored state absorbs input and emits
-    nothing. The chunk joins the held-back text first, anchored at ``pos``;
-    while the root runs alone, holds back less than its lookahead and has no
-    epsilon row, nothing can fire or consume, and that is the result."""
+    nothing. The chunk joins the held-back text first, anchored at ``pos``.
+    While every level holds back less than its table's lookahead and the
+    innermost context has no epsilon row, nothing can move, and that is the
+    result; else one run drains the text a window at a time."""
     held, table = state.pending, machine.root_table
     if held:
         at = state.pending_at if pos is None else state.pending_at + ((len(held), pos),)
@@ -423,11 +424,25 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
     else:
         at, start = (), pos or Position("<input>", 1, 1)
     state = MachineState(state.context, held + chunk, state.frames, state.error, start, at)
-    if (state.error is None and not state.frames and len(state.pending) < table.lookahead
-            and table.rows(state.context).epsilon is None):
-        return StepResult(state, "", (), [])
+    text = state.pending
+    if state.error is None and len(text) < table.lookahead:
+        context = state.context
+        for fr in state.frames:
+            table, context = machine.subs[fr.machine], fr.context
+            if len(fr.pending) >= table.lookahead:
+                break
+        else:
+            if table.rows(context).epsilon is None:
+                return StepResult(state, "", (), [])
     run = _Run(machine, state, pos)
+    root, fed = run._levels[0], _WINDOW
+    root.pending, run.unfed = text[:fed], max(len(text) - fed, 0)
     run.drain(flushing=False)
+    while run.unfed and run.error is None:
+        root.pending += text[fed:fed + _WINDOW]
+        fed += _WINDOW
+        run.unfed = max(len(text) - fed, 0)
+        run.drain(flushing=False)
     return StepResult(run.freeze(), "".join(run.out), tuple(run.marks), run.diags)
 
 
@@ -485,22 +500,21 @@ def step_interp(machine: Machine, state: MachineState,
     for li in range(len(run._levels) - 1, -1, -1):
         lvl = run._levels[li]
         if lvl.rows.escape is None:
+            context = context_str(lvl.rows.context)
             if li == len(run._levels) - 1:
-                msg = f"interpolation not allowed in this context: ({context_str(lvl.context)})"
+                msg = f"interpolation not allowed in this context: ({context})"
             else:
-                msg = (f"no escaper mapping for enclosing {lvl.table.name} context "
-                       f"({context_str(lvl.context)})")
+                msg = f"no escaper mapping for enclosing {lvl.table.name} context ({context})"
             run._diag(Severity.ERROR, msg)
             return InterpResult(run.freeze(), site, emitted, emitted_marks, (), "", "", True,
                                 run.diags)
-        row, successor = lvl.rows.escape
+        row, lvl.rows = lvl.rows.escape
         _op_count += 1
         chain.extend(row.escapers)
         if row.pre:
             map_pres.append((li, row.pre))
         if row.post:
             map_posts.append((li, row.post))
-        lvl.context, lvl.rows = successor, lvl.table.rows(successor)
 
     # outer delimiters wrap inner ones
     pre = "".join([run._encode_text(li, t) for li, t in reversed(map_pres)])

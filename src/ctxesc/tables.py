@@ -12,11 +12,12 @@ order is significant: the first matching rule wins, always.
 
 Contexts are finite, so a table resolves its rules per context, not per step:
 it keeps one memo of resolved rows per context. The first time a context is
-seen, its regex rows are memoized in file order, each with its bound match
-function and successor context, next to the first epsilon, interp and escape
-row with theirs. Dispatch is one match of those rows' alternation, a group
-per row: ``re`` tries alternatives left to right, so "first match wins" is
-unchanged, and ``lastindex`` names the winner.
+seen, its regex rows are memoized in file order; each row's successor rows
+and whether it is plain are resolved the first time it wins, and the first
+epsilon, interp and escape row the first time it is read. Dispatch is one
+match of the regex rows' alternation, a group per row: ``re`` tries
+alternatives left to right, so "first match wins" is unchanged, and
+``lastindex`` names the winner.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from re import _constants as _sre, _parser
 
 from . import escapers, marks
 from .diagnostics import Diagnostic, Position, Severity, error, warning
@@ -37,6 +39,23 @@ TRIGGER_EPSILON = "epsilon"
 DEFAULT_LOOKAHEAD = 16
 
 _BACKREF_RE = re.compile(r"\\[1-9]|\(\?P=|(?<!\\)\(\?\(")  # fusing renumbers (?(1)...)
+_FIRST_ROWS = {"epsilon": "epsilon_rules", "interp": "interp_rules", "escape": "escapes"}
+_EDGES = {_sre.AT_BEGINNING: "^", _sre.AT_BEGINNING_STRING: r"\A", _sre.AT_END: "$",
+          _sre.AT_END_STRING: r"\Z", _sre.AT_BOUNDARY: r"\b", _sre.AT_NON_BOUNDARY: r"\B"}
+
+
+def _outside_text(parsed) -> str | None:
+    """The first edge anchor, word boundary or lookbehind in a parsed regex."""
+    for op, av in parsed:
+        if op is _sre.AT:
+            return _EDGES[av]
+        if op in (_sre.ASSERT, _sre.ASSERT_NOT) and av[0] < 0:
+            return "lookbehind"
+        for sub in av if isinstance(av, tuple) else (av,):
+            for p in sub if isinstance(sub, list) else (sub,):
+                if isinstance(p, _parser.SubPattern) and (found := _outside_text(p)):
+                    return found
+    return None
 
 
 def _alternative(src: str) -> str:
@@ -103,40 +122,58 @@ class EscapeRule:
 
 class ContextRows:
     """The rows of one table that match one context, resolved once: the
-    regex rows in file order as (rule, rule.regex.match, successor), their
-    ``fused`` alternation's match with (rule, successor) by row group (``won``),
-    the first epsilon, interp and escape row as (row, successor) or None, and
-    whether content may end here."""
+    regex rows in file order as (rule, rule.regex.match, group), ``fused``,
+    their alternation plus a last group for the default row, which copies
+    one character, and ``won``, each group's entry (rule, successor's rows,
+    plain), resolved at first use; the default's is (None, self, True). A
+    *plain* row has no action, events, severity or substitution. ``epsilon``,
+    ``interp`` and ``escape``, resolved at first read, are the first such row
+    as (row, successor's rows) or None; ``terminal`` says whether content may
+    end here. Successor rows are ``self`` or ``table.rows``: racing fills agree."""
 
-    __slots__ = ("regex", "fused", "won", "epsilon", "interp", "escape", "terminal")
+    __slots__ = ("table", "context", "regex", "fused", "won", "epsilon", "interp", "escape",
+                 "terminal")
 
     def __init__(self, table: "TransitionTable", context: tuple[str, ...]):
-        def first(rows):
-            row = next((r for r in rows if r.pattern.matches(context)), None)
-            return row and (row, row.successor.apply_to(context))
-
-        self.regex = tuple((r, r.regex.match, r.successor.apply_to(context))
-                           for r in table.regex_rules if r.pattern.matches(context))
-        self.won = [None, *itertools.chain.from_iterable(
-            [(r, s)] + [None] * r.regex.groups for r, _, s in self.regex)]
+        self.table, self.context = table, context
+        rules = [r for r in table.regex_rules if r.pattern.matches(context)]
+        groups = list(itertools.accumulate([1 + r.regex.groups for r in rules], initial=1))
+        self.regex = tuple(zip(rules, [r.regex.match for r in rules], groups))
         self.fused = re.compile("|".join(
-            _alternative(r.regex.pattern) for r, _, _ in self.regex) or "(?!)").match
-        self.epsilon = first(table.epsilon_rules)
-        self.interp = first(table.interp_rules)
-        self.escape = first(table.escapes)
+            [_alternative(r.regex.pattern) for r in rules] + [r"([\s\S])"])).match
+        self.won = [None] * groups[-1] + [(None, self, True)]
         self.terminal = table.terminal.matches(context)
 
+    def __getattr__(self, name):  # epsilon, interp and escape, at first read
+        if name not in _FIRST_ROWS:
+            raise AttributeError(name)
+        row = next((r for r in getattr(self.table, _FIRST_ROWS[name])
+                    if r.pattern.matches(self.context)), None)
+        setattr(self, name, entry := row and (row, self.after(row)))
+        return entry
+
+    def after(self, row) -> "ContextRows":
+        """The rows of ``row``'s successor context."""
+        successor = row.successor.apply_to(self.context)
+        return self if successor == self.context else self.table.rows(successor)
+
+    def lane(self, group: int):
+        """Resolve and keep the ``won`` entry of the row at ``group``."""
+        rule = next(r for r, _, g in self.regex if g == group)
+        self.won[group] = entry = (rule, self.after(rule), not (
+            rule.action or rule.events or rule.severity or rule.substitution is not None))
+        return entry
+
     def first_match(self, text: str):
-        """The first regex row, in file order, that matches a non-empty
-        prefix of ``text``, as (rule, successor, match); all None if none."""
+        """The ``won`` entry of the first regex row, in file order, that
+        matches a non-empty prefix of ``text`` (not empty), and the match's
+        end; the default's entry and 1 if no row does."""
         m = self.fused(text)
-        if m and m.end():
-            return (*self.won[m.lastindex], m)
-        for rule, match, successor in self.regex if m else ():  # a row matched empty
-            m = match(text)
-            if m and m.end():
-                return rule, successor, m
-        return None, None, None
+        group, end = m.lastindex, m.end()
+        if not end:  # a row matched empty: walk the rows in file order
+            group, end = next(((g, m.end()) for _, match, g in self.regex
+                               if (m := match(text)) and m.end()), (len(self.won) - 1, 1))
+        return self.won[group] or self.lane(group), end
 
 
 @dataclass
@@ -363,6 +400,10 @@ class _Parser:
             compiled = re.compile(expanded)
         except re.error as exc:
             self.err(idx, f"malformed regex {src!r}: {exc}")
+            return None
+        if found := _outside_text(_parser.parse(expanded)):
+            self.err(idx, f"{found} in regex {src!r} looks outside its own text: a trigger "
+                     "is matched from a token to a chunk or window edge")
             return None
         try:  # as two rows of a context's fused pattern, so group names clash
             re.compile("|".join([_alternative(expanded)] * 2))

@@ -1,6 +1,6 @@
 """Shared fuzz machinery: a random template/bindings generator, an
-independent tokenizer oracle, the adversarial value corpus, and a codec
-decoder that steps the way the machine does."""
+independent tokenizer oracle, the adversarial value corpus, a codec
+decoder that steps the way the machine does, and a program node walk."""
 
 from __future__ import annotations
 
@@ -8,8 +8,21 @@ import html.parser
 import itertools
 import random
 
+from ctxesc.frontend import BranchBlock, LoopBlock
 from ctxesc.machine import BUILTIN_CODECS
 from ctxesc.values import SafeContent
+
+
+def walk(nodes):
+    """All program nodes in source order, recursing into blocks."""
+    for node in nodes:
+        yield node
+        if isinstance(node, LoopBlock):
+            yield from walk(node.body)
+        elif isinstance(node, BranchBlock):
+            yield from walk(node.then)
+            yield from walk(node.els)
+
 
 # -- codecs --------------------------------------------------------------------
 

@@ -16,7 +16,6 @@ from ctxesc import machine as machine_mod
 from ctxesc.compiler import compile_template, execute_plan, propagate
 from ctxesc.diagnostics import RenderError, Severity, has_errors
 from ctxesc.escapers import chain, escape_pcdata
-from ctxesc.frontend import walk
 from ctxesc.i18n import extract_messages, substitute_placeholders
 from ctxesc.machine import state_str
 from ctxesc.runtime import Bindings, render_full
@@ -28,6 +27,7 @@ from support import (
     dangerous_urls,
     random_template,
     tokenize_structure,
+    walk,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "list_plan.json"

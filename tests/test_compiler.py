@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import pathlib
 import random
@@ -27,11 +28,11 @@ from ctxesc.compiler import (
     propagate,
 )
 from ctxesc.diagnostics import PlanError, RenderError, Severity, has_errors
-from ctxesc.frontend import AppendFixed, AppendUnsafe, LoopBlock, walk
+from ctxesc.frontend import AppendFixed, AppendUnsafe, LoopBlock
 from ctxesc.machine import state_str
 from ctxesc.marks import Mark
 from ctxesc.runtime import Bindings, render_full
-from support import STRUCTURE_CORPUS, adversarial_values, random_template
+from support import STRUCTURE_CORPUS, adversarial_values, random_template, walk
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "list_plan.json"
 
@@ -440,6 +441,30 @@ def test_random_template_op_counts_and_plans_are_pinned(html):
     assert _sum_and_digest(compile_ops) == PINNED_RANDOM_COMPILE_OPS
     assert _sum_and_digest(render_ops) == PINNED_RANDOM_RENDER_OPS
     assert digest.hexdigest() == PINNED_RANDOM_PLANS_SHA256
+
+
+# The benchmark's long line (seed 1 of perfbench's compile batch, one
+# 34,828-byte literal): compile_template's transition_op_count delta and the
+# sha256 of its plan's JSON. The ops were 5995 when the line reached the
+# machine in one piece; feeding it in windows splits one text run at a window
+# edge into two rows.
+PINNED_LONG_LINE_OPS = 5996
+PINNED_LONG_LINE_PLAN_SHA256 = "e71513a8197710f52f4c03dfc6b0d3235ff45a34e550a2bbac1ff27ed0a5c4be"
+
+
+def test_long_line_op_count_and_plan_are_pinned():
+    spec = importlib.util.spec_from_file_location("gen", GOLDEN.parents[2] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    kind, source, _ = gen.compile_batch(1, pages=8, page_bytes=4096, line_bytes=34 * 1024,
+                                        corpus_values=5)[-1]
+    assert kind == "line" and len(source) > 30 * machine_mod._WINDOW
+    before = machine_mod.transition_op_count()
+    plan, diags = compile_template(source, "line.tpl")
+    assert machine_mod.transition_op_count() - before == PINNED_LONG_LINE_OPS
+    assert diags == []
+    assert hashlib.sha256(plan.to_json().encode("utf-8")).hexdigest() == \
+        PINNED_LONG_LINE_PLAN_SHA256
 
 
 def fresh_html_machine():

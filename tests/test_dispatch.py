@@ -46,10 +46,14 @@ def scanned_rows(table, context):
 
 
 def memo_rows(table, context):
+    """The memoized rows in ``scanned_rows``'s form, each successor read off
+    the resolved rows its entry holds."""
     rows = table.rows(context)
-    regex = [(r, succ) for r, match, succ in rows.regex]
-    assert [match for _, match, _ in rows.regex] == [r.regex.match for r, _ in regex]
-    return regex, rows.epsilon, rows.interp, rows.escape
+    assert [match for _, match, _ in rows.regex] == [r.regex.match for r, _, _ in rows.regex]
+    regex = [(r, (rows.won[g] or rows.lane(g))[1].context) for r, _, g in rows.regex]
+    resolved = [row and (row[0], row[1].context) for row in (rows.epsilon, rows.interp,
+                                                               rows.escape)]
+    return (regex, *resolved)
 
 
 @pytest.mark.parametrize("name", TABLES)
@@ -62,6 +66,28 @@ def test_memoized_rows_equal_a_linear_scan_cold_and_warm(name):
         assert cold[ctx] == expected, ctx
         assert memo_rows(table, ctx) == expected, ctx  # warm
         assert table.rows(ctx) is table.rows(ctx)
+
+
+@pytest.mark.parametrize("name", TABLES)
+def test_each_resolved_entry_holds_its_successors_rows(name):
+    table = web.load_table(name)  # uncached: every entry resolves here
+    for ctx in table.all_contexts():
+        rows = table.rows(ctx)
+        assert rows.context == ctx and rows.won[-1] == (None, rows, True)
+        for rule, _, group in rows.regex:
+            entry = rows.won[group] or rows.lane(group)
+            assert entry is rows.won[group]
+            entry_rule, successor, plain = entry
+            assert entry_rule is rule
+            assert successor is table.rows(rule.successor.apply_to(ctx)), (ctx, rule.line)
+            # a row _fire must apply is never consumed in the loop
+            fires = bool(rule.action or rule.events or rule.severity) or (
+                rule.substitution is not None)
+            assert plain is not fires, (ctx, rule.line)
+        for entry in (rows.epsilon, rows.interp, rows.escape):
+            if entry is not None:
+                row, successor = entry
+                assert successor is table.rows(row.successor.apply_to(ctx)), (ctx, row.line)
 
 
 # -- every diagnostic position, pinned ------------------------------------------------

@@ -18,10 +18,9 @@ from ctxesc.frontend import (
     _content_nodes,
     desugar,
     parse_template,
-    walk,
 )
 from ctxesc.plan import plan_from_json
-from support import STRUCTURE_CORPUS, nested_loops, random_template
+from support import STRUCTURE_CORPUS, nested_loops, random_template, walk
 
 STORY = """tag: story
 "I am the ${title} who loves to ${verb}!
@@ -358,3 +357,22 @@ def test_the_parser_and_the_plan_loader_accept_the_same_loop_variables(var):
     else:
         loads = True
     assert (ir is not None) == loads
+
+
+TRAILING_BLOCKS = [
+    'tag: t\n:if a {\n"x\n:} else {\n:}\n',
+    'tag: t\n:if a {\n:} else {\n"y\n:}\n',
+    'tag: t\n"x\n:if a {\n:} else {\n:}\n',
+    'tag: t\n:for x of xs {\n:if a {\n"x\n:}\n:}\n\n\n',
+    'tag: t\n:for x of xs {\n:}\n',
+    "tag: t\n",
+]
+
+
+def test_collected_is_one_line_past_the_last_node():
+    sources = (STRUCTURE_CORPUS + [nested_loops(depth) for depth in (1, 5, 40)]
+               + TRAILING_BLOCKS + [random_template(random.Random(seed))[0] for seed in range(50)])
+    for src in sources:
+        ir, _ = parse_template(src)
+        last_line = max((n.pos.line for n in walk(ir.body)), default=1)
+        assert desugar(ir).body[-1].pos == Position("<template>", last_line + 1, 1), src

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import program_of
+from ctxesc import machine as machine_mod
 from ctxesc.compiler import erase, propagate
 from ctxesc.diagnostics import Position, Severity, TableError
 from ctxesc.machine import (
@@ -456,6 +457,69 @@ def test_content_may_not_end_inside_a_subsidiary():
     state, _, _ = run_fixed(machine, "<y")
     assert state_str(state) == "(B) / Sub(B)"
     assert is_valid_end(machine, state) == (False, "content ends inside nested Sub content")
+
+
+# -- long chunks ------------------------------------------------------------------
+
+def long_document(rng, size):
+    """About ``size`` characters of markup in lines: tags, messages, style
+    elements full of url()s, URL attributes with a malformed "&#" and close
+    tags with an attribute, each of the last two warned about."""
+    pieces = [lambda n: f'<p class="c{n}">text {n} &amp; more</p>\n',
+              lambda n: f'<p><message i18n="@@m{n}">hi</message></p>\n',
+              lambda n: "<style>\n" + "".join(
+                  f".c{i} {{ background: url('/img/{i}.png') no-repeat; color: red; }}\n"
+                  for i in range(n % 30)) + "</style>\n",
+              lambda n: f'<a href="https://e.com/?a={n}&#c#f">t</a>\n',
+              lambda n: f'<b>{n}</b title="x">\n']
+    text = ""
+    while len(text) < size:
+        text += rng.choice(pieces)(len(text))
+    return text
+
+
+def step_chunks(machine, chunks, end):
+    """Step (chunk, position) pairs, then finish at ``end``: the emitted
+    text, the final state, the marks and the diagnostics."""
+    state, emitted, marks, diags = machine.zero_state(), "", [], []
+    for chunk, pos in chunks + [(None, end)]:
+        r = finish(machine, state, pos) if chunk is None else step_fixed(machine, state, chunk, pos)
+        marks += [m.shifted(len(emitted)) for m in r.marks]
+        emitted += r.emitted
+        diags += map(str, r.diagnostics)
+        state = r.state
+    return emitted, state, marks, diags
+
+
+@pytest.mark.parametrize("seed, size", [(0, 2_000), (1, 9_000), (2, 40_000)])
+def test_a_long_chunk_steps_as_its_lines_do(html, seed, size):
+    text = long_document(random.Random(seed), size)
+    lines = text.splitlines(keepends=True)
+    end = Position("d", len(lines) + 1, 1)
+    whole = step_chunks(html, [(text, Position("d", 1, 1))], end)
+    assert whole == step_chunks(html, [(line, Position("d", i, 1))
+                                       for i, line in enumerate(lines, start=1)], end)
+    emitted, state, marks, diags = whole
+    assert state == html.zero_state() and emitted.count("<p>") == len(marks) // 2
+    # warnings are found, and positioned, past the first window
+    first_window_lines = text[:machine_mod._WINDOW].count("\n") + 1
+    assert any(int(d.split(":")[1]) > first_window_lines for d in diags)
+    assert {d.split(": ", 2)[2] for d in diags} == {
+        "malformed numeric character reference copied verbatim",
+        "HTML attribute in close tag"}
+
+
+def test_a_step_runs_when_any_level_holds_back_a_full_lookahead(html):
+    # the root holds back nothing, but the URL machine a full lookahead
+    state = MachineState(CTX, "", (Frame("Url", "htmlCodec", ("Path",), "p" * 20),))
+    r = step_fixed(html, state, "", POS)
+    assert r.emitted + r.state.frames[0].pending == "p" * 20
+    assert 0 < len(r.emitted) and len(r.state.frames[0].pending) < html.subs["Url"].lookahead
+    # below every level's lookahead and with no epsilon row, nothing moves
+    idle = MachineState(CTX, "", (FRAME,))
+    r = step_fixed(html, idle, "x", POS)
+    assert (r.state, r.emitted, r.marks, r.diagnostics) == (
+        MachineState(CTX, "x", (FRAME,)), "", (), [])
 
 
 # -- state records ---------------------------------------------------------------

@@ -76,13 +76,15 @@ def memo_free_table_ops(monkeypatch, batch):
 
 
 def test_count_work_counts_both_paths(monkeypatch):
+    # the long line is longer than a window, so the machine feeds it in pieces
     result = subprocess.run([sys.executable, "scripts/count_work.py", "--pages", "1",
-                             "--page-bytes", "512", "--line-bytes", "512",
+                             "--page-bytes", "512", "--line-bytes", "2500",
                              "--corpus-values", "1", "--list-pages", "2"],
                             cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
     rows = {line.split()[0]: [int(n.replace(",", "")) for n in line.split()[1:]]
-            for line in result.stdout.splitlines()[2:]}
+            for line in lines[2:lines.index("")]}  # the totals table
     assert sorted(rows) == ["compile", "dynamic", "render"]
     assert all(len(counts) == 4 for counts in rows.values())
     assert min(rows["compile"] + rows["dynamic"]) > 0
@@ -92,7 +94,8 @@ def test_count_work_counts_both_paths(monkeypatch):
     spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    batch = gen.compile_batch(1, pages=1, page_bytes=512, line_bytes=512, corpus_values=1)
+    batch = gen.compile_batch(1, pages=1, page_bytes=512, line_bytes=2500, corpus_values=1)
+    assert len(batch[-1][1]) > 2 * machine_mod._WINDOW
     assert [rows["compile"][3], rows["dynamic"][3]] == memo_free_table_ops(monkeypatch, batch)
 
 

@@ -135,6 +135,36 @@ def test_backreferences_rejected():
     assert any("backreferences" in d.message for d in diags)
 
 
+@pytest.mark.parametrize("trigger, found", [
+    ("^a", "^"), ("a$", "$"), (r"\Aa", r"\A"), (r"a\Z", r"\Z"), (r"a\b", r"\b"),
+    (r"\Ba", r"\B"), ("(?<=a)b", "lookbehind"), ("(?<!a)b", "lookbehind"),
+    ("(?i:x|^y)", "^"), ("(?:a$)+b", "$"), (r"(?=a\b)a", r"\b"),
+])
+def test_trigger_may_not_look_outside_its_own_text(trigger, found):
+    # held-back text starts at a token and ends at a chunk or window edge, so
+    # these would see edges the template does not have
+    table, diags = parse_table(MINIMAL + f"[rules]\n| A | `{trigger}` | | _ |\n")
+    assert table is None
+    assert [(d.position.line, d.message) for d in diags] == [(7, (
+        f"{found} in regex {trigger!r} looks outside its own text: a trigger is matched "
+        "from a token to a chunk or window edge"))]
+
+
+def test_trigger_may_use_caret_and_dollar_in_a_class_and_a_lookahead():
+    table = parse_ok(MINIMAL + "[rules]\n| A | `[^<]+` | | _ |\n| A | `<(?=a)` | | _ |\n"
+                     "| A | `[$^]\\$` | | _ |\n")
+    assert len(table.rules) == 3
+
+
+def test_shipped_tables_parse_with_no_diagnostic():
+    from importlib import resources
+
+    for name in ("html.tt", "url.tt", "css.tt", "text.tt"):
+        text = resources.files("ctxesc").joinpath("data").joinpath(name).read_text()
+        table, diags = parse_table(text, name)
+        assert table is not None and [str(d) for d in diags] == [], name
+
+
 def test_possibly_empty_regex_rejected():
     table, diags = parse_table(MINIMAL + """
 [rules]
@@ -385,15 +415,22 @@ def scan_regex(table, context, text):
 def fused_regex(table, context, text):
     """The row that one call of the context's fused pattern picks, with the
     file-order walk after an empty match, as the machine dispatches."""
-    rule, successor, m = table.rows(context).first_match(text)
-    assert successor == (rule and rule.successor.apply_to(context))
-    return (rule, m.group(0)) if m else (None, None)
+    (rule, successor, _), end = table.rows(context).first_match(text)
+    assert successor.context == (rule.successor.apply_to(context) if rule else context)
+    return (rule, text[:end]) if rule else (None, None)
+
+
+def resolved(entry):
+    """A memoized (row, successor's rows) entry as (row, successor context)."""
+    return entry and (entry[0], entry[1].context)
 
 
 def memo_regex(table, context, text):
     """The first memoized regex row that matches, as the machine walks them."""
-    for rule, match, successor in table.rows(context).regex:
-        assert successor == rule.successor.apply_to(context)
+    rows = table.rows(context)
+    for rule, match, group in rows.regex:
+        assert resolved(rows.won[group] or rows.lane(group)) == (
+            rule, rule.successor.apply_to(context))
         m = match(text)
         if m and m.end() > 0:
             return rule, m.group(0)
@@ -406,9 +443,9 @@ def test_memoized_dispatch_equals_linear_scan(name):
     for ctx in table.all_contexts():
         for _cold_then_warm in range(2):
             rows = table.rows(ctx)
-            assert rows.epsilon == scan_first(table.epsilon_rules, ctx), ctx
-            assert rows.interp == scan_first(table.interp_rules, ctx), ctx
-            assert rows.escape == scan_first(table.escapes, ctx), ctx
+            assert resolved(rows.epsilon) == scan_first(table.epsilon_rules, ctx), ctx
+            assert resolved(rows.interp) == scan_first(table.interp_rules, ctx), ctx
+            assert resolved(rows.escape) == scan_first(table.escapes, ctx), ctx
             assert rows.terminal == table.terminal.matches(ctx), ctx
             for text in DISPATCH_TEXTS:
                 expected = scan_regex(table, ctx, text)
@@ -457,6 +494,13 @@ def test_fused_dispatch_keeps_flags_empty_matches_and_group_numbers():
     f = finish(machine, r.state, None)
     assert r.emitted + f.emitted == "Xab d"
     assert r.marks + f.marks == (Mark("MsgStart", 4, "foo"),)
+
+
+def test_context_rows_resolve_only_their_three_first_rows_lazily():
+    rows = parse_ok(MINIMAL).rows(("A",))
+    assert (rows.epsilon, rows.interp, rows.escape) == (None, None, None)
+    with pytest.raises(AttributeError):
+        rows.successor
 
 
 def test_wildcard_row_before_specific_row_wins():
