@@ -323,8 +323,7 @@ class _Run:
                 if j < i:
                     continue
             pending, out, ops = lvl.pending, self.out, 0
-            hold = 0 if flushing else lvl.table.lookahead
-            fused, won = rows.fused, rows.won
+            fused, won, hold = rows.fused, rows.won, 0 if flushing else lvl.table.lookahead
             while pending and len(pending) >= hold:
                 m = fused(pending)
                 end = m.end()
@@ -435,13 +434,11 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
             if table.rows(context).epsilon is None:
                 return StepResult(state, "", (), [])
     run = _Run(machine, state, pos)
-    root, fed = run._levels[0], _WINDOW
-    root.pending, run.unfed = text[:fed], max(len(text) - fed, 0)
-    run.drain(flushing=False)
-    while run.unfed and run.error is None:
+    root = run._levels[0]
+    root.pending = ""
+    for fed in range(0, len(text) or 1, _WINDOW):
         root.pending += text[fed:fed + _WINDOW]
-        fed += _WINDOW
-        run.unfed = max(len(text) - fed, 0)
+        run.unfed = max(len(text) - fed - _WINDOW, 0)
         run.drain(flushing=False)
     return StepResult(run.freeze(), "".join(run.out), tuple(run.marks), run.diags)
 

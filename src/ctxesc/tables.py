@@ -25,7 +25,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from re import _constants as _sre, _parser
+try:
+    from re import _constants as _sre, _parser
+except ImportError:  # Python 3.10, where re is one module
+    import sre_constants as _sre, sre_parse as _parser
 
 from . import escapers, marks
 from .diagnostics import Diagnostic, Position, Severity, error, warning
@@ -39,6 +42,7 @@ TRIGGER_EPSILON = "epsilon"
 DEFAULT_LOOKAHEAD = 16
 
 _BACKREF_RE = re.compile(r"\\[1-9]|\(\?P=|(?<!\\)\(\?\(")  # fusing renumbers (?(1)...)
+_EDGE_HINT_RE = re.compile(r"[$^]|\\[AZbB]|\(\?<[=!]")  # each thing _outside_text finds
 _FIRST_ROWS = {"epsilon": "epsilon_rules", "interp": "interp_rules", "escape": "escapes"}
 _EDGES = {_sre.AT_BEGINNING: "^", _sre.AT_BEGINNING_STRING: r"\A", _sre.AT_END: "$",
           _sre.AT_END_STRING: r"\Z", _sre.AT_BOUNDARY: r"\b", _sre.AT_NON_BOUNDARY: r"\B"}
@@ -131,8 +135,7 @@ class ContextRows:
     as (row, successor's rows) or None; ``terminal`` says whether content may
     end here. Successor rows are ``self`` or ``table.rows``: racing fills agree."""
 
-    __slots__ = ("table", "context", "regex", "fused", "won", "epsilon", "interp", "escape",
-                 "terminal")
+    __slots__ = ("table", "context", "regex", "fused", "won", "epsilon", "interp", "escape", "terminal")
 
     def __init__(self, table: "TransitionTable", context: tuple[str, ...]):
         self.table, self.context = table, context
@@ -401,7 +404,7 @@ class _Parser:
         except re.error as exc:
             self.err(idx, f"malformed regex {src!r}: {exc}")
             return None
-        if found := _outside_text(_parser.parse(expanded)):
+        if _EDGE_HINT_RE.search(expanded) and (found := _outside_text(_parser.parse(expanded))):
             self.err(idx, f"{found} in regex {src!r} looks outside its own text: a trigger "
                      "is matched from a token to a chunk or window edge")
             return None

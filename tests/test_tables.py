@@ -1,4 +1,5 @@
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,6 +155,33 @@ def test_trigger_may_use_caret_and_dollar_in_a_class_and_a_lookahead():
     table = parse_ok(MINIMAL + "[rules]\n| A | `[^<]+` | | _ |\n| A | `<(?=a)` | | _ |\n"
                      "| A | `[$^]\\$` | | _ |\n")
     assert len(table.rules) == 3
+
+
+def test_trigger_lint_falls_back_to_the_sre_modules(monkeypatch):
+    # Python 3.10 has no re._constants or re._parser (re is one module), so
+    # tables.py takes the same names from sre_constants and sre_parse
+    import importlib.util
+    import re
+    import warnings
+
+    from ctxesc import tables
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import sre_constants
+        import sre_parse
+    for name in ("_constants", "_parser"):
+        monkeypatch.delattr(re, name)
+        monkeypatch.setitem(sys.modules, "re." + name, None)
+    spec = importlib.util.spec_from_file_location("ctxesc.tables", tables.__file__)
+    old = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(old)
+    assert old._sre is sre_constants and old._parser is sre_parse
+    for trigger, found in [("^a", "^"), (r"a\Z", r"\Z"), ("(?<!a)b", "lookbehind")]:
+        table, diags = old.parse_table(MINIMAL + f"[rules]\n| A | `{trigger}` | | _ |\n")
+        assert table is None and diags[0].message.startswith(f"{found} in regex "), diags
+    table, diags = old.parse_table(MINIMAL + "[rules]\n| A | `[^<]+` | | _ |\n")
+    assert table is not None and diags == []
 
 
 def test_shipped_tables_parse_with_no_diagnostic():
