@@ -32,7 +32,6 @@ ALLOWED = {
     ("__main__", "from .cli import main"): _CHILD_ONLY,
     ("__main__", 'if __name__ == "__main__":'): _CHILD_ONLY,
     ("__main__", "sys.exit(main())"): _CHILD_ONLY,
-    ("cli", "sys.exit(main())"): "runs only as `python -m ctxesc.cli`, which nothing does",
 }
 
 

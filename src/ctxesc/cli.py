@@ -211,7 +211,3 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"ctxesc: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -129,7 +129,7 @@ def propagate(program: AppendProgram, machine: machine_mod.Machine) -> Annotated
                 if r.marks:
                     nest(r.marks, node.pos)
                 _emit_lit(items, r.emitted + r.pre, r.marks)
-                if not r.error:
+                if r.state.error is None:
                     items.append(PlanInterp(node.path, tuple(r.escapers), pos=node.pos))
                     _emit_lit(items, r.post, ())
                 state = r.state

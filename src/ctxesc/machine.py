@@ -8,19 +8,21 @@ matching is independent of how fixed text is chunked.
 
 One loop, ``_Run.drain``, steps a thawed state: it fires the innermost
 machine's epsilon rows and consumes that machine's text, at any nesting
-depth. *Plain* rows, which only emit their matched text and move the
-context, are applied in the loop, which takes the successor's rows from the
-row's resolved entry; ``_Run._fire`` applies every other row, whatever its
-trigger. Text an enclosing machine holds back moves inward through
-``_consume_at``, one decoded unit at a time, until one of that machine's own
-rows matches. ``step_fixed`` feeds long text in windows, and returns at once
-while every level holds back less than its table's lookahead and the
-innermost context has no epsilon row: then nothing can move. At an
-interpolation site the machine flushes held-back text, fires epsilon and
-interp rows (epsilon first), then reads escaper-map rows from the innermost
-machine outward. ``finish`` and ``step_interp`` take a ``memo`` that one
-compile or render owns: a step whose result holds no position (no
-diagnostics, error or held-back root text) is replayed after.
+depth. Every trigger consumes text, so one match of a context's fused
+pattern picks each row, in ``drain`` and ``_consume_at`` alike. *Plain*
+rows, which only emit their matched text and move the context, are applied
+in the loop, which takes the successor's rows from the row's resolved entry;
+``_Run._fire`` applies every other row, whatever its trigger. Text an
+enclosing machine holds back moves inward through ``_consume_at``, one
+decoded unit at a time, until one of that machine's own rows matches.
+``step_fixed`` feeds long text in windows, and returns at once while every
+level holds back less than its table's lookahead and the innermost context
+has no epsilon row: then nothing can move. At an interpolation site the
+machine flushes held-back text, fires epsilon and interp rows (epsilon
+first), then reads escaper-map rows from the innermost machine outward.
+``finish`` and ``step_interp`` take a ``memo`` that one compile or render
+owns: a step whose result holds no position (no diagnostics, error or
+held-back root text) is replayed after.
 """
 
 from __future__ import annotations
@@ -140,17 +142,16 @@ class StepResult(Record):
 class InterpResult(Record):
     """Everything the caller needs to splice one untrusted value: the flush
     output that precedes it, the escaper chain (innermost first), inserted
-    delimiter text, and the successor state."""
+    delimiter text, and the successor state, errored where no value may go."""
 
     __slots__ = _fields = ("state", "site", "emitted", "marks", "escapers", "pre", "post",
-                           "error", "diagnostics")
+                           "diagnostics")
 
     def __init__(self, state: MachineState, site: MachineState, emitted: str,
                  marks: tuple[Mark, ...], escapers: tuple[str, ...], pre: str, post: str,
-                 error: bool, diagnostics: list[Diagnostic]):
+                 diagnostics: list[Diagnostic]):
         self.state, self.site, self.emitted, self.marks = state, site, emitted, marks
-        self.escapers, self.pre, self.post = escapers, pre, post
-        self.error, self.diagnostics = error, diagnostics
+        self.escapers, self.pre, self.post, self.diagnostics = escapers, pre, post, diagnostics
 
 
 class Machine:
@@ -326,11 +327,8 @@ class _Run:
             fused, won, hold = rows.fused, rows.won, 0 if flushing else lvl.table.lookahead
             while pending and len(pending) >= hold:
                 m = fused(pending)
+                rule, successor, plain = won[m.lastindex] or rows.lane(m.lastindex)
                 end = m.end()
-                if end:
-                    rule, successor, plain = won[m.lastindex] or rows.lane(m.lastindex)
-                else:
-                    (rule, successor, plain), end = rows.first_match(pending)
                 ops += 1
                 if not plain:
                     lvl.pending = pending
@@ -373,12 +371,13 @@ class _Run:
         hold = 0 if flushing else lvl.table.lookahead
         if len(pending) < hold:
             return False
-        inner = self._levels[i + 1]
+        inner, rows = self._levels[i + 1], lvl.rows
         while True:
-            (rule, successor, _), end = lvl.rows.first_match(pending)
+            m = rows.fused(pending)
+            rule, successor, _ = rows.won[m.lastindex] or rows.lane(m.lastindex)
             if rule is not None:
                 _op_count += 1
-                lvl.pending = pending
+                lvl.pending, end = pending, m.end()
                 self.drain(flushing=True, min_level=i + 1)
                 if self.error is not None:
                     return True
@@ -489,7 +488,7 @@ def step_interp(machine: Machine, state: MachineState,
     emitted = "".join(run.out)
     emitted_marks = tuple(run.marks)
     if run.error is not None:
-        return InterpResult(site, site, emitted, emitted_marks, (), "", "", True, run.diags)
+        return InterpResult(site, site, emitted, emitted_marks, (), "", "", run.diags)
 
     chain: list[str] = []
     map_pres: list[tuple[int, str]] = []
@@ -503,8 +502,7 @@ def step_interp(machine: Machine, state: MachineState,
             else:
                 msg = f"no escaper mapping for enclosing {lvl.table.name} context ({context})"
             run._diag(Severity.ERROR, msg)
-            return InterpResult(run.freeze(), site, emitted, emitted_marks, (), "", "", True,
-                                run.diags)
+            return InterpResult(run.freeze(), site, emitted, emitted_marks, (), "", "", run.diags)
         row, lvl.rows = lvl.rows.escape
         _op_count += 1
         chain.extend(row.escapers)
@@ -516,8 +514,8 @@ def step_interp(machine: Machine, state: MachineState,
     # outer delimiters wrap inner ones
     pre = "".join([run._encode_text(li, t) for li, t in reversed(map_pres)])
     post = "".join([run._encode_text(li, t) for li, t in map_posts])
-    return InterpResult(run.freeze(), site, emitted, emitted_marks, tuple(chain),
-                        pre, post, False, run.diags)
+    return InterpResult(run.freeze(), site, emitted, emitted_marks, tuple(chain), pre, post,
+                        run.diags)
 
 
 def merge(a: MachineState, b: MachineState,

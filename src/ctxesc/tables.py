@@ -14,10 +14,11 @@ Contexts are finite, so a table resolves its rules per context, not per step:
 it keeps one memo of resolved rows per context. The first time a context is
 seen, its regex rows are memoized in file order; each row's successor rows
 and whether it is plain are resolved the first time it wins, and the first
-epsilon, interp and escape row the first time it is read. Dispatch is one
-match of the regex rows' alternation, a group per row: ``re`` tries
-alternatives left to right, so "first match wins" is unchanged, and
-``lastindex`` names the winner.
+epsilon, interp and escape row the first time it is read. Every trigger
+consumes at least one character, which the parser checks on the regex's
+parse tree, so dispatch is one match of the regex rows' alternation, a group
+per row, with no file-order walk: ``re`` tries alternatives left to right, so
+"first match wins" is unchanged, and ``lastindex`` names the winner.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ except ImportError:  # Python 3.10, where re is one module
     import sre_constants as _sre, sre_parse as _parser
 
 from . import escapers, marks
-from .diagnostics import Diagnostic, Position, Severity, error, warning
+from .diagnostics import Diagnostic, Position, Severity, error
 
 WILDCARD = "_"
 
@@ -41,23 +42,25 @@ TRIGGER_EPSILON = "epsilon"
 
 DEFAULT_LOOKAHEAD = 16
 
-_BACKREF_RE = re.compile(r"\\[1-9]|\(\?P=|(?<!\\)\(\?\(")  # fusing renumbers (?(1)...)
-_EDGE_HINT_RE = re.compile(r"[$^]|\\[AZbB]|\(\?<[=!]")  # each thing _outside_text finds
 _FIRST_ROWS = {"epsilon": "epsilon_rules", "interp": "interp_rules", "escape": "escapes"}
 _EDGES = {_sre.AT_BEGINNING: "^", _sre.AT_BEGINNING_STRING: r"\A", _sre.AT_END: "$",
           _sre.AT_END_STRING: r"\Z", _sre.AT_BOUNDARY: r"\b", _sre.AT_NON_BOUNDARY: r"\B"}
 
 
-def _outside_text(parsed) -> str | None:
-    """The first edge anchor, word boundary or lookbehind in a parsed regex."""
+def _unfusable(parsed) -> str | None:
+    """The first thing in a parsed regex that a trigger may not hold: a
+    backreference or group conditional (fusing renumbers groups), or an edge
+    anchor, word boundary or lookbehind (it reads outside the trigger's text)."""
     for op, av in parsed:
+        if op is _sre.GROUPREF or op is _sre.GROUPREF_EXISTS:
+            return "backreference"
         if op is _sre.AT:
             return _EDGES[av]
         if op in (_sre.ASSERT, _sre.ASSERT_NOT) and av[0] < 0:
             return "lookbehind"
         for sub in av if isinstance(av, tuple) else (av,):
             for p in sub if isinstance(sub, list) else (sub,):
-                if isinstance(p, _parser.SubPattern) and (found := _outside_text(p)):
+                if isinstance(p, _parser.SubPattern) and (found := _unfusable(p)):
                     return found
     return None
 
@@ -126,14 +129,16 @@ class EscapeRule:
 
 class ContextRows:
     """The rows of one table that match one context, resolved once: the
-    regex rows in file order as (rule, rule.regex.match, group), ``fused``,
-    their alternation plus a last group for the default row, which copies
-    one character, and ``won``, each group's entry (rule, successor's rows,
-    plain), resolved at first use; the default's is (None, self, True). A
-    *plain* row has no action, events, severity or substitution. ``epsilon``,
-    ``interp`` and ``escape``, resolved at first read, are the first such row
-    as (row, successor's rows) or None; ``terminal`` says whether content may
-    end here. Successor rows are ``self`` or ``table.rows``: racing fills agree."""
+    regex rows in file order as ``{group: rule}``, ``fused``, their
+    alternation plus a last group for the default row, which copies one
+    character, and ``won``, each group's entry (rule, successor's rows,
+    plain), resolved at first use; the default's is (None, self, True). Every
+    row consumes at least one character, so one fused match picks the row:
+    ``won[m.lastindex] or lane(m.lastindex)``. A *plain* row has no action,
+    events, severity or substitution. ``epsilon``, ``interp`` and ``escape``,
+    resolved at first read, are the first such row as (row, successor's rows)
+    or None; ``terminal`` says whether content may end here. Successor rows are
+    ``self`` or ``table.rows``: racing fills agree."""
 
     __slots__ = ("table", "context", "regex", "fused", "won", "epsilon", "interp", "escape", "terminal")
 
@@ -141,7 +146,7 @@ class ContextRows:
         self.table, self.context = table, context
         rules = [r for r in table.regex_rules if r.pattern.matches(context)]
         groups = list(itertools.accumulate([1 + r.regex.groups for r in rules], initial=1))
-        self.regex = tuple(zip(rules, [r.regex.match for r in rules], groups))
+        self.regex = dict(zip(groups, rules))
         self.fused = re.compile("|".join(
             [_alternative(r.regex.pattern) for r in rules] + [r"([\s\S])"])).match
         self.won = [None] * groups[-1] + [(None, self, True)]
@@ -162,21 +167,10 @@ class ContextRows:
 
     def lane(self, group: int):
         """Resolve and keep the ``won`` entry of the row at ``group``."""
-        rule = next(r for r, _, g in self.regex if g == group)
+        rule = self.regex[group]
         self.won[group] = entry = (rule, self.after(rule), not (
             rule.action or rule.events or rule.severity or rule.substitution is not None))
         return entry
-
-    def first_match(self, text: str):
-        """The ``won`` entry of the first regex row, in file order, that
-        matches a non-empty prefix of ``text`` (not empty), and the match's
-        end; the default's entry and 1 if no row does."""
-        m = self.fused(text)
-        group, end = m.lastindex, m.end()
-        if not end:  # a row matched empty: walk the rows in file order
-            group, end = next(((g, m.end()) for _, match, g in self.regex
-                               if (m := match(text)) and m.end()), (len(self.won) - 1, 1))
-        return self.won[group] or self.lane(group), end
 
 
 @dataclass
@@ -396,16 +390,16 @@ class _Parser:
         expanded = self._expand_macros(idx, src)
         if expanded is None:
             return None
-        if _BACKREF_RE.search(expanded):
-            self.err(idx, f"backreferences are not supported: {src!r}")
-            return None
         try:
+            parsed = _parser.parse(expanded)
             compiled = re.compile(expanded)
         except re.error as exc:
             self.err(idx, f"malformed regex {src!r}: {exc}")
             return None
-        if _EDGE_HINT_RE.search(expanded) and (found := _outside_text(_parser.parse(expanded))):
-            self.err(idx, f"{found} in regex {src!r} looks outside its own text: a trigger "
+        found = _unfusable(parsed)
+        if found:
+            self.err(idx, f"backreferences are not supported: {src!r}" if found == "backreference"
+                     else f"{found} in regex {src!r} looks outside its own text: a trigger "
                      "is matched from a token to a chunk or window edge")
             return None
         try:  # as two rows of a context's fused pattern, so group names clash
@@ -413,7 +407,7 @@ class _Parser:
         except re.error as exc:
             self.err(idx, f"regex {src!r} cannot be one row of a fused pattern: {exc}")
             return None
-        if compiled.match(""):
+        if parsed.getwidth()[0] == 0:
             self.err(idx, f"regex {src!r} may match an empty prefix")
             return None
         return compiled
@@ -539,8 +533,9 @@ _VALIDATE_PRODUCT_CAP = 50_000
 
 
 def validate_table(table: TransitionTable) -> list[Diagnostic]:
-    """Static lint of a parsed table: epsilon and interp rows that make no
-    progress, shadowed rules, undeclared subsidiary machines."""
+    """Static lint of a parsed table, every finding an error: epsilon and
+    interp rows that make no progress, shadowed rules, undeclared subsidiary
+    machines."""
     diags: list[Diagnostic] = []
     pos = lambda line: Position(table.filename, line, 1)  # noqa: E731
 
@@ -553,13 +548,10 @@ def validate_table(table: TransitionTable) -> list[Diagnostic]:
 
     seen: dict[tuple, int] = {}
     for rule in table.rules:
-        key = (rule.pattern.slots, rule.trigger, rule.regex_src)
-        if key in seen:
-            diags.append(warning(
-                f"rule is shadowed by the identical rule at line {seen[key]}",
-                pos(rule.line)))
-        else:
-            seen[key] = rule.line
+        first = seen.setdefault((rule.pattern.slots, rule.trigger, rule.regex_src), rule.line)
+        if first != rule.line:
+            diags.append(error(f"rule is shadowed by the identical rule at line {first}",
+                               pos(rule.line)))
 
     total = 1
     for f in table.fields:

@@ -8,7 +8,7 @@ import os
 from importlib import resources
 from pathlib import Path
 
-from .diagnostics import Severity, TableError
+from .diagnostics import TableError
 from .machine import Machine, build_machine
 from .tables import parse_table, validate_table
 
@@ -22,7 +22,7 @@ def load_table(name: str, tables_dir: str | None = None):
     table, diags = parse_table(path.read_text(encoding="utf-8"),
                                filename=name if tables_dir is None else str(path))
     if table is not None:
-        diags = [d for d in validate_table(table) if d.severity is Severity.ERROR]
+        diags = validate_table(table)
     if diags:
         raise TableError("; ".join(str(d) for d in diags))
     return table

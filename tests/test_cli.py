@@ -370,6 +370,24 @@ def test_tables_override_directory(workdir, capsys, tmp_path):
     assert "custom close-tag message" in capsys.readouterr().err
 
 
+def test_a_repeated_table_row_is_a_table_error(workdir, capsys, tmp_path):
+    # a row identical to an earlier one can never fire
+    from importlib import resources
+
+    tdir = tmp_path / "tables"
+    tdir.mkdir()
+    for name in ("html.tt", "url.tt", "css.tt"):
+        lines = resources.files("ctxesc").joinpath("data").joinpath(name).read_text().splitlines(
+            keepends=True)
+        if name == "html.tt":
+            row = next(n for n, line in enumerate(lines) if r"`</message[ \t]{0,4}>`" in line)
+            lines.insert(row + 1, lines[row])
+        (tdir / name).write_text("".join(lines), encoding="utf-8")
+    assert main(["check", "--tables", str(tdir), str(workdir / "list.tpl")]) == 2
+    assert (f"{tdir / 'html.tt'}:{row + 2}:1: error: rule is shadowed by the identical rule "
+            f"at line {row + 1}") in capsys.readouterr().err
+
+
 def test_a_table_file_in_the_tables_dir_is_a_tag(workdir, capsys, tmp_path):
     from importlib import resources
 

@@ -49,8 +49,7 @@ def memo_rows(table, context):
     """The memoized rows in ``scanned_rows``'s form, each successor read off
     the resolved rows its entry holds."""
     rows = table.rows(context)
-    assert [match for _, match, _ in rows.regex] == [r.regex.match for r, _, _ in rows.regex]
-    regex = [(r, (rows.won[g] or rows.lane(g))[1].context) for r, _, g in rows.regex]
+    regex = [(r, (rows.won[g] or rows.lane(g))[1].context) for g, r in rows.regex.items()]
     resolved = [row and (row[0], row[1].context) for row in (rows.epsilon, rows.interp,
                                                                rows.escape)]
     return (regex, *resolved)
@@ -74,7 +73,10 @@ def test_each_resolved_entry_holds_its_successors_rows(name):
     for ctx in table.all_contexts():
         rows = table.rows(ctx)
         assert rows.context == ctx and rows.won[-1] == (None, rows, True)
-        for rule, _, group in rows.regex:
+        # each row's group is the fused pattern's next group after the row before's
+        groups = [1] + [g + 1 + r.regex.groups for g, r in rows.regex.items()]
+        assert list(rows.regex) == groups[:-1] and groups[-1] == len(rows.won) - 1
+        for group, rule in rows.regex.items():
             entry = rows.won[group] or rows.lane(group)
             assert entry is rows.won[group]
             entry_rule, successor, plain = entry

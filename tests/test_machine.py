@@ -118,7 +118,7 @@ def test_entities_decode_for_subsidiary_and_reencode(html):
 
 def test_step_interp_in_pcdata(html):
     r = step_interp(html, html.zero_state(), POS)
-    assert not r.error
+    assert r.state.error is None
     assert r.escapers == ("HtmlPcdataEscaper",)
     assert (r.pre, r.post) == ("", "")
     assert r.state.context[0] == "Pcdata"
@@ -127,7 +127,7 @@ def test_step_interp_in_pcdata(html):
 def test_step_interp_unquoted_url_attribute(html):
     state, _, _ = run_fixed(html, "<a href=")
     r = step_interp(html, state, POS)
-    assert not r.error
+    assert r.state.error is None
     assert r.escapers == ("UrlPrefixFilteringEscaper", "HtmlAttributeEscaper")
     assert (r.pre, r.post) == ('"', '"')
     assert r.state.context == ("AfterValue", "None", "None", "None")
@@ -146,14 +146,14 @@ def test_step_interp_quoted_url_attribute_uses_subsidiary(html):
 def test_step_interp_errored_state_is_absorbing(html):
     bad = MachineState(context=html.zero_state().context, error="boom")
     r = step_interp(html, bad, POS)
-    assert r.error
+    assert r.state.error
     assert r.state == bad
 
 
 def test_step_interp_comment_fails_stop(html):
     state, _, _ = run_fixed(html, "<!-- ")
     r = step_interp(html, state, POS)
-    assert r.error
+    assert r.state.error
     assert "interpolation not allowed" in r.state.error
 
 
@@ -266,7 +266,7 @@ def test_interp_trigger_rule_emits_its_substitution():
 | A | interp | `[` | B |
 """)
     r = step_interp(machine, machine.zero_state(), POS)
-    assert not r.error
+    assert r.state.error is None
     assert r.emitted == "["
     assert r.pre == ""
     assert r.state.context == ("B",)
@@ -281,7 +281,7 @@ def test_interp_rule_records_its_events():
 | A | interp | !MsgStart(x) | B |
 """)
     r = step_interp(machine, machine.zero_state(), POS)
-    assert not r.error
+    assert r.state.error is None
     assert r.marks == (Mark("MsgStart", 0, "x"),)
 
 
@@ -294,7 +294,7 @@ def test_interp_row_output_precedes_the_rows_it_leads_to():
 | B | | `2` | C |
 """)
     r = step_interp(machine, machine.zero_state(), POS)
-    assert not r.error
+    assert r.state.error is None
     assert r.emitted + r.pre == "12"
     assert r.state.context == ("C",)
 
@@ -316,7 +316,7 @@ def test_interp_row_events_agree_between_engines():
 
 
 def assert_table_bug(r):
-    assert r.error
+    assert r.state.error
     assert "table bug" in r.state.error
     assert any(d.severity is Severity.ERROR and d.position == POS and "table bug" in d.message
                for d in r.diagnostics)
@@ -448,7 +448,7 @@ def test_interpolation_in_a_subsidiary_needs_an_escaper_at_every_level():
     assert step_interp(machine, machine.zero_state(), POS).escapers == ("HtmlPcdataEscaper",)
     state, _, _ = run_fixed(machine, "<")
     r = step_interp(machine, state, POS)
-    assert r.error
+    assert r.state.error
     assert r.state.error == "no escaper mapping for enclosing toy context (B)"
 
 
@@ -649,4 +649,4 @@ def test_memo_tells_an_errored_state_from_a_clean_one(html):
     for step in (finish, step_interp):
         assert step(html, clean, POS, memo=memo).state.error is None
         assert step(html, errored, POS, memo=memo).state.error == "boom"
-    assert step_interp(html, errored, POS, memo=memo).error
+    assert step_interp(html, errored, POS, memo=memo).state.error

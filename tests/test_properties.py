@@ -147,7 +147,7 @@ def test_errored_state_absorbs_everything(text):
     r = step_fixed(HTML, bad, text, POS)
     assert r.state == bad and r.emitted == "" and r.marks == ()
     ri = step_interp(HTML, bad, POS)
-    assert ri.error and ri.state == bad
+    assert ri.state.error and ri.state == bad
 
 
 @given(st.text(max_size=200))

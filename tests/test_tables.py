@@ -107,9 +107,19 @@ RULES = MINIMAL + "[rules]\n"  # a row appended to RULES is line 7
      "fused pattern: missing ), unterminated subpattern at position 1"),
     (RULES + "| A | `(?P<n>x)` | | _ |\n", 7, "regex '(?P<n>x)' cannot be one row of a "
      "fused pattern: redefinition of group name 'n' as group 4; was group 2 at position 16"),
-    # a conditional names its group by a number that fusing shifts
+    # a backreference or a conditional names its group by a number that fusing shifts
+    (RULES + "| A | `(a)\\1` | | _ |\n", 7, "backreferences are not supported: '(a)\\\\1'"),
+    (RULES + "| A | `(?i)(a)\\1` | | _ |\n", 7,
+     "backreferences are not supported: '(?i)(a)\\\\1'"),
+    (RULES + "| A | `(?P<n>a)(?P=n)` | | _ |\n", 7,
+     "backreferences are not supported: '(?P<n>a)(?P=n)'"),
     (RULES + "| A | `(x)?(?(1)y|z)` | | _ |\n", 7,
      "backreferences are not supported: '(x)?(?(1)y|z)'"),
+    # every trigger consumes a character, so one fused match picks each row
+    (RULES + "| A | `(?=a)` | | _ |\n", 7, "regex '(?=a)' may match an empty prefix"),
+    (RULES + "| A | `a*(?=b)` | | _ |\n", 7, "regex 'a*(?=b)' may match an empty prefix"),
+    (RULES + "| A | `(?=x)|y` | | _ |\n", 7, "regex '(?=x)|y' may match an empty prefix"),
+    (RULES + "| A | `(?:a|)` | | _ |\n", 7, "regex '(?:a|)' may match an empty prefix"),
 ])
 def test_malformed_table_is_an_error_on_its_line(text, line, message):
     table, diags = parse_table(text)
@@ -125,6 +135,39 @@ def test_malformed_regex_is_an_error():
 """)
     assert table is None
     assert any("malformed regex" in d.message for d in diags)
+
+
+def test_escaped_backslash_and_octal_class_are_not_backreferences():
+    # read on the parse tree: a literal backslash then 1, and a class holding chr(1)
+    table = parse_ok(MINIMAL + "[rules]\n| A | `a\\\\1` | | _ |\n| A | `[\\1]` | | _ |\n")
+    escaped, octal = table.rules
+    assert escaped.regex.fullmatch("a\\1") and octal.regex.fullmatch("\x01")
+
+
+def test_each_trigger_is_parsed_once(monkeypatch):
+    from importlib import resources
+
+    from ctxesc import tables
+
+    parsed = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def parse(self, src, *args):
+            parsed.append(src)
+            return real.parse(src, *args)
+
+    real = tables._parser
+    monkeypatch.setattr(tables, "_parser", Spy())
+    for name in ("html.tt", "url.tt", "css.tt", "text.tt"):
+        parsed.clear()
+        table = parse_ok(resources.files("ctxesc").joinpath("data").joinpath(name).read_text())
+        assert parsed == [r.regex.pattern for r in table.regex_rules], name
+    parsed.clear()
+    table, _ = parse_table(MINIMAL + "[rules]\n| A | `(a)\\1` | | _ |\n| A | `a*(?=b)` | | _ |\n")
+    assert table is None and parsed == ["(a)\\1", "a*(?=b)"]
 
 
 def test_backreferences_rejected():
@@ -180,6 +223,10 @@ def test_trigger_lint_falls_back_to_the_sre_modules(monkeypatch):
     for trigger, found in [("^a", "^"), (r"a\Z", r"\Z"), ("(?<!a)b", "lookbehind")]:
         table, diags = old.parse_table(MINIMAL + f"[rules]\n| A | `{trigger}` | | _ |\n")
         assert table is None and diags[0].message.startswith(f"{found} in regex "), diags
+    for trigger, message in [(r"(a)\1", r"backreferences are not supported: '(a)\\1'"),
+                             ("a*(?=b)", "regex 'a*(?=b)' may match an empty prefix")]:
+        table, diags = old.parse_table(MINIMAL + f"[rules]\n| A | `{trigger}` | | _ |\n")
+        assert table is None and [d.message for d in diags] == [message]
     table, diags = old.parse_table(MINIMAL + "[rules]\n| A | `[^<]+` | | _ |\n")
     assert table is not None and diags == []
 
@@ -323,7 +370,8 @@ def test_epsilon_error_row_that_keeps_its_context_is_accepted():
     assert validate_table(table) == []
 
 
-def test_shadowed_duplicate_rule_warning():
+def test_shadowed_duplicate_rule_error():
+    # the second row can never fire
     table = parse_ok(MINIMAL + """
 [rules]
 | A | `x` | | B |
@@ -332,7 +380,7 @@ def test_shadowed_duplicate_rule_warning():
     diags = validate_table(table)
     shadow = [d for d in diags if "shadowed" in d.message]
     assert len(shadow) == 1
-    assert shadow[0].severity is Severity.WARNING
+    assert shadow[0].severity is Severity.ERROR
     assert f"line {table.rules[0].line}" in shadow[0].message
 
 
@@ -441,11 +489,13 @@ def scan_regex(table, context, text):
 
 
 def fused_regex(table, context, text):
-    """The row that one call of the context's fused pattern picks, with the
-    file-order walk after an empty match, as the machine dispatches."""
-    (rule, successor, _), end = table.rows(context).first_match(text)
+    """The row that one call of the context's fused pattern picks, as the
+    machine dispatches."""
+    rows = table.rows(context)
+    m = rows.fused(text)
+    rule, successor, _ = rows.won[m.lastindex] or rows.lane(m.lastindex)
     assert successor.context == (rule.successor.apply_to(context) if rule else context)
-    return (rule, text[:end]) if rule else (None, None)
+    return (rule, m.group()) if rule else (None, None)
 
 
 def resolved(entry):
@@ -456,10 +506,10 @@ def resolved(entry):
 def memo_regex(table, context, text):
     """The first memoized regex row that matches, as the machine walks them."""
     rows = table.rows(context)
-    for rule, match, group in rows.regex:
+    for group, rule in rows.regex.items():
         assert resolved(rows.won[group] or rows.lane(group)) == (
             rule, rule.successor.apply_to(context))
-        m = match(text)
+        m = rule.regex.match(text)
         if m and m.end() > 0:
             return rule, m.group(0)
     return None, None
@@ -498,24 +548,21 @@ def test_fused_dispatch_equals_linear_scan_on_significant_text(name, data, text)
 FUSION_TOY = MINIMAL + r"""
 [rules]
 | A | `(?i)<x` | `X` | _ |
-| A | `(?=a)` | | B |
 | A | `(a)(b)?` | | _ |
 | A | `(c)|(d)` | | _ |
 | A | `m(\w+);` | !MsgStart($1) | _ |
 """
 
 
-def test_fused_dispatch_keeps_flags_empty_matches_and_group_numbers():
+def test_fused_dispatch_keeps_flags_and_group_numbers():
     table = parse_ok(FUSION_TOY)
-    upper, empty, ab, cd, msg = table.rules
+    upper, ab, cd, msg = table.rules
     for text, row, matched in [("<X", upper, "<X"), ("<x", upper, "<x"), ("a", ab, "a"),
                                ("abz", ab, "ab"), ("d", cd, "d"), ("mfoo;", msg, "mfoo;"),
                                ("z", None, None), ("<y", None, None),
                                ("D", None, None)]:
         assert scan_regex(table, ("A",), text) == (row, matched), text
         assert fused_regex(table, ("A",), text) == (row, matched), text
-    # the lookahead row matches empty and is skipped, as in the file-order walk
-    assert table.rows(("A",)).fused("ab").end() == 0
     # $1 is the event row's own first group, not the fused pattern's
     machine = build_machine(table)
     r = step_fixed(machine, machine.zero_state(), "<Xab mfoo;d", None)

@@ -207,7 +207,7 @@ def test_plain_text_machine_is_identity(plain):
     state, emitted = feed(plain, text)
     assert emitted == text
     r = step_interp(plain, plain.zero_state(), POS)
-    assert r.escapers == () and not r.error
+    assert r.escapers == () and r.state.error is None
 
 
 def test_unquoted_fixed_attribute_value_ends_at_space_or_gt(html):
@@ -231,13 +231,13 @@ def test_message_tags_are_erased_and_marked(html):
 def test_comment_interpolation_has_no_escaper(html):
     state, _ = feed(html, "<!-- ")
     r = step_interp(html, state, POS)
-    assert r.error
+    assert r.state.error
 
 
 def test_attr_name_interpolation_has_no_escaper(html):
     state, _ = feed(html, "<a data-")
     r = step_interp(html, state, POS)
-    assert r.error
+    assert r.state.error
 
 
 def test_script_body_interpolation_uses_json_escaper(html):
@@ -249,7 +249,7 @@ def test_script_body_interpolation_uses_json_escaper(html):
 def test_style_declarations_interpolation_fails_stop(html):
     state, _ = feed(html, '<div style="color: ')
     r = step_interp(html, state, POS)
-    assert r.error
+    assert r.state.error
     assert "Decls" in r.state.error
 
 
