@@ -13,8 +13,10 @@ memo must not change and a plan render must leave at 0. Unlike wall time,
 these counts are the same on every run of the same code, so they can tell
 apart two commits whose timings a busy host cannot. A second table counts the
 compile and dynamic paths again per template kind of the batch (``corpus``,
-``list``, ``page``, ``line``), to show where work moved. The defaults are the
-benchmark's batch sizes:
+``list``, ``page``, ``line``), and a render path, ``execute_plan`` of each
+kind's compiled plans over the batch's bindings as the benchmark's
+``compile_pages`` render path does, to show where work moved. The defaults
+are the benchmark's batch sizes:
 
     PYTHONPATH=src python scripts/count_work.py --seed 1
 """
@@ -101,6 +103,18 @@ def machine_passes(batch, machine):
     return (("compile", compile_pass), ("dynamic", dynamic_pass))
 
 
+def batch_render_pass(batch):
+    """The plan render pass over the batch's renders, its plans compiled once."""
+    plans = {source: compile_template(source)[0] for _, source, _ in batch}
+    renders = [(plans[source], Bindings(values)) for _, source, values in batch]
+
+    def run():
+        for plan, bindings in renders:
+            execute_plan(plan, bindings)
+
+    return ("render", run)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -131,7 +145,8 @@ def main():
     print()
     print(f"{'kind':<7} {'path':<8} {header}")
     for kind in dict.fromkeys(kind for kind, _, _ in batch):
-        for name, run in machine_passes([t for t in batch if t[0] == kind], machine):
+        kind_batch = [t for t in batch if t[0] == kind]
+        for name, run in machine_passes(kind_batch, machine) + (batch_render_pass(kind_batch),):
             print(f"{kind:<7} {name:<8} {count(run)}")
 
 

@@ -10,14 +10,14 @@ execute_plan lowers a plan once, on its first render, into nested closures:
 every literal becomes an append, every escaper chain one composed function,
 and every path a lookup whose loop frame was resolved while lowering.
 Messages nest (the compiler and the plan loader reject marks that do not),
-so whether a node sits inside a message is also known while lowering: only
-a literal with marks and a value inside a message record where their part
-lands, and a render places the marks once, at its end. A loop renders on
-one of two paths. A loop outside any message whose body holds only
-literals without marks and interpolations renders a list of two or more
-items column by column, with C-level iteration, when every value a field
-path passes through is exactly a dict; otherwise, or when that attempt
-raises, it walks item by item.
+so each mark's place in its run of literals and values is known while
+lowering: the marks of the plan's first run that no value precedes are
+built then, and any other run with marks records one row per execution,
+which the render expands at its end. A loop renders on one of two paths.
+A loop outside any message whose body holds only literals without marks
+and interpolations renders a list of two or more items column by column,
+with C-level iteration, when every value a field path passes through is
+exactly a dict; otherwise, or if that attempt raises, it walks the items.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Callable
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, takewhile
 
 from .diagnostics import PlanError, Position, RenderError
 from .escapers import chain
@@ -326,12 +326,16 @@ def _message_open_after(body, is_open: bool = False) -> bool:
 # A lowered body is a tuple of steps, each called as step(out, scope). ``out``
 # is the output list's append. ``scope`` is [root bindings, item of the loop
 # at depth 1, at depth 2, ...]: a loop frame binds only its own variable, so
-# which frame a path's head names is known while lowering. A plan with marks
-# adds one last slot, (output list, mark rows): a literal with marks appends
-# the row (index of its part, its marks), a value inside a message the row
-# (index of its part, _EXPR), and every other step only appends its part.
-# After the last step one running sum over the part lengths places the rows'
-# marks, in output order.
+# which frame a path's head names is known while lowering.
+#
+# A literal or value step appends one part, so a run (a longest stretch of
+# literals and values) has a spec, one (kind, offset, values, ident) per mark
+# in output order: a mark lies ``offset`` plus the lengths of the run's parts
+# at indices ``values`` (and at earlier marks') past the run's start. Around
+# a value inside a message go ExprStart and ExprEnd. The plan's first run
+# starts at part 0, so its marks that no value precedes are built at
+# lowering; a plan with marks in any other run adds one last scope slot,
+# (output list, mark rows), where such a run appends (its start, its spec).
 #
 # A loop step first tries its column render, if it has one: lowering gives
 # one to each loop outside any message whose body holds only literals
@@ -347,7 +351,7 @@ def _message_open_after(body, is_open: bool = False) -> bool:
 # escapers are pure, so calling one again gives the same text.
 
 _PLAN_POS = Position("<plan>", 0, 0)
-_EXPR = None  # a row's marks for a value inside a message: ExprStart and ExprEnd around it
+_END = object()  # after a body's last node: _lower_body ends its last run there
 
 
 def execute_plan(plan: CompiledPlan, bindings: Bindings):
@@ -367,71 +371,87 @@ def execute_plan(plan: CompiledPlan, bindings: Bindings):
 
 def _lower(plan: CompiledPlan) -> Callable:
     _message_open_after(plan.body)
-    steps, depth, _, marked = _lower_body(plan.body, {}, 0, False)
+    steps, depth, _, lead, marked = _lower_body(plan.body, {}, 0, False, True)
     language, pad = plan.language, (None,) * depth
+    fixed = tuple(Mark(kind, at, ident) for kind, at, _, ident
+                  in takewhile(lambda spec: not spec[2], lead))
+    lead = ((0, lead[len(fixed):]),) if lead[len(fixed):] else ()
 
     if marked:
         def render(bindings):
-            parts, rows = [], []
+            parts, rows = [], [*lead]
             scope = [bindings.values, *pad, (parts, rows)]
             out = parts.append
             for step in steps:
                 step(out, scope)
-            return SafeContent(language, "".join(parts)), _place(parts, rows)
+            return SafeContent(language, "".join(parts)), _place(parts, fixed, rows)
     else:
         def render(bindings):
             parts, scope = [], [bindings.values, *pad]
             out = parts.append
             for step in steps:
                 step(out, scope)
-            return SafeContent(language, "".join(parts)), ()
+            return (SafeContent(language, "".join(parts)),
+                    _place(parts, fixed, lead) if lead else fixed)
     return render
 
 
-def _place(parts: list, rows: list) -> tuple:
-    """The marks of a render's mark rows, offsets counted from the start of
-    its output."""
-    starts = list(accumulate(map(len, parts), initial=0))
-    marks = []
-    add = marks.append
-    for index, row_marks in rows:
-        at = starts[index]
-        if row_marks is _EXPR:
-            add(Mark(EXPR_START, at))
-            add(Mark(EXPR_END, starts[index + 1]))
-        else:
-            for mark in row_marks:
-                add(Mark(mark.kind, at + mark.offset, mark.ident))
+def _place(parts: list, fixed: tuple, rows) -> tuple:
+    """``fixed``, then the marks of the mark ``rows``, in output order."""
+    marks = [*fixed]
+    starts = [0, *accumulate(map(len, parts))] if rows and rows[-1][0] else (0,)
+    for start, spec in rows:
+        at = starts[start]
+        for kind, offset, values, ident in spec:
+            for index in values:
+                at += len(parts[start + index])
+            marks.append(Mark(kind, at + offset, ident))
     return tuple(marks)
 
 
-def _lower_body(body, frames: dict, depth: int, in_message: bool):
+def _lower_body(body, frames: dict, depth: int, in_message: bool, top: bool = False):
     """Steps for ``body``, whose loop variables ``frames`` maps to their
     scope slots and which starts inside a message when ``in_message``; also
     the deepest slot the body uses, the body's literals and interpolations
-    as (node, escape, lookup) parts, and whether any literal of it, at any
-    depth, has marks."""
-    steps, deepest, parts, marked = [], depth, [], False
-    for node in body:
+    as (node, escape, lookup) parts, the spec of its first run if ``top``,
+    else (), and whether its steps, at any depth, record mark rows."""
+    steps, deepest, parts, marked, lead = [], depth, [], False, ()
+    spec, start, first, at, values = [], 0, 0, 0, []  # the open run
+    for node in (*body, _END):
         if isinstance(node, Lit):
-            step = _lit_step(node.text)
-            steps.append(_marked(step, node.marks) if node.marks else step)
+            steps.append(_lit_step(node.text))
             parts.append((node, None, None))
+            for mark in node.marks:
+                spec.append((mark.kind, at + mark.offset, tuple(values), mark.ident))
+                values = []
             in_message = nest_messages(in_message, node.marks)[0]
-            marked = marked or bool(node.marks)
+            at += len(node.text)
             continue
-        if not isinstance(node, (PlanInterp, PlanFor, PlanIf)):
+        if isinstance(node, PlanInterp):
+            pos = node.pos or _PLAN_POS
+            escape, get = chain(node.escapers), _lookup(node.path, frames, pos, True)
+            steps.append(_interp_step(node.path, escape, get, pos,
+                                      "." not in node.path and node.path not in frames))
+            values.append(len(parts) - first)
+            parts.append((node, escape, get))
+            if in_message:
+                spec += [(EXPR_START, at, tuple(values[:-1]), None),
+                         (EXPR_END, at, tuple(values[-1:]), None)]
+                values = []
+            continue
+        if top and not start:
+            lead = tuple(spec)
+        elif spec:
+            steps.insert(start, _row_step(tuple(spec)))
+            marked = True
+        if node is _END:
+            break
+        if not isinstance(node, (PlanFor, PlanIf)):
             raise PlanError(f"unexpected plan node {node!r}")
         pos = node.pos or _PLAN_POS
-        if isinstance(node, PlanInterp):
-            escape, get = chain(node.escapers), _lookup(node.path, frames, pos, True)
-            step = _interp_step(node.path, escape, get, pos,
-                                "." not in node.path and node.path not in frames)
-            steps.append(_marked(step, _EXPR) if in_message else step)
-            parts.append((node, escape, get))
-        elif isinstance(node, PlanFor):
+        if isinstance(node, PlanFor):
             slot = depth + 1
-            body_steps, used, body_parts, body_marked = _lower_body(
+            body_steps, used, body_parts, _, body_marked = _lower_body(
                 node.body, {**frames, node.var: slot}, slot, in_message)
             flat = not (in_message or body_marked) and len(body_parts) == len(node.body)
             steps.append(_for_step(node, _lookup(node.path, frames, pos, True), body_steps,
@@ -439,12 +459,13 @@ def _lower_body(body, frames: dict, depth: int, in_message: bool):
                                    slot, pos))
             deepest, marked = max(deepest, used), marked or body_marked
         else:
-            then, used_then, _, then_marked = _lower_body(node.then, frames, depth, in_message)
-            els, used_els, _, els_marked = _lower_body(node.els, frames, depth, in_message)
+            then, used_then, _, _, then_marked = _lower_body(node.then, frames, depth, in_message)
+            els, used_els, _, _, els_marked = _lower_body(node.els, frames, depth, in_message)
             steps.append(_if_step(_lookup(node.path, frames, pos, False), then, els))
             deepest = max(deepest, used_then, used_els)
             marked = marked or then_marked or els_marked
-    return tuple(steps), deepest, parts, marked
+        spec, start, first, at, values = [], len(steps), len(parts), 0, []
+    return tuple(steps), deepest, parts, lead, marked
 
 
 def _lookup(path: str, frames: dict, pos: Position, strict: bool) -> Callable:
@@ -499,13 +520,12 @@ def _interp_step(path: str, escape: Callable, get: Callable, pos: Position,
     return step
 
 
-def _marked(step: Callable, marks) -> Callable:
-    """``step``, which appends one part, after the mark row of that part."""
-    def marked(out, scope):
+def _row_step(spec: tuple) -> Callable:
+    """The step that records a run's mark row, before the run's parts."""
+    def step(out, scope):
         parts, rows = scope[-1]
-        rows.append((len(parts), marks))
-        step(out, scope)
-    return marked
+        rows.append((len(parts), spec))
+    return step
 
 
 _DICT_ONLY = {dict}

@@ -65,10 +65,16 @@ def _unfusable(parsed) -> str | None:
     return None
 
 
-def _alternative(src: str) -> str:
-    """A rule regex as one group of a fused alternation, with a leading
-    global-flag group scoped: ``(?i)x`` -> ``((?i:x))``."""
-    return "(" + re.sub(r"\A\(\?([aiLmsux]+)\)(.*)", r"(?\1:\2)", src, flags=re.S) + ")"
+_FLAG_LETTERS = ((re.A, "a"), (re.I, "i"), (re.L, "L"), (re.M, "m"), (re.S, "s"), (re.X, "x"))
+
+
+def _alternative(regex: re.Pattern) -> str:
+    """A rule regex as one group of a fused alternation, with its global
+    flags, which its parse sets in ``regex.flags``, scoped as one group:
+    ``(?i)(?s)x`` -> ``((?is:x))``."""
+    letters = "".join(letter for flag, letter in _FLAG_LETTERS if regex.flags & flag)
+    src = re.sub(r"\A(?:\(\?[aiLmsux]+\))+", "", regex.pattern)
+    return f"((?{letters}:{src}))" if letters else f"({src})"
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,7 @@ class ContextRows:
         groups = list(itertools.accumulate([1 + r.regex.groups for r in rules], initial=1))
         self.regex = dict(zip(groups, rules))
         self.fused = re.compile("|".join(
-            [_alternative(r.regex.pattern) for r in rules] + [r"([\s\S])"])).match
+            [_alternative(r.regex) for r in rules] + [r"([\s\S])"])).match
         self.won = [None] * groups[-1] + [(None, self, True)]
         self.terminal = table.terminal.matches(context)
 
@@ -403,7 +409,7 @@ class _Parser:
                      "is matched from a token to a chunk or window edge")
             return None
         try:  # as two rows of a context's fused pattern, so group names clash
-            re.compile("|".join([_alternative(expanded)] * 2))
+            re.compile("|".join([_alternative(compiled)] * 2))
         except re.error as exc:
             self.err(idx, f"regex {src!r} cannot be one row of a fused pattern: {exc}")
             return None

@@ -385,6 +385,57 @@ def test_a_marked_literal_with_empty_text(html):
                      Mark("MsgEnd", 1))
 
 
+# Where a message sits decides how a render places its marks: in the plan's
+# first run (built once at lowering if no value precedes it, else from the
+# values' lengths), or in a later run, a loop body or a branch arm (one mark
+# row per execution). Each message is empty, holds empty literals between
+# values, or holds text.
+PLACED_MESSAGES = ['<message i18n="@@a"></message>', '<message i18n="@@b">${x}</message>',
+                   '<message i18n="@@c">${x}${y}</message>',
+                   '<message i18n="@@d">one ${y} two</message>']
+MESSAGE_PLACES = {
+    "start": '"{m}\n',
+    "after a value": '"${{x}}{m}\n',
+    "after a loop": ':for it of items {{\n"${{it}}\n:}}\n"{m}\n',
+    "in a loop": ':for it of items {{\n"{m}\n:}}\n',
+    "in each arm": ':if c {{\n"{m}\n:}} else {{\n"-{m}\n:}}\n',
+}
+
+
+def placed_message_templates():
+    """Each place on its own and each ordered pair, with every message."""
+    places = [[p] for p in MESSAGE_PLACES] + [[p, q] for p in MESSAGE_PLACES
+                                               for q in MESSAGE_PLACES]
+    for names in places:
+        for m in PLACED_MESSAGES:  # a message in a loop holds the item, not x
+            in_loop = m.replace("${x}", "${it}")
+            yield "tag: html\n" + "".join(
+                MESSAGE_PLACES[name].format(m=in_loop if name == "in a loop" else m)
+                for name in names)
+
+
+def test_marks_placed_from_specs_match_the_dynamic_engine(html):
+    # one plan renders every value set in turn, so a mark built at lowering
+    # from the first render's values would be wrong at a later one
+    value_sets = [{"x": "", "y": "<"}, {"x": "a&b<c", "y": ""}, {"x": "z", "y": "yy"}]
+    for source in placed_message_templates():
+        plan, diags = compile_template(source)
+        assert not has_errors(diags), (source, [str(d) for d in diags])
+        loaded = plan_from_json(plan_to_json(plan))
+        for values in value_sets:
+            for n in (0, 1, 3):
+                for c in (True, False):
+                    bindings = {**values, "items": ["", "i<", "three"][:n], "c": c}
+                    expected = render_full(program_of(source), Bindings(bindings), html)[:2]
+                    for compiled in (plan, loaded):
+                        value, marks = execute_plan(compiled, Bindings(bindings))
+                        assert (value, marks) == expected, (source, bindings)
+                        spans = {value.text[a.offset:b.offset] for a, b in zip(marks, marks[1:])
+                                 if (a.kind, b.kind) == ("ExprStart", "ExprEnd")}
+                        assert spans <= {escapers.escape_pcdata(v) for v in
+                                         [*values.values(), *bindings["items"]]}
+
+
 def test_safe_content_with_non_str_text_renders_or_is_a_render_error():
     plan = CompiledPlan("html", [Lit("a"), PlanInterp("x", ())])
     assert execute_plan(plan, Bindings({"x": SafeContent("html", 5)}))[0].text == "a5"
@@ -466,9 +517,12 @@ def test_plan_json_refuses_a_node_outside_the_plan_family():
         plan_to_json(CompiledPlan("html", [PlanFor("v", "xs", [Lit("a"), "b"])]))
 
 
-def test_plan_render_refuses_a_node_outside_the_plan_family():
-    with pytest.raises(PlanError, match="^unexpected plan node 'b'$"):
-        execute_plan(CompiledPlan("html", [PlanFor("v", "xs", [Lit("a"), "b"])]), Bindings({}))
+@pytest.mark.parametrize("node", ["b", None])
+def test_plan_render_refuses_a_node_outside_the_plan_family(node):
+    with pytest.raises(PlanError, match=f"^unexpected plan node {node!r}$"):
+        execute_plan(CompiledPlan("html", [PlanFor("v", "xs", [Lit("a"), node])]), Bindings({}))
+    with pytest.raises(PlanError, match=f"^unexpected plan node {node!r}$"):
+        execute_plan(CompiledPlan("html", [Lit("a"), node, Lit("c")]), Bindings({}))
 
 
 @pytest.mark.parametrize("x", [{}, {"z": 1}, "s", None], ids=["empty", "other-field", "str", "null"])

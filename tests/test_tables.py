@@ -571,6 +571,18 @@ def test_fused_dispatch_keeps_flags_and_group_numbers():
     assert r.marks + f.marks == (Mark("MsgStart", 4, "foo"),)
 
 
+@pytest.mark.parametrize("flags", ["(?i)(?s)", "(?is)", "(?s)(?i)", "(?i)(?is)"])
+def test_every_leading_flag_group_is_scoped_in_the_fused_pattern(flags):
+    # re compiles each spelling with the same global flags, so each loads as one fused
+    # row; the flags stay in that row's group
+    table = parse_ok(MINIMAL + f"[rules]\n| A | `{flags}<x.y` | | _ |\n| A | `a` | | _ |\n")
+    row, other = table.rules
+    assert table.rows(("A",)).fused.__self__.pattern == r"((?is:<x.y))|(a)|([\s\S])"
+    for text, expected in [("<X\nY", (row, "<X\nY")), ("<x-yz", (row, "<x-y")),
+                           ("a", (other, "a")), ("A", (None, None)), ("<xy", (None, None))]:
+        assert fused_regex(table, ("A",), text) == scan_regex(table, ("A",), text) == expected
+
+
 def test_context_rows_resolve_only_their_three_first_rows_lazily():
     rows = parse_ok(MINIMAL).rows(("A",))
     assert (rows.epsilon, rows.interp, rows.escape) == (None, None, None)
