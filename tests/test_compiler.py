@@ -145,6 +145,57 @@ def test_message_marks_that_do_not_nest_are_errors_in_both_engines(html, source,
     assert (exc.value.message, str(exc.value.position)) == (message, where)
 
 
+# -- self-closing tags -------------------------------------------------------------
+
+# A browser ignores `/` before `>` on a non-void element, so `<script/>` opens
+# script data and `<style/>` a style sheet. Chains and rendered text are
+# asserted directly, not through the structure oracle: html.parser also reads
+# `<script/>` as a start-end tag, so that oracle sees no difference between a
+# value escaped as script and one escaped as text.
+SELF_CLOSING = [
+    ("<script/>${x}</script>", "JsonValueEscaper", '<script/>"alert(1)"</script>'),
+    ("<SCRIPT src=/a.js />${x}</script>", "JsonValueEscaper",
+     '<SCRIPT src=/a.js />"alert(1)"</script>'),
+    ("<script a=b/>${x}</script>", "JsonValueEscaper", '<script a=b/>"alert(1)"</script>'),
+    # void elements: the value is text after the tag
+    ("<br/>${x}", "HtmlPcdataEscaper", "<br/>alert(1)"),
+    ("<img src=x/>${x}", "HtmlPcdataEscaper", "<img src=x/>alert(1)"),
+]
+
+
+@pytest.mark.parametrize("body, escaper, text", SELF_CLOSING)
+def test_self_closing_tags_keep_their_element_in_both_engines(html, body, escaper, text):
+    source, values = f'tag: html\n"{body}\n', Bindings({"x": "alert(1)"})
+    plan, diags = compile_template(source, "t")
+    assert diags == []
+    assert [n.escapers for n in plan.body if isinstance(n, PlanInterp)] == [(escaper,)]
+    assert execute_plan(plan, values)[0].text == text + "\n"
+    assert render_full(program_of(source, "t"), values, html)[0].text == text + "\n"
+
+
+def test_self_closing_style_opens_a_style_sheet_in_both_engines(html):
+    source = 'tag: html\n"<style/>p{color:${x}}</style>\n'
+    message = "interpolation not allowed in this context: (Decls, _)"
+    plan, diags = compile_template(source, "t")
+    assert plan is None
+    assert [(d.message, str(d.position)) for d in diags] == [(message, "t:2:18")]
+    with pytest.raises(RenderError) as exc:
+        render_full(program_of(source, "t"), Bindings({"x": "red"}), html)
+    assert (exc.value.message, str(exc.value.position)) == (message, "t:2:18")
+
+
+def test_no_recorded_state_holds_an_element_in_pcdata(html):
+    # a tag closes into Pcdata with its element kept, and the element's
+    # epsilon row into raw text fires before any state is recorded
+    sources = [LIST_TEMPLATE, *STRUCTURE_CORPUS,
+               *(f'tag: html\n"{body}\n' for body, _, _ in SELF_CLOSING),
+               *(random_template(random.Random(seed))[0] for seed in range(200))]
+    for source in sources:
+        ann = propagate(program_of(source), html)
+        for state in [*ann.in_states.values(), *ann.merged.values()]:
+            assert state.context[0] != "Pcdata" or state.context[1] == "None", (source, state)
+
+
 def _start(at, ident="a"):
     return {"at": at, "offset": 0, "kind": "MsgStart", "id": ident}
 
@@ -389,8 +440,10 @@ def test_every_diagnostic_carries_a_position(html):
 # transition_op_count deltas of compile_template, list template first, then
 # STRUCTURE_CORPUS in order, and the sha256 of the corpus plans' JSON, as the
 # linear-scan rule dispatch produced them. The counter counts rule
-# applications, not pattern scans, so no dispatch change may move them.
-PINNED_COMPILE_OPS = [27, 8, 15, 15, 12, 16, 12, 12, 17, 12, 12, 22, 23, 15, 12, 8, 23, 20,
+# applications, not pattern scans, so no dispatch change may move them; a
+# table change that adds a hop does (each raw-text element's epsilon row
+# into raw text is one op).
+PINNED_COMPILE_OPS = [27, 8, 15, 15, 12, 16, 12, 12, 17, 12, 12, 22, 23, 16, 13, 9, 23, 20,
                       12, 19, 15]
 PINNED_CORPUS_PLANS_SHA256 = "b672e2e7b6db45e3d4fc7b33eb9c455cc54f28c56dbb802c7f0369663675c00c"
 
@@ -416,9 +469,9 @@ def test_compile_op_counts_and_plans_are_pinned():
 # per-seed transition_op_count deltas of compile_template and of
 # render_full, and the sha256 of the plans' JSON.
 PINNED_RANDOM_COMPILE_OPS = (
-    6324, "ba2b90ebd19a3d32c15cebc97934a2edbb0d845afeca53828ef1a162f383d4cb")
+    6466, "5f649425fecab50980837d619f9c4d0a65fc8caf366e32244063c3aa34a9a7b7")
 PINNED_RANDOM_RENDER_OPS = (
-    5425, "f2e6208a91f79d76086ec3f0c750c924cf19ba8636bc2fe3b65c58f53be21217")
+    5554, "13d73e19911d91f199201cbde3f7b97697d022ddfb00b2b3a0d326ba31085526")
 PINNED_RANDOM_PLANS_SHA256 = "a037f98eb2ca4d005fc391f593ae8976db3e20f313739e3a23dc97b2d714f28d"
 
 

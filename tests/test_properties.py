@@ -29,15 +29,19 @@ _FRAGMENTS = [
     # for nested machines (the openers below), and runs longer than a lookahead
     "color: red; ", "url('/i.png')", "/img/a.png", "&#", "&#x;", '</b class="x">', "x" * 70,
     "a: b; " * 12,
+    # self-closing and attributed tags, raw-text ones among them
+    "<script/>", "<style/>", "/>", "<br/>", "<script src=x>", "<p a=b>",
 ]
 # a style attribute, a url( in one, and a style element body with a url(
 _OPENERS = ['<p style="', '<p style="color: red; background: url(',
             "<style>.c { background: url("]
 _FRAGMENTS += _OPENERS
 
+# most draws are longer than the root's lookahead, so a step consumes text
+# before finish flushes it
 html_text = st.lists(
-    st.one_of(st.sampled_from(_FRAGMENTS), st.text(alphabet="abc<>&\"' =/\n", max_size=6)),
-    max_size=12,
+    st.one_of(st.sampled_from(_FRAGMENTS), st.text(alphabet="abc<>&\"' =/", max_size=6)),
+    min_size=14, max_size=28,
 ).map("".join)
 
 
@@ -46,20 +50,29 @@ def _holds_back_less_than_lookahead(state):
         len(fr.pending) < HTML.subs[fr.machine].lookahead for fr in state.frames)
 
 
+def _pcdata_has_no_element(state):
+    """A tag that closes with its element set passes through Pcdata only for
+    the epsilon row into the element's raw text: no state keeps it there."""
+    return state.context[0] != "Pcdata" or state.context[1] == "None"
+
+
 def _run_chunks(chunks):
     """Step the chunks, each at its own position, then finish; after each
-    step, every machine holds back less than its table's lookahead."""
+    step, every machine holds back less than its table's lookahead, and every
+    state, the finished one too, holds no element in Pcdata."""
     state = HTML.zero_state()
     emitted, marks, diags, pos = [], [], [], POS
     for chunk in chunks:
         r = step_fixed(HTML, state, chunk, pos)
         assert r.state.error is not None or _holds_back_less_than_lookahead(r.state)
+        assert _pcdata_has_no_element(r.state)
         for m in r.marks:
             marks.append(m.shifted(sum(map(len, emitted))))
         emitted.append(r.emitted)
         diags += map(str, r.diagnostics)
         state, pos = r.state, pos.advance(chunk)
     f = finish(HTML, state, pos)
+    assert _pcdata_has_no_element(f.state)
     for m in f.marks:
         marks.append(m.shifted(sum(map(len, emitted))))
     emitted.append(f.emitted)
