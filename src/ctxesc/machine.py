@@ -30,13 +30,14 @@ from __future__ import annotations
 import functools
 import re
 
-from .diagnostics import Diagnostic, Position, Severity, TableError
+from .diagnostics import Diagnostic, Position, Severity
 from .marks import Mark
 from .records import FrozenRecord, Record, slot_setters
 from .tables import Rule, TransitionTable, context_str
 
 _op_count = 0
 _WINDOW = 1024  # step_fixed feeds longer text a window at a time, as separate chunks
+_NOWHERE = Position("<input>", 1, 1)  # where text that no step placed starts
 
 
 def transition_op_count() -> int:
@@ -107,28 +108,27 @@ class Frame(FrozenRecord):
 
 
 class MachineState(FrozenRecord):
-    """``pending_pos`` is where held-back text starts in the template and
-    ``pending_at`` where each later chunk of it starts, as (offset in pending,
-    position). Copies keep both; ``==``, hashing and repr leave them out."""
+    """``pending_at`` is where held-back text came from in the template: one
+    (offset in pending, position) anchor per chunk, the first at offset 0.
+    Copies keep it; ``==``, hashing and repr leave it out."""
 
     _fields = ("context", "pending", "frames", "error")
-    __slots__ = (*_fields, "pending_pos", "pending_at")
+    __slots__ = (*_fields, "pending_at")
 
     def __init__(self, context: tuple[str, ...], pending: str = "", frames: tuple = (),
-                 error: str | None = None, pending_pos: Position | None = None, pending_at=()):
+                 error: str | None = None, pending_at=()):
         _set_context(self, context)
         _set_pending(self, pending)
         _set_frames(self, frames)
         _set_error(self, error)
-        _set_pos(self, pending_pos)
         _set_at(self, pending_at)
 
     def __reduce__(self):
-        return self.__class__, (*self._values(self), self.pending_pos, self.pending_at)
+        return self.__class__, (*self._values(self), self.pending_at)
 
 
 _set_machine, _set_codec, _set_fr_context, _set_fr_pending = slot_setters(Frame)
-_set_context, _set_pending, _set_frames, _set_error, _set_pos, _set_at = slot_setters(MachineState)
+_set_context, _set_pending, _set_frames, _set_error, _set_at = slot_setters(MachineState)
 
 
 class StepResult(Record):
@@ -167,26 +167,6 @@ class Machine:
         return MachineState(context=self.root_table.start)
 
 
-def build_machine(root: TransitionTable,
-                  subs: dict[str, TransitionTable] | None = None) -> Machine:
-    """Link a root table with its subsidiary tables and the built-in codecs,
-    checking the references a single-table validation cannot see."""
-    subs = dict(subs or {})
-    problems = []
-    for tname, table in [(root.name, root)] + list(subs.items()):
-        for rule in table.rules:
-            if rule.action and rule.action.kind == "start":
-                if rule.action.machine not in subs:
-                    problems.append(f"{table.filename}:{rule.line}: unknown subsidiary machine {rule.action.machine!r}")
-                if rule.action.codec not in BUILTIN_CODECS:
-                    problems.append(f"{table.filename}:{rule.line}: unknown codec {rule.action.codec!r}")
-            if rule.events and table is not root:
-                problems.append(f"{table.filename}:{rule.line}: subsidiary machines may not emit marks")
-    if problems:
-        raise TableError("; ".join(problems))
-    return Machine(root, subs)
-
-
 class _Level:
     """One machine of the running stack; ``rows`` are its table's resolved
     rows for its context, which ``rows.context`` holds."""
@@ -206,10 +186,8 @@ class _Run:
     ``pending`` is consumed only from the front, nothing appends to it
     during a run (``_consume_at`` appends to inner levels only), and every
     path stores it before a diagnostic can fire; so the consumed text is
-    ``_text`` up to ``pending``. ``pos`` folds it into ``_pos`` only when a
-    diagnostic or ``freeze`` needs it (``Position.advance`` is associative
-    over concatenation), restarting at each fed chunk's own position
-    (``_anchors``, keyed by offset in ``_text``; ``_off`` is ``_pos``'s)."""
+    ``_text`` up to ``pending``. ``_anchors`` are the state's, plus ``pos``
+    at the end of ``_text`` when the step has a position of its own."""
 
     def __init__(self, machine: Machine, state: MachineState, pos: Position | None):
         self.machine = machine
@@ -223,22 +201,23 @@ class _Run:
         self.out_len = 0
         self.marks: list[Mark] = []
         self.diags: list[Diagnostic] = []
-        self._pos = ((state.pending_pos if state.pending else pos) or pos
-                     or Position("<input>", 1, 1))
         self._text = state.pending
         self.unfed = 0
-        self._off = 0
-        self._anchors = state.pending_at if state.pending else ()
+        self._anchors = state.pending_at + ((len(self._text), pos),) if pos else state.pending_at
+
+    @property
+    def _end(self) -> int:
+        return len(self._text) - len(self._levels[0].pending) - self.unfed
 
     @property
     def pos(self) -> Position:
-        end = len(self._text) - len(self._levels[0].pending) - self.unfed
-        if end > self._off:
-            start, pos, anchors = self._off, self._pos, self._anchors
-            while anchors and anchors[0][0] <= end:
-                (start, pos), anchors = anchors[0], anchors[1:]
-            self._pos, self._off, self._anchors = pos.advance(self._text[start:end]), end, anchors
-        return self._pos
+        """The last anchor at or before the consumed end, advanced over the text since."""
+        end, start, pos = self._end, 0, _NOWHERE
+        for off, at in self._anchors:
+            if off > end:
+                break
+            start, pos = off, at
+        return pos.advance(self._text[start:end])
 
     # -- output ------------------------------------------------------------
 
@@ -263,7 +242,7 @@ class _Run:
         if severity is Severity.ERROR:
             self._diag(severity, rule.message)
             return
-        if rule.events:  # only root rows have events: build_machine checks
+        if rule.events:  # only root rows have events: machine_for_tag checks
             m = rule.regex and rule.regex.match(string)  # the rule's own group numbers
             for ev in rule.events:
                 ident = ev.ident if ev.group is None or m is None else m.group(ev.group)
@@ -403,9 +382,9 @@ class _Run:
                         for lvl in levels[1:]]) if len(levels) > 1 else ()
         if not root.pending:
             return MachineState(root.rows.context, "", frames)
-        pos = self.pos  # folds, so _off is where the pending text starts
-        return MachineState(root.rows.context, root.pending, frames, None, pos, tuple(
-            (off - self._off, at) for off, at in self._anchors))
+        end = self._end
+        return MachineState(root.rows.context, root.pending, frames, None, ((0, self.pos), *[
+            (off - end, at) for off, at in self._anchors if off > end]))
 
 
 def step_fixed(machine: Machine, state: MachineState, chunk: str,
@@ -416,12 +395,8 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
     innermost context has no epsilon row, nothing can move, and that is the
     result; else one run drains the text a window at a time."""
     held, table = state.pending, machine.root_table
-    if held:
-        at = state.pending_at if pos is None else state.pending_at + ((len(held), pos),)
-        start = state.pending_pos or pos or Position("<input>", 1, 1)
-    else:
-        at, start = (), pos or Position("<input>", 1, 1)
-    state = MachineState(state.context, held + chunk, state.frames, state.error, start, at)
+    at = state.pending_at + ((len(held), pos),) if pos else state.pending_at
+    state = MachineState(state.context, held + chunk, state.frames, state.error, at)
     text = state.pending
     if state.error is None and len(text) < table.lookahead:
         context = state.context
@@ -432,7 +407,7 @@ def step_fixed(machine: Machine, state: MachineState, chunk: str,
         else:
             if table.rows(context).epsilon is None:
                 return StepResult(state, "", (), [])
-    run = _Run(machine, state, pos)
+    run = _Run(machine, state, None)
     root = run._levels[0]
     root.pending = ""
     for fed in range(0, len(text) or 1, _WINDOW):

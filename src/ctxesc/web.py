@@ -9,7 +9,7 @@ from importlib import resources
 from pathlib import Path
 
 from .diagnostics import TableError
-from .machine import Machine, build_machine
+from .machine import BUILTIN_CODECS, Machine
 from .tables import parse_table, validate_table
 
 
@@ -44,6 +44,13 @@ def _machine(tag: str, tables_dir: str | None) -> Machine:
     subs = {}
 
     def load_uses(table, path):
+        # validate_table checks that `uses` names each machine a row starts
+        for rule in table.rules:
+            at, action = f"{table.filename}:{rule.line}", rule.action
+            if action and action.kind == "start" and action.codec not in BUILTIN_CODECS:
+                raise TableError(f"{at}: unknown codec {action.codec!r}")
+            if rule.events and len(path) > 1:
+                raise TableError(f"{at}: subsidiary machines may not emit marks")
         for name in table.uses:
             stem = name.lower()
             if stem in path:
@@ -57,7 +64,7 @@ def _machine(tag: str, tables_dir: str | None) -> Machine:
 
     root = load_table(f"{tag}.tt", tables_dir)
     load_uses(root, (tag,))
-    return build_machine(root, subs)
+    return Machine(root, subs)
 
 
 def html_machine(tables_dir: str | None = None) -> Machine:  # kept for its callers

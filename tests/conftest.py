@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from ctxesc.frontend import desugar, parse_template
@@ -40,3 +42,18 @@ def program_of(source, filename="<template>"):
 def render_text(source, bindings, machine):
     value, marks, diags = render_full(program_of(source), Bindings(bindings), machine)
     return value.text, marks, diags
+
+
+@pytest.fixture
+def tables_dir(tmp_path):
+    """A copy of the shipped tables, for tests that edit them."""
+    for name in ("html.tt", "url.tt", "css.tt", "text.tt"):
+        text = resources.files("ctxesc").joinpath("data").joinpath(name).read_text()
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+def edit_table(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")

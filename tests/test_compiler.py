@@ -145,6 +145,31 @@ def test_message_marks_that_do_not_nest_are_errors_in_both_engines(html, source,
     assert (exc.value.message, str(exc.value.position)) == (message, where)
 
 
+# -- site errors after held-back text ----------------------------------------------
+
+# The root holds back a line's text until the next step flushes it; an error
+# raised at the site that flushes it names the site's `${`, not the end of
+# the held text on the line before.
+SITE_AFTER_HELD_TEXT = [
+    ('"<!-- a\n  "${x}', "(Comment, _, _, _)", "t.tpl:3:4"),
+    ('"<style>p {\n"${x}', "(Decls, _)", "t.tpl:3:2"),
+    ('"<p title="a" <!--\n"${x}', "(BeforeAttr, _, _, _)", "t.tpl:3:2"),
+]
+
+
+@pytest.mark.parametrize("body, context, where", SITE_AFTER_HELD_TEXT)
+def test_a_site_error_after_held_back_text_names_the_site_in_both_engines(html, body, context,
+                                                                         where):
+    source = f"tag: html\n{body}\n"
+    message = f"interpolation not allowed in this context: {context}"
+    plan, diags = compile_template(source, "t.tpl")
+    assert plan is None
+    assert [(d.message, str(d.position)) for d in diags] == [(message, where)]
+    with pytest.raises(RenderError) as exc:
+        render_full(program_of(source, "t.tpl"), Bindings({"x": "a"}), html)
+    assert (exc.value.message, str(exc.value.position)) == (message, where)
+
+
 # -- self-closing tags -------------------------------------------------------------
 
 # A browser ignores `/` before `>` on a non-void element, so `<script/>` opens

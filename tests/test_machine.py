@@ -4,14 +4,14 @@ import random
 
 import pytest
 
-from conftest import program_of
+from conftest import edit_table, program_of
 from ctxesc import machine as machine_mod
 from ctxesc.compiler import erase, propagate
 from ctxesc.diagnostics import Position, Severity, TableError
 from ctxesc.machine import (
     Frame,
+    Machine,
     MachineState,
-    build_machine,
     finish,
     is_valid_end,
     merge,
@@ -24,6 +24,7 @@ from ctxesc.marks import Mark
 from ctxesc.plan import execute_plan
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.tables import parse_table
+from ctxesc.web import machine_for_tag
 from support import random_template
 
 POS = Position("t", 1, 1)
@@ -42,7 +43,7 @@ def toy_machine(extra):
     table, diags = parse_table(
         "machine toy\nfields state\nvalues state: A B C\nstart A\nterminal A\n" + extra)
     assert table is not None, [str(d) for d in diags]
-    return build_machine(table)
+    return Machine(table, {})
 
 
 def test_pcdata_attack_surface_reduction(html):
@@ -398,26 +399,32 @@ def _linked(root_rows, sub_rows=None):
     if sub_rows is not None:
         subs["Sub"], diags = parse_table(head.format("Sub") + sub_rows, filename="sub.tt")
         assert subs["Sub"] is not None, [str(d) for d in diags]
-    return build_machine(root, subs)
+    return Machine(root, subs)
 
 
-def test_link_rejects_unknown_subsidiary():
+def _line_of(path, text):
+    return path.read_text(encoding="utf-8").splitlines().index(text) + 1
+
+
+def test_link_rejects_unknown_codec(tables_dir):
+    row = "| EnterAttr, _, Url, _ | | | Attr, _, _, _ ; start(Url, rot13Codec) |"
+    edit_table(tables_dir / "html.tt", row.replace("rot13Codec", "htmlCodec"), row)
     with pytest.raises(TableError) as info:
-        _linked("| A | `x` | | B; start(Nope, identityCodec) |\n")
-    assert str(info.value) == "root.tt:6: unknown subsidiary machine 'Nope'"
+        machine_for_tag("html", tables_dir)
+    at = f"{tables_dir / 'html.tt'}:{_line_of(tables_dir / 'html.tt', row)}"
+    assert str(info.value) == f"{at}: unknown codec 'rot13Codec'"
 
 
-def test_link_rejects_unknown_codec():
+def test_link_rejects_marks_from_a_subsidiary(tables_dir):
+    row = ("| Decls, _ | `(?i)url\\(`            | !MsgStart(m1) "
+           "| InUrl, _ ; start(Url, identityCodec) |")
+    edit_table(tables_dir / "css.tt", row.replace(" !MsgStart(m1) ", " "), row)
     with pytest.raises(TableError) as info:
-        _linked("| A | `x` | | B; start(Sub, rot13Codec) |\n", "| A | `y` | | B |\n")
-    assert str(info.value) == "root.tt:6: unknown codec 'rot13Codec'"
-
-
-def test_link_rejects_marks_from_a_subsidiary():
-    with pytest.raises(TableError) as info:
-        _linked("| A | `x` | | B; start(Sub, identityCodec) |\n",
-                "| A | `y` | | B |\n| B | `m` | !MsgStart(m1) | A |\n")
-    assert str(info.value) == "sub.tt:7: subsidiary machines may not emit marks"
+        machine_for_tag("html", tables_dir)
+    at = f"{tables_dir / 'css.tt'}:{_line_of(tables_dir / 'css.tt', row)}"
+    assert str(info.value) == f"{at}: subsidiary machines may not emit marks"
+    # the same table may emit marks as the root of tag css
+    assert machine_for_tag("css", tables_dir).language == "css"
 
 
 START_SUB = "| A | `<` | | B; start(Sub, identityCodec) |\n"
@@ -525,9 +532,12 @@ def test_a_step_runs_when_any_level_holds_back_a_full_lookahead(html):
 # -- state records ---------------------------------------------------------------
 
 
+ANCHORS = ((0, POS), (2, Position("t", 4, 3)))
+
+
 def held_back_state():
-    state = MachineState(CTX, "x\ny", (FRAME,), None, POS, ((2, Position("t", 4, 3)),))
-    assert state.pending_pos == POS and state.pending_at == ((2, Position("t", 4, 3)),)
+    state = MachineState(CTX, "x\ny", (FRAME,), None, ANCHORS)
+    assert state.pending_at == ANCHORS
     return state
 
 
@@ -535,7 +545,7 @@ def test_state_equality_and_hash_ignore_held_back_positions():
     a = held_back_state()
     b = MachineState(CTX, "x\ny", (FRAME,))
     assert a == b and hash(a) == hash(b) and {a, b} == {a}
-    assert a != MachineState(CTX, "x\nz", (FRAME,), None, POS, a.pending_at)
+    assert a != MachineState(CTX, "x\nz", (FRAME,), None, a.pending_at)
     assert a != MachineState(CTX, "x\ny", (Frame("Url", "htmlCodec", ("Path",), "b"),))
     assert a != MachineState(CTX, "x\ny", (FRAME,), "boom")
     assert repr(b) == repr(a) == (
@@ -545,7 +555,7 @@ def test_state_equality_and_hash_ignore_held_back_positions():
 
 
 @pytest.mark.parametrize("record, names", [
-    (held_back_state(), ("context", "pending", "frames", "error", "pending_pos", "pending_at")),
+    (held_back_state(), ("context", "pending", "frames", "error", "pending_at")),
     (FRAME, ("machine", "codec", "context", "pending")),
 ], ids=["MachineState", "Frame"])
 def test_state_records_refuse_assignment(record, names):
@@ -562,14 +572,14 @@ def test_state_copies_and_pickles_keep_held_back_positions():
     a = held_back_state()
     for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert b == a and type(b) is MachineState
-        assert (b.pending_pos, b.pending_at) == (a.pending_pos, a.pending_at)
+        assert b.pending_at == a.pending_at
         assert b.frames == (FRAME,) and type(b.frames[0]) is Frame
 
 
 def test_copied_state_positions_later_diagnostics_alike(html):
     # the root holds back the line-2 "&#" and reports it on the next flush
     state = step_fixed(html, html.zero_state(), '<a href="x\n&#', POS).state
-    assert state.pending and state.pending_pos is not None
+    assert state.pending and state.pending_at[0] == (0, POS)
     expected = [str(d) for d in finish(html, state, POS).diagnostics]
     assert expected == ["t:2:1: warning: malformed numeric character reference copied verbatim"]
     for copied in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):

@@ -3,15 +3,23 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from ctxesc.diagnostics import Position
+from ctxesc.compiler import analyze_template, compile_template
+from ctxesc.diagnostics import Position, RenderError
 from ctxesc.escapers import escape_html_attr, escape_pcdata, filter_url_prefix
 from ctxesc.i18n import apply_translation, extract_messages
+from ctxesc.plan import execute_plan
 from ctxesc.machine import MachineState, finish, merge, step_fixed, step_interp
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.values import SafeContent
 from ctxesc.web import html_machine
 from conftest import program_of
-from support import codec_decode, codec_encode
+from support import (
+    STRUCTURE_CORPUS,
+    adversarial_values,
+    codec_decode,
+    codec_encode,
+    corpus_bindings,
+)
 
 POS = Position("t", 1, 1)
 
@@ -58,13 +66,15 @@ def _pcdata_has_no_element(state):
 
 def _run_chunks(chunks):
     """Step the chunks, each at its own position, then finish; after each
-    step, every machine holds back less than its table's lookahead, and every
-    state, the finished one too, holds no element in Pcdata."""
+    step, every machine holds back less than its table's lookahead, held-back
+    text is anchored at its start, and every state, the finished one too,
+    holds no element in Pcdata."""
     state = HTML.zero_state()
     emitted, marks, diags, pos = [], [], [], POS
     for chunk in chunks:
         r = step_fixed(HTML, state, chunk, pos)
         assert r.state.error is not None or _holds_back_less_than_lookahead(r.state)
+        assert not r.state.pending or r.state.pending_at[0][0] == 0
         assert _pcdata_has_no_element(r.state)
         for m in r.marks:
             marks.append(m.shifted(sum(map(len, emitted))))
@@ -244,17 +254,74 @@ def test_extraction_identity_reapplication(value):
 @given(html_text)
 def test_fixed_chunk_coalescing_is_semantics_preserving(text):
     mid = len(text) // 2
-    a, b = text[:mid], text[mid:]
-    src_two = f'tag: html\n"{a}\n"{b}\n'
-    # only compare when neither piece contains characters the template
-    # grammar would reinterpret
-    if "${" in src_two or "\n" in a or "\n" in b:
-        return
-    one = step_fixed(HTML, HTML.zero_state(), a + "\n" + b + "\n", POS)
-    two_first = step_fixed(HTML, HTML.zero_state(), a + "\n", POS)
-    two = step_fixed(HTML, two_first.state, b + "\n", POS)
-    end_one = finish(HTML, one.state, POS)
-    end_two = finish(HTML, two.state, POS)
+    a, b = text[:mid] + "\n", text[mid:] + "\n"
+    end = POS.advance(a + b)
+    one = step_fixed(HTML, HTML.zero_state(), a + b, POS)
+    two_first = step_fixed(HTML, HTML.zero_state(), a, POS)
+    two = step_fixed(HTML, two_first.state, b, POS.advance(a))
+    end_one = finish(HTML, one.state, end)
+    end_two = finish(HTML, two.state, end)
     assert one.emitted + end_one.emitted == \
         two_first.emitted + two.emitted + end_two.emitted
     assert end_one.state == end_two.state
+    assert [str(d) for d in one.diagnostics + end_one.diagnostics] == [
+        str(d) for d in two_first.diagnostics + two.diagnostics + end_two.diagnostics]
+
+
+_SITE_ERRORS = ("interpolation not allowed", "no escaper mapping")
+
+
+@given(html_text, st.integers(min_value=0, max_value=4))
+def test_a_site_error_names_its_dollar_brace_in_both_engines(text, indent):
+    # the text's lines are held back until the site's step flushes them
+    lines = text.split("\n")
+    source = "tag: html\n" + "".join(f'"{line}\n' for line in lines) + " " * indent + '"${x}\n'
+    where = f"t:{len(lines) + 2}:{indent + 2}"
+    _, _, diags = analyze_template(source, "t")
+    assert all(str(d.position) == where for d in diags if d.message.startswith(_SITE_ERRORS))
+    try:
+        render_full(program_of(source, "t"), Bindings({"x": "a"}), HTML)
+    except RenderError as exc:
+        assert not exc.message.startswith(_SITE_ERRORS) or str(exc.position) == where
+
+
+# -- the machine re-steps its own renders -------------------------------------------
+
+_SENTINEL = "zq7sentinel"  # alphanumeric: every escaper copies it as it is
+
+
+def _restep(text):
+    """Step a render as one literal from the start state, then finish."""
+    r = step_fixed(HTML, HTML.zero_state(), text, POS)
+    f = finish(HTML, r.state, POS.advance(text))
+    return f.state, [str(d) for d in r.diagnostics + f.diagnostics]
+
+
+def _without_url_context(state):
+    """The URL machine's context moves with the value (`Start` to
+    `MaybeScheme` or `AfterAuthority`), so it is left out."""
+    return state.context, state.error, [
+        (fr.machine, fr.codec, None if fr.machine == "Url" else fr.context) for fr in state.frames]
+
+
+def test_a_render_restepped_as_a_literal_leaves_each_value_where_a_benign_value_does():
+    # Split each render of a single-site template at its value's end, found
+    # from the sentinel's render: the literal text after the site is the
+    # same in both. Stepping up to there must reach the sentinel's state at
+    # every level but the URL machine's, and stepping the whole render must
+    # end where the sentinel's render does, with no diagnostic.
+    values = adversarial_values(300)
+    for source in [s for s in STRUCTURE_CORPUS if s.count("${") == 1]:
+        plan, program = compile_template(source)[0], program_of(source)
+        for render in (lambda v: execute_plan(plan, Bindings(corpus_bindings(v)))[0].text,
+                       lambda v: render_full(program, Bindings(corpus_bindings(v)), HTML)[0].text):
+            benign = render(_SENTINEL)
+            tail = len(benign) - benign.index(_SENTINEL) - len(_SENTINEL)
+            at_value = _without_url_context(_restep(benign[:len(benign) - tail])[0])
+            end = _restep(benign)
+            assert end[1] == []
+            for value in values:
+                text = render(value)
+                assert _without_url_context(_restep(text[:len(text) - tail])[0]) == at_value, (
+                    source, value)
+                assert _restep(text) == end, (source, value)

@@ -4,9 +4,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import edit_table
 from ctxesc import web
 from ctxesc.diagnostics import Severity, TableError
-from ctxesc.machine import build_machine, finish, step_fixed
+from ctxesc.machine import Machine, finish, step_fixed
 from ctxesc.marks import Mark
 from ctxesc.tables import (
     TRIGGER_INTERP,
@@ -401,22 +402,6 @@ def test_uses_name_must_be_an_identifier(name):
         f"toy.tt:6:1: error: 'uses' name {name!r} is not an identifier"]
 
 
-@pytest.fixture
-def tables_dir(tmp_path):
-    from importlib import resources
-
-    for name in ("html.tt", "url.tt", "css.tt", "text.tt"):
-        text = resources.files("ctxesc").joinpath("data").joinpath(name).read_text()
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    return tmp_path
-
-
-def edit_table(path, old, new):
-    text = path.read_text(encoding="utf-8")
-    assert old in text
-    path.write_text(text.replace(old, new), encoding="utf-8")
-
-
 def test_uses_name_without_a_table_file_is_a_table_error(tables_dir):
     edit_table(tables_dir / "css.tt", "uses Url", "uses Url Js")
     with pytest.raises(TableError) as exc:
@@ -564,7 +549,7 @@ def test_fused_dispatch_keeps_flags_and_group_numbers():
         assert scan_regex(table, ("A",), text) == (row, matched), text
         assert fused_regex(table, ("A",), text) == (row, matched), text
     # $1 is the event row's own first group, not the fused pattern's
-    machine = build_machine(table)
+    machine = Machine(table, {})
     r = step_fixed(machine, machine.zero_state(), "<Xab mfoo;d", None)
     f = finish(machine, r.state, None)
     assert r.emitted + f.emitted == "Xab d"
