@@ -37,9 +37,9 @@ _ATTR_SEARCH = re.compile(r"[&<>\"']").search
 # allowed scheme (ASCII letters only: under Unicode case folding ſ matches s)
 # or no scheme at all, then only kept characters. Any other value gets the
 # scheme check, then is percent-encoded by translating its UTF-8 bytes, read
-# as latin-1, through a 256-entry table; the attribute and CSS string forms'
-# tables also escape ``&`` and ``'``, the only characters significant there
-# that the filter keeps.
+# as latin-1, through a 256-entry table; the attribute form's table also
+# escapes ``&`` and ``'``, and the CSS string form's ``&``, ``'``, ``(`` and
+# ``)``: the characters the filter keeps that its escaper changes.
 _URL_KEPT = ("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"
              ":/?#[]@!$&'()*+,;=%-._~")
 _ALLOWED_SCHEMES = frozenset({"http", "https", "mailto", "tel", "ftp"})
@@ -48,15 +48,18 @@ _URL_HEAD = "(?:(?ai:%s):|(?![^:/?#]*:))" % "|".join(sorted(_ALLOWED_SCHEMES))
 _URL_PASSES = re.compile("%s[%s]*" % (_URL_HEAD, re.escape(_URL_KEPT))).fullmatch
 _URL_ATTR_PASSES = re.compile("%s[%s]*" % (
     _URL_HEAD, re.escape(_URL_KEPT.replace("&", "").replace("'", "")))).fullmatch
+_URL_CSS_PASSES = re.compile("%s[%s]*" % (_URL_HEAD, re.escape(
+    _URL_KEPT.replace("&", "").replace("'", "").replace("(", "").replace(")", "")))).fullmatch
 _PCT = tuple(chr(b) if chr(b) in _URL_KEPT else "%%%02X" % b for b in range(256))
 _PCT_ATTR = tuple(map({"&": "&amp;", "'": "&#39;"}.get, _PCT, _PCT))
-_PCT_CSS = tuple(map({"&": "\\26 ", "'": "\\27 "}.get, _PCT, _PCT))
+_PCT_CSS = tuple(map({"&": "\\26 ", "'": "\\27 ", "(": "\\28 ", ")": "\\29 "}.get,
+                     _PCT, _PCT))
 
 # Substituting instead of deleting keeps a rejected URL from turning the
 # interpolation into an empty transition.
 URL_REPLACEMENT = "about:invalid#blocked"
 
-_CSS_STRING_SEARCH = re.compile(r'[\\"\'<>&\n\r\f]').search
+_CSS_STRING_SEARCH = re.compile(r'[\\"\'<>&()\n\r\f]').search
 
 
 def escape_pcdata(value) -> str:
@@ -113,7 +116,7 @@ def filter_url_css(value) -> str:
     """``filter_url_prefix`` then ``escape_css_string`` in one call, in the
     way ``filter_url_attr`` fuses the attribute escaper."""
     text = value if type(value) is str else stringify(value)
-    return text if _URL_ATTR_PASSES(text) else _filter_url(text, _PCT_CSS)
+    return text if _URL_CSS_PASSES(text) else _filter_url(text, _PCT_CSS)
 
 
 def _filter_url(text: str, table: tuple[str, ...]) -> str:
@@ -168,13 +171,15 @@ def escape_json_value(value) -> str:
 
 def escape_css_string(value) -> str:
     """Escape for the inside of a CSS string literal (hex escapes keep
-    quotes, backslashes, and markup-significant characters inert)."""
+    quotes, backslashes, markup-significant characters and parentheses
+    inert: a value cannot end a ``url(`` whose quotes it did not open)."""
     text = value if type(value) is str else stringify(value)
     if _CSS_STRING_SEARCH(text) is None:
         return text
     # the backslash first, so the escapes added after it stay as they are
     return (text.replace("\\", "\\\\").replace('"', "\\22 ").replace("'", "\\27 ")
             .replace("<", "\\3c ").replace(">", "\\3e ").replace("&", "\\26 ")
+            .replace("(", "\\28 ").replace(")", "\\29 ")
             .replace("\n", "\\a ").replace("\r", "\\a ").replace("\f", "\\a "))
 
 

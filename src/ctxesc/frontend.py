@@ -105,8 +105,11 @@ def _content_nodes(text: str, pos: Position, diags: list[Diagnostic]) -> list:
             buf.append(text[i:j])
         i = j
         if text.startswith("$${", i):
+            # the literal ends here, so the next one's columns count from the source
             buf.append("${")
+            flush_literal()
             i += 3
+            buf_start = i
             continue
         if text.startswith("${", i):
             end = text.find("}", i + 2)

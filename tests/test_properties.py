@@ -11,14 +11,18 @@ from ctxesc.plan import execute_plan
 from ctxesc.machine import MachineState, finish, merge, step_fixed, step_interp
 from ctxesc.runtime import Bindings, render_full
 from ctxesc.values import SafeContent
-from ctxesc.web import html_machine
-from conftest import program_of
+from ctxesc.web import html_machine, machine_for_tag
+from conftest import edit_table, program_of
 from support import (
+    CSS_CORPUS,
     STRUCTURE_CORPUS,
     adversarial_values,
     codec_decode,
     codec_encode,
     corpus_bindings,
+    markup_corpus,
+    restep_breaks,
+    structure_breaks,
 )
 
 POS = Position("t", 1, 1)
@@ -287,41 +291,56 @@ def test_a_site_error_names_its_dollar_brace_in_both_engines(text, indent):
 
 # -- the machine re-steps its own renders -------------------------------------------
 
-_SENTINEL = "zq7sentinel"  # alphanumeric: every escaper copies it as it is
+CSS = machine_for_tag("css")
 
 
-def _restep(text):
-    """Step a render as one literal from the start state, then finish."""
-    r = step_fixed(HTML, HTML.zero_state(), text, POS)
-    f = finish(HTML, r.state, POS.advance(text))
-    return f.state, [str(d) for d in r.diagnostics + f.diagnostics]
-
-
-def _without_url_context(state):
-    """The URL machine's context moves with the value (`Start` to
-    `MaybeScheme` or `AfterAuthority`), so it is left out."""
-    return state.context, state.error, [
-        (fr.machine, fr.codec, None if fr.machine == "Url" else fr.context) for fr in state.frames]
+def _renders(source, machine, bind):
+    """A one-site template's render of a value through its plan and through
+    the dynamic engine."""
+    plan, program = compile_template(source)[0], program_of(source)
+    return (lambda v: execute_plan(plan, Bindings(bind(v)))[0].text,
+            lambda v: render_full(program, Bindings(bind(v)), machine)[0].text)
 
 
 def test_a_render_restepped_as_a_literal_leaves_each_value_where_a_benign_value_does():
-    # Split each render of a single-site template at its value's end, found
-    # from the sentinel's render: the literal text after the site is the
-    # same in both. Stepping up to there must reach the sentinel's state at
-    # every level but the URL machine's, and stepping the whole render must
-    # end where the sentinel's render does, with no diagnostic.
+    # Split each render of a one-site template at its value's end, found
+    # from the sentinel's render: stepping up to there must reach the
+    # sentinel's state at every level but the URL machine's, and stepping
+    # the whole render must end where the sentinel's render does, with no
+    # diagnostic. `tag: css` roots are judged by the CSS machine.
     values = adversarial_values(300)
-    for source in [s for s in STRUCTURE_CORPUS if s.count("${") == 1]:
-        plan, program = compile_template(source)[0], program_of(source)
-        for render in (lambda v: execute_plan(plan, Bindings(corpus_bindings(v)))[0].text,
-                       lambda v: render_full(program, Bindings(corpus_bindings(v)), HTML)[0].text):
-            benign = render(_SENTINEL)
-            tail = len(benign) - benign.index(_SENTINEL) - len(_SENTINEL)
-            at_value = _without_url_context(_restep(benign[:len(benign) - tail])[0])
-            end = _restep(benign)
-            assert end[1] == []
-            for value in values:
-                text = render(value)
-                assert _without_url_context(_restep(text[:len(text) - tail])[0]) == at_value, (
-                    source, value)
-                assert _restep(text) == end, (source, value)
+    cases = [(s, HTML, corpus_bindings) for s in STRUCTURE_CORPUS if s.count("${") == 1]
+    cases += [(s, CSS, lambda v: {"x": v}) for s in CSS_CORPUS]
+    for source, machine, bind in cases:
+        for render in _renders(source, machine, bind):
+            assert next(restep_breaks(machine, render, values), None) is None, source
+
+
+def test_random_markup_keeps_its_structure_and_each_value_where_a_benign_value_does():
+    # typed, valueless and `=`-only attributes in any order, with a value in
+    # an attribute, in CSS in a style attribute, or in text after markup
+    values = adversarial_values(120)
+    sources = markup_corpus(range(200))
+    assert len(sources) > 150
+    for i, source in enumerate(sources):
+        render = _renders(source, HTML, lambda v: {"x": v})[0]
+        window = values[i * 12 % 120:][:24]
+        assert next(structure_breaks(render, window), None) is None, source
+        assert next(restep_breaks(HTML, render, window), None) is None, source
+
+
+def test_random_markup_sees_a_valueless_attribute_read_as_part_of_the_next(tables_dir):
+    # Without the row that ends a valueless attribute at whitespace, the
+    # `href` in `<a title href=${x}>` reads as more of `title`, a plain
+    # attribute, so `javascript:` URLs pass: C6 over the generated markup
+    # finds one, not a hand-picked case.
+    edit_table(tables_dir / "html.tt",
+               "| AttrName, _, _, _      | `{{ws}}+`         | | BeforeAttr, _, None, _ |\n", "")
+    values = adversarial_values(60)
+
+    def breaks(source):
+        plan, _ = compile_template(source, tables_dir=str(tables_dir))
+        render = lambda v: execute_plan(plan, Bindings({"x": v}))[0].text  # noqa: E731
+        return plan is not None and next(structure_breaks(render, values), None) is not None
+
+    assert any(breaks(source) for source in markup_corpus(range(200)))

@@ -45,14 +45,47 @@ def test_line_coverage_lists_the_lines_a_test_file_never_runs():
     assert re.search(r"^never-run lines: [1-9]\d* \(4 allowed\)$", result.stdout, re.M)
 
 
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_line_coverage_allow_list_names_lines_that_exist():
-    spec = importlib.util.spec_from_file_location("ledger", ROOT / "scripts" / "line_coverage.py")
-    ledger = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ledger)
+    ledger = load_script("line_coverage")
     sources = ledger.module_sources()
     for (module, text), reason in ledger.ALLOWED.items():
         assert text in [line.strip() for line in sources[module]], (module, text)
         assert reason and "\n" not in reason
+
+
+def test_mutation_ledger_judges_the_text_table():
+    ledger = load_script("mutation_ledger")
+    outcomes = ledger.Ledger(["text.tt"]).run(ledger.table_mutants(["text.tt"]))
+    assert ledger.problems(outcomes) == []
+    # its two rows, and its one cell pointed at each other shipped chain
+    assert len(outcomes) == 2 + len(ledger.shipped_chains()) - 1
+    assert outcomes[("text.tt", "| _ | | | | _ |")] == "compile"
+    assert outcomes[("text.tt", "| Text | `[\\s\\S]+` | | _ |")] == "ops"
+    assert {outcomes[key] for key in outcomes if len(key) == 3} == {"bytes"}
+
+
+def test_mutation_ledger_lists_only_mutants_that_exist_and_reports_each_problem():
+    ledger = load_script("mutation_ledger")
+    keys = {mutant.key for mutant in ledger.all_mutants()}
+    for key, reason in ledger.EXPECTED.items():
+        assert key in keys, key
+        assert reason.startswith(("speed: ", "item 3: ", "gap: ")) and "\n" not in reason
+    row, cut = ("text.tt", "| Text | `[\\s\\S]+` | | _ |"), ("escape_pcdata", "replace '<'")
+    assert row in keys and cut in keys
+    assert ledger.problems({row: "ops", cut: "C6"}, {row: ledger.SPEED}) == []
+    assert ledger.problems({row: "bytes", cut: "re-step"}, {cut: ledger.SPEED}, keys | {"x"}) == [
+        f"survives (bytes catches it), not listed: {row!r}",
+        f"listed but killed by re-step: {cut!r}"]
+    assert ledger.problems({row: None}, {row: ledger.SPEED, "x": ledger.SPEED}, keys) == [
+        f"listed as a speed row, but nothing catches it: {row!r}",
+        "listed, but no such mutant: 'x'"]
 
 
 def memo_free_table_ops(monkeypatch, batch):

@@ -303,8 +303,9 @@ def test_attributes_outside_the_url_list_are_typed_by_name(html, name, attr):
     ('<svg><a xlink:href="${x}">', "javascript:alert(7)",
      '<svg><a xlink:href="about:invalid#blocked">'),
     ('<img srcset="${x}">', "javascript:alert(8)", "(Attr, _, Deny, Double)"),
+    ('<script src="${x}">', "https://evil.example/x.js", "(Attr, Script, Deny, Double)"),
 ], ids=["probe2-onclick", "probe3-srcdoc", "probe4-object-data", "probe7-xlink-href",
-        "probe8-srcset"])
+        "probe8-srcset", "script-src"])
 def test_attribute_probes_fail_closed(html, line, value, expected):
     source = f'tag: html\n"{line}\n'
     plan, diags = compile_template(source, "p.tpl")
@@ -321,6 +322,38 @@ def test_attribute_probes_fail_closed(html, line, value, expected):
         assert diags == []
         assert execute_plan(plan, bindings)[0].text == expected + "\n"
         assert render_full(program_of(source, "p.tpl"), bindings, html)[0].text == expected + "\n"
+
+
+# CSS escapes end in a space, which ends an unquoted attribute value: with
+# `'` escaped as `\27 `, the value `x' onmouseover=alert(1)` once added an
+# event handler to `<p style=url('${x}')>`. A value in CSS in an unquoted
+# style attribute is an error; quoted, it compiles.
+@pytest.mark.parametrize("line", ["<p style=url('${x}')>t</p>", "<p style=content:'${x}'>t</p>"])
+def test_css_in_an_unquoted_style_attribute_takes_no_value(html, line):
+    source = f'tag: html\n"{line}\n'
+    where = f"p.tpl:2:{line.index('${') + 2}"
+    assert [str(d) for d in compile_template(source, "p.tpl")[1]] == [
+        f"{where}: error: no escaper mapping for enclosing html context (Attr, _, Css, Space)"]
+    with pytest.raises(RenderError) as exc:
+        render_full(program_of(source, "p.tpl"), Bindings({"x": "x"}), html)
+    assert str(exc.value.position) == where
+    quoted = source.replace("style=", 'style="').replace(")>", ')">').replace("'>", "'\">")
+    assert compile_template(quoted)[1] == []
+
+
+# A script's src loads code, so no value may go there; a literal src and a
+# script's other attributes are as before.
+@pytest.mark.parametrize("line, expected", [
+    ('<script src="/a.js"></script><p>${x}</p>', '<script src="/a.js"></script><p>v</p>'),
+    ('<script src-x="${x}"></script>', '<script src-x="v"></script>'),
+], ids=["literal-src", "src-x"])
+def test_script_src_denies_values_only(html, line, expected):
+    source = f'tag: html\n"{line}\n'
+    plan, diags = compile_template(source, "p.tpl")
+    assert diags == []
+    bindings = Bindings({"x": "v"})
+    assert execute_plan(plan, bindings)[0].text == expected + "\n"
+    assert render_full(program_of(source, "p.tpl"), bindings, html)[0].text == expected + "\n"
 
 
 # Literal text in a Js or Deny value is consumed a run at a time, as in a
